@@ -79,8 +79,8 @@ pub use multi_split::{
 pub use op::{And, Max, Min, Or, Prod, ScanOp, Sum};
 pub use scan::{
     inclusive_scan, inclusive_scan_backward, reduce, scan, scan_backward, scan_with_total,
-    try_inclusive_scan, try_inclusive_scan_backward, try_reduce, try_scan, try_scan_backward,
-    try_scan_with_total,
+    try_inclusive_scan, try_inclusive_scan_backward, try_reduce, try_reduce_range, try_scan,
+    try_scan_backward, try_scan_range, try_scan_with_total,
 };
 pub use segmented::{seg_inclusive_scan, seg_scan, seg_scan_backward, try_seg_scan, Segments};
 pub use stream::{

@@ -9,10 +9,12 @@
 //! All functions here dispatch to the blocked parallel engine in
 //! [`crate::parallel`] for large inputs.
 
+use crate::deadline::ScanDeadline;
 use crate::element::ScanElem;
-use crate::error::Result;
+use crate::error::{Error, ExecError, Result};
 use crate::op::ScanOp;
-use crate::parallel;
+use crate::parallel::{self, Mode, Schedule};
+use crate::segmented::seg_combine;
 
 /// Exclusive forward scan (the paper's scan).
 ///
@@ -152,6 +154,155 @@ fn try_typed_scan<O: ScanOp<T>, T: ScanElem>(
         O::simd_tile(),
         d.as_ref(),
     )
+}
+
+/// Fallible exclusive forward scan of one range of a longer input,
+/// seeded with `carry` — the pair fold of everything before the range
+/// ([`try_reduce_range`]) — on `sched` under `deadline` (not the
+/// ambient scope). Returns the output and the carry-out that seeds the
+/// next range, so consecutive ranges concatenate to [`scan`], or with
+/// `heads` to [`crate::seg_scan`]: `heads[i]` starts a segment at
+/// `values[i]` and cuts the carry off under [`seg_combine`]. The
+/// range's first element is not implied to be a head; seeding the
+/// input's start with `(O::identity(), false)` already gives it the
+/// identity. Panics are contained as in [`try_scan`], and a `heads`
+/// of the wrong length is [`Error::LengthMismatch`].
+pub fn try_scan_range<O: ScanOp<T>, T: ScanElem>(
+    sched: Schedule,
+    values: &[T],
+    heads: Option<&[bool]>,
+    carry: (T, bool),
+    deadline: Option<&ScanDeadline>,
+) -> Result<(Vec<T>, (T, bool))> {
+    let n = values.len();
+    Ok(match checked_heads(n, heads)? {
+        None => {
+            let mode = Mode::ExclusiveFwd;
+            let (out, c) =
+                try_carry_scan::<O, T, _>(sched, n, |i| values[i], carry.0, mode, deadline)?;
+            (out, (c, carry.1))
+        }
+        Some(h) => try_seg_carry_scan::<O, T, _>(sched, n, |i| (values[i], h[i]), carry, deadline)?,
+    })
+}
+
+/// The pair fold of one range, matching [`try_scan_range`]: the
+/// range's reduction under `O` (restarting at its heads) and whether
+/// it holds a head. Same contract as [`try_scan_range`].
+pub fn try_reduce_range<O: ScanOp<T>, T: ScanElem>(
+    sched: Schedule,
+    values: &[T],
+    heads: Option<&[bool]>,
+    deadline: Option<&ScanDeadline>,
+) -> Result<(T, bool)> {
+    let n = values.len();
+    let id = O::identity();
+    Ok(match checked_heads(n, heads)? {
+        None => {
+            let load = |i| values[i];
+            let tile = O::simd_tile();
+            let total =
+                parallel::try_reduce_engine(sched, n, load, id, O::combine, tile, deadline)?;
+            (total, false)
+        }
+        Some(h) => {
+            let load = |i| (values[i], h[i]);
+            let tile = O::simd_seg_tile();
+            let f = seg_combine::<O, T>;
+            parallel::try_reduce_engine(sched, n, load, (id, false), f, tile, deadline)?
+        }
+    })
+}
+
+/// `heads`, after checking it covers exactly `n` values.
+fn checked_heads(n: usize, heads: Option<&[bool]>) -> Result<Option<&[bool]>> {
+    match heads {
+        Some(h) if h.len() != n => Err(Error::LengthMismatch {
+            expected: n,
+            actual: h.len(),
+        }),
+        _ => Ok(heads),
+    }
+}
+
+/// The carry-seeded engine call under [`try_scan_range`] and
+/// [`crate::ScanStream`]: the engine scans from the operator identity
+/// in `mode`, and the emit hook folds `carry` into every state from
+/// the side it precedes. Associativity makes this equal to seeding the
+/// whole prefix, while the engine keeps its block decomposition.
+/// Returns the output and the carry-out.
+pub(crate) fn try_carry_scan<O, T, L>(
+    sched: Schedule,
+    n: usize,
+    load: L,
+    carry: T,
+    mode: Mode,
+    deadline: Option<&ScanDeadline>,
+) -> core::result::Result<(Vec<T>, T), ExecError>
+where
+    O: ScanOp<T>,
+    T: ScanElem,
+    L: Fn(usize) -> T + Sync,
+{
+    let backward = mode.backward();
+    let fold = move |s| {
+        if backward {
+            O::combine(s, carry)
+        } else {
+            O::combine(carry, s)
+        }
+    };
+    let emit = move |_, s| fold(s);
+    let (out, total) = parallel::try_engine(
+        sched,
+        n,
+        load,
+        O::identity(),
+        O::combine,
+        emit,
+        mode,
+        O::simd_tile(),
+        deadline,
+    )?;
+    Ok((out, fold(total)))
+}
+
+/// Segmented [`try_carry_scan`], exclusive and forward over loaded
+/// `(value, head)` pairs: heads emit the identity, every other element
+/// its pair state with the carry folded in by [`seg_combine`].
+pub(crate) fn try_seg_carry_scan<O, T, L>(
+    sched: Schedule,
+    n: usize,
+    load: L,
+    carry: (T, bool),
+    deadline: Option<&ScanDeadline>,
+) -> core::result::Result<(Vec<T>, (T, bool)), ExecError>
+where
+    O: ScanOp<T>,
+    T: ScanElem,
+    L: Fn(usize) -> (T, bool) + Sync,
+{
+    let id = (O::identity(), false);
+    let emit = |i, s| {
+        if load(i).1 {
+            id.0
+        } else {
+            seg_combine::<O, T>(carry, s).0
+        }
+    };
+    let tile = O::simd_seg_tile();
+    let (out, total) = parallel::try_engine(
+        sched,
+        n,
+        &load,
+        id,
+        seg_combine::<O, T>,
+        emit,
+        Mode::ExclusiveFwd,
+        tile,
+        deadline,
+    )?;
+    Ok((out, seg_combine::<O, T>(carry, total)))
 }
 
 /// In-place exclusive forward scan (no allocation); sequential.

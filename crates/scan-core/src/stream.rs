@@ -51,7 +51,7 @@ use crate::element::ScanElem;
 use crate::error::{Error, Result};
 use crate::op::ScanOp;
 use crate::parallel::{self, Mode};
-use crate::segmented::seg_combine;
+use crate::scan;
 
 /// Domain separator for checkpoint digests, so a checkpoint can never
 /// verify against a jitter draw or any other `mix` stream.
@@ -332,39 +332,19 @@ where
             self.pulls += 1;
         }
 
-        let carry = self.carry;
-        let backward = self.mode.backward();
         let d = deadline::current();
         let buf = &self.buf;
-        // The carry rides the emit hook: the engine scans the chunk
-        // from the operator identity, and every emitted state gets the
-        // carry folded in from the correct side. Associativity makes
-        // this equal to seeding the whole prefix; the identity-seeded
-        // engine keeps its block decomposition untouched.
-        let (out, total) = parallel::try_engine(
+        let (out, carry) = scan::try_carry_scan::<O, T, _>(
             parallel::default_schedule(),
             buf.len(),
             |i| buf[i],
-            O::identity(),
-            O::combine,
-            move |_, s| {
-                if backward {
-                    O::combine(s, carry)
-                } else {
-                    O::combine(carry, s)
-                }
-            },
+            self.carry,
             self.mode,
-            O::simd_tile(),
             d.as_ref(),
         )?;
 
         // Commit: the chunk is now folded into the stream state.
-        self.carry = if backward {
-            O::combine(total, carry)
-        } else {
-            O::combine(carry, total)
-        };
+        self.carry = carry;
         self.chunk += 1;
         self.pulled = false;
         self.out = out;
@@ -497,7 +477,6 @@ where
             self.pulls += 1;
         }
 
-        let carry = self.carry;
         let first_chunk = self.chunk == 0;
         let d = deadline::current();
         let buf = &self.buf;
@@ -506,29 +485,15 @@ where
             let (v, f) = buf[i];
             (v, f || (first_chunk && i == 0))
         };
-        // Emit: heads restart at the identity; everything else is the
-        // in-chunk pair state with the carry folded in — the pair
-        // operator itself decides whether the carry survives (it dies
-        // at the first head in the chunk prefix).
-        let (out, total) = parallel::try_engine(
+        let (out, carry) = scan::try_seg_carry_scan::<O, T, _>(
             parallel::default_schedule(),
             buf.len(),
             load,
-            (O::identity(), false),
-            seg_combine::<O, T>,
-            move |i, s: (T, bool)| {
-                if load(i).1 {
-                    O::identity()
-                } else {
-                    seg_combine::<O, T>(carry, s).0
-                }
-            },
-            Mode::ExclusiveFwd,
-            O::simd_seg_tile(),
+            self.carry,
             d.as_ref(),
         )?;
 
-        self.carry = seg_combine::<O, T>(carry, total);
+        self.carry = carry;
         self.chunk += 1;
         self.pulled = false;
         self.out = out;

@@ -5,12 +5,16 @@
 //! 1-element chunks and chunks straddling the parallel threshold —
 //! and its checkpoint/resume protocol must restart from the last
 //! verified chunk boundary without re-reading the stream from zero.
+//! The carry-seeded range kernels under the streams (and under shard
+//! jobs) must continue any prefix exactly, cut anywhere.
 
 use proptest::prelude::*;
 use scan_core::deadline::{self, ScanDeadline};
+use scan_core::parallel::{Schedule, PAR_THRESHOLD};
+use scan_core::segmented::seg_combine;
 use scan_core::{
-    CarryCheckpoint, ChunkSource, Error, Max, ScanStream, SegScanStream, Segments, SliceSource,
-    Sum,
+    try_reduce_range, try_scan_range, CarryCheckpoint, ChunkSource, Error, ExecError, Max, ScanOp,
+    ScanStream, SegScanStream, Segments, SliceSource, Sum,
 };
 
 /// A source delivering chunks of varying lengths (cycling `lens`),
@@ -106,8 +110,61 @@ impl ChunkSource<u64> for RevSource<'_> {
     }
 }
 
+/// Split `data` at every cut in `cuts` and scan the suffix from the
+/// prefix's pair reduce, flat and segmented (with and without a head
+/// exactly at the cut), under both schedules: the suffix must be the
+/// tail of the whole-input scan and its carry-out the whole input's
+/// pair reduce.
+fn check_range_cuts<O: ScanOp<u64>>(data: &[u64], flags: &[bool], cuts: &[usize]) {
+    let n = data.len();
+    for sched in [Schedule::Sequential, Schedule::Pooled] {
+        let split = |heads: Option<&[bool]>, cut: usize| {
+            let prefix = (&data[..cut], heads.map(|h| &h[..cut]));
+            let suffix = (&data[cut..], heads.map(|h| &h[cut..]));
+            let carry = try_reduce_range::<O, u64>(sched, prefix.0, prefix.1, None).unwrap();
+            try_scan_range::<O, u64>(sched, suffix.0, suffix.1, carry, None).unwrap()
+        };
+        let flat_want = scan_core::scan::<O, _>(data);
+        let flat_total = (scan_core::reduce::<O, _>(data), false);
+        for &cut in cuts {
+            let (tail, carry) = split(None, cut);
+            prop_assert_eq!(&tail[..], &flat_want[cut..], "flat cut={} {:?}", cut, sched);
+            prop_assert_eq!(carry, flat_total, "flat cut={} {:?}", cut, sched);
+
+            for head_at_cut in [false, true] {
+                let mut heads = flags[..n].to_vec();
+                if cut < n {
+                    heads[cut] = head_at_cut;
+                }
+                let want =
+                    scan_core::seg_scan::<O, u64>(data, &Segments::from_flags(heads.clone()));
+                let total = data
+                    .iter()
+                    .zip(&heads)
+                    .fold((O::identity(), false), |acc, (&v, &h)| {
+                        seg_combine::<O, u64>(acc, (v, h))
+                    });
+                let (tail, carry) = split(Some(&heads), cut);
+                prop_assert_eq!(&tail[..], &want[cut..], "seg cut={} {:?}", cut, sched);
+                prop_assert_eq!(carry, total, "seg cut={} {:?}", cut, sched);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The range kernels continue a prefix exactly at every cut point.
+    #[test]
+    fn range_scan_continues_from_prefix_reduce(
+        data in proptest::collection::vec(0u64..10_000, 0..100),
+        flags in proptest::collection::vec(any::<bool>(), 100),
+    ) {
+        let cuts: Vec<usize> = (0..=data.len()).collect();
+        check_range_cuts::<Sum>(&data, &flags, &cuts);
+        check_range_cuts::<Max>(&data, &flags, &cuts);
+    }
 
     /// Forward streams equal the in-RAM kernels for every chunking,
     /// both operators, exclusive and inclusive.
@@ -257,6 +314,47 @@ fn corrupt_or_unseekable_checkpoints_are_typed_errors() {
     // A non-seekable source cannot resume mid-stream.
     let r = ScanStream::<Sum, u64, _>::exclusive(VarSource::new(&data, &[16])).resume(&good);
     assert!(matches!(r, Err(Error::SeekUnsupported { chunk: 2 })));
+}
+
+/// Above the parallel threshold `Pooled` takes the blocked path (on a
+/// pool wider than one lane); cuts on and around block boundaries
+/// must still continue exactly.
+#[test]
+fn range_scan_continues_on_the_blocked_path() {
+    let n = 2 * PAR_THRESHOLD + 7;
+    let data: Vec<u64> = (0..n as u64).map(|i| (i * 7919 + 13) % 1009).collect();
+    let flags: Vec<bool> = (0..n).map(|i| i % 97 == 5).collect();
+    let cuts = [0, 1, PAR_THRESHOLD - 1, PAR_THRESHOLD + 3, n - 1, n];
+    check_range_cuts::<Sum>(&data, &flags, &cuts);
+    check_range_cuts::<Max>(&data, &flags, &cuts);
+}
+
+/// The range kernels honor the deadline they are given with a typed
+/// `Cancelled`, and reject a mismatched head slice with a typed error.
+#[test]
+fn range_kernels_report_typed_errors() {
+    let data: Vec<u64> = (0..100).collect();
+    let heads = vec![false; data.len()];
+    let d = ScanDeadline::manual();
+    d.cancel();
+    let cancelled = Error::Exec(ExecError::Cancelled);
+    for sched in [Schedule::Sequential, Schedule::Pooled] {
+        for h in [None, Some(&heads[..])] {
+            let got = try_scan_range::<Sum, u64>(sched, &data, h, (0, false), Some(&d));
+            assert_eq!(got.unwrap_err(), cancelled);
+            let got = try_reduce_range::<Max, u64>(sched, &data, h, Some(&d));
+            assert_eq!(got.unwrap_err(), cancelled);
+        }
+    }
+    let (seq, short) = (Schedule::Sequential, Some(&heads[1..]));
+    let mismatch = Error::LengthMismatch {
+        expected: 100,
+        actual: 99,
+    };
+    let got = try_scan_range::<Sum, u64>(seq, &data, short, (0, false), None);
+    assert_eq!(got.unwrap_err(), mismatch);
+    let got = try_reduce_range::<Sum, u64>(seq, &data, short, None);
+    assert_eq!(got.unwrap_err(), mismatch);
 }
 
 /// A source whose pull trips a cancellation *after* handing out the

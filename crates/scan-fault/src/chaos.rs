@@ -42,9 +42,10 @@ pub enum ChaosEvent {
     /// Run the call but corrupt its result.
     Lie,
     /// Kill the executing shard mid-job (delivered by `scan-shard`'s
-    /// worker loop as an injected panic inside the shard thread, so
-    /// the supervisor's panic containment and range re-execution are
-    /// what get exercised).
+    /// supervisor loop, which exits without replying: the executor
+    /// sees the job's reply channel close, a disconnect, so the
+    /// dead-shard detection and range re-execution are what get
+    /// exercised).
     ShardKill,
     /// Corrupt the carry a shard reports upward (the per-shard total
     /// feeding the exclusive tree combine), so the O(n) verify and the

@@ -11,25 +11,10 @@
 use scan_core::segmented::{try_seg_scan, Segments};
 use scan_core::{deadline, Max, ScanDeadline, Sum};
 
-/// The primitive scan family a request group executes under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanKind {
-    /// Exclusive `+-scan` (wrapping add; identity 0).
-    Sum,
-    /// Exclusive `max-scan` (identity `u64::MIN`, i.e. 0).
-    Max,
-}
-
-impl ScanKind {
-    /// The scan recurrence, for O(n) postcondition verification.
-    #[inline]
-    pub(crate) fn combine(self, a: u64, b: u64) -> u64 {
-        match self {
-            ScanKind::Sum => a.wrapping_add(b),
-            ScanKind::Max => a.max(b),
-        }
-    }
-}
+/// The primitive scan family a request group executes under — the
+/// sharded executor's, so a request's kind needs no translation on its
+/// way into a [`crate::ShardedBackend`].
+pub use scan_shard::ScanKind;
 
 /// Executes batches for the service. Implementations must be safe to
 /// call from whichever submitter thread is currently leading a batch.
@@ -61,7 +46,8 @@ pub trait BatchBackend: Send + Sync {
 #[derive(Debug, Default)]
 pub struct PoolBackend;
 
-fn scoped<R>(deadline: Option<&ScanDeadline>, f: impl FnOnce() -> R) -> R {
+/// Run `f` under `deadline` as the ambient [`scan_core::deadline`] scope.
+pub(crate) fn scoped<R>(deadline: Option<&ScanDeadline>, f: impl FnOnce() -> R) -> R {
     match deadline {
         Some(d) => deadline::with_deadline(d, f),
         None => f(),
@@ -138,11 +124,5 @@ mod tests {
             b.scan_one(ScanKind::Max, &a, Some(&d)),
             Err(scan_core::Error::Exec(ExecError::Cancelled))
         );
-    }
-
-    #[test]
-    fn combine_mirrors_the_ops() {
-        assert_eq!(ScanKind::Sum.combine(u64::MAX, 2), 1); // wrapping
-        assert_eq!(ScanKind::Max.combine(3, 7), 7);
     }
 }

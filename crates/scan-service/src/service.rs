@@ -31,10 +31,10 @@
 //! 3. On persistent batch failure or a member that fails the O(n)
 //!    postcondition check, the affected members re-run individually
 //!    (one-request-one-kernel), each under its own deadline.
-//! 4. Repeated coalesced failures open a breaker: the service runs
-//!    *degraded* (every request solo) for a quarantine measured in
-//!    batch dispatches, then probes; a failed probe doubles the
-//!    quarantine, a successful one restores coalescing.
+//! 4. Repeated coalesced failures open a [`scan_fault::Breaker`]: the
+//!    service runs *degraded* (every request solo) for a quarantine
+//!    measured in batch dispatches, then probes; a failed probe doubles
+//!    the quarantine, a successful one restores coalescing.
 //!
 //! Every rung returns typed [`ServiceError`]s; no path hangs, drops a
 //! response, or buffers unboundedly.
@@ -45,7 +45,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use scan_core::segmented::Segments;
-use scan_core::{ExecError, ScanDeadline};
+use scan_core::{ExecError, Max, ScanDeadline, Sum};
+use scan_fault::{verify_scan, Breaker, BreakerConfig, BreakerState, Gate};
 
 use crate::backend::{BatchBackend, PoolBackend, ScanKind};
 use crate::error::{Result, ServiceError};
@@ -186,11 +187,9 @@ struct State {
     abandoned_in_queue: usize,
     /// True while some submitter is executing a batch.
     leading: bool,
-    // Breaker / logical batch clock.
+    // Breaker on the logical batch clock.
     dispatches: u64,
-    degraded_until: Option<u64>,
-    consecutive_failures: u32,
-    quarantine: u64,
+    breaker: Breaker,
     times_degraded: u64,
     batches_retried: u64,
     // Lifetime counters.
@@ -268,9 +267,7 @@ impl<B: BatchBackend> ScanService<B> {
             abandoned_in_queue: 0,
             leading: false,
             dispatches: 0,
-            degraded_until: None,
-            consecutive_failures: 0,
-            quarantine: cfg.base_quarantine.max(1),
+            breaker: Breaker::new(),
             times_degraded: 0,
             batches_retried: 0,
             submitted: 0,
@@ -458,8 +455,9 @@ impl<B: BatchBackend> ScanService<B> {
             let t = st.tenants.entry(e.tenant).or_default();
             t.max_wait_dispatches = t.max_wait_dispatches.max(waited);
         }
-        let coalesce_allowed = st.degraded_until.is_none_or(|until| dispatch >= until);
-        let probing = st.degraded_until.is_some() && coalesce_allowed;
+        let gate = st.breaker.gate(dispatch);
+        let coalesce_allowed = gate != Gate::Skip;
+        let probing = gate == Gate::Probe;
         drop(st);
 
         // If execution unwinds (a bug, not a contained worker panic —
@@ -500,21 +498,25 @@ impl<B: BatchBackend> ScanService<B> {
             return;
         }
         if out.coalesced_failed {
-            st.consecutive_failures += 1;
-            if probing {
-                // Failed probe: stay degraded, back off harder.
-                st.quarantine = (st.quarantine * 2).min(self.cfg.max_quarantine.max(1));
-                st.degraded_until = Some(st.dispatches + st.quarantine);
-            } else if st.degraded_until.is_none()
-                && st.consecutive_failures >= self.cfg.failure_threshold
-            {
-                st.degraded_until = Some(st.dispatches + st.quarantine);
-                st.times_degraded += 1;
-            }
+            // A failed probe re-opens the breaker with doubled
+            // quarantine; only a closed breaker opening is a new
+            // degradation.
+            let opened = st.breaker.failure(&self.breaker_config(), 0, st.dispatches, probing);
+            st.times_degraded += u64::from(opened && !probing);
         } else {
-            st.consecutive_failures = 0;
-            st.quarantine = self.cfg.base_quarantine.max(1);
-            st.degraded_until = None;
+            st.breaker.success();
+        }
+    }
+
+    /// The coalescer breaker's tuning, in batch dispatches, without
+    /// jitter: one breaker has no fleet to spread out.
+    fn breaker_config(&self) -> BreakerConfig {
+        BreakerConfig {
+            failure_threshold: self.cfg.failure_threshold,
+            base_quarantine: self.cfg.base_quarantine,
+            max_quarantine: self.cfg.max_quarantine,
+            jitter: 0,
+            jitter_seed: 0,
         }
     }
 
@@ -688,7 +690,7 @@ impl<B: BatchBackend> ScanService<B> {
                 // Cancelled or expired mid-batch: this member's
                 // verdict only.
                 Err(err.into())
-            } else if self.cfg.verify && !verify_exclusive(kind, input, seg) {
+            } else if self.cfg.verify && !verifies(kind, input, seg) {
                 // Lying backend on this segment: the coalesced path is
                 // suspect (feeds the breaker); the member gets a solo
                 // retry with one corruption already on record.
@@ -721,7 +723,7 @@ impl<B: BatchBackend> ScanService<B> {
             match self.backend.scan_one(kind, &input, e.deadline.as_ref()) {
                 Ok(scanned)
                     if scanned.len() == input.len()
-                        && (!self.cfg.verify || verify_exclusive(kind, &input, &scanned)) =>
+                        && (!self.cfg.verify || verifies(kind, &input, &scanned)) =>
                 {
                     return Ok(e.op.finish(&scanned));
                 }
@@ -760,13 +762,18 @@ impl<B: BatchBackend> ScanService<B> {
             solo_requests: st.solo_requests,
             expired_in_queue: st.expired_in_queue,
             backend_health: CoalescerHealth {
-                mode: match st.degraded_until {
-                    Some(until) if st.dispatches < until => ServiceMode::Degraded { until },
+                mode: match st.breaker.state() {
+                    BreakerState::Open { until, .. } if st.dispatches < until => {
+                        ServiceMode::Degraded { until }
+                    }
                     _ => ServiceMode::Coalescing,
                 },
                 dispatches: st.dispatches,
-                consecutive_failures: st.consecutive_failures,
-                quarantine: st.quarantine,
+                consecutive_failures: st.breaker.consecutive_failures(),
+                quarantine: match st.breaker.state() {
+                    BreakerState::Open { backoff, .. } => backoff,
+                    BreakerState::Closed => self.cfg.base_quarantine.max(1),
+                },
                 times_degraded: st.times_degraded,
                 batches_retried: st.batches_retried,
             },
@@ -803,19 +810,13 @@ impl<B: BatchBackend> Drop for LeaderGuard<'_, B> {
 }
 
 /// O(n) postcondition check: `out` must be the exclusive scan of
-/// `input` under `kind` (identity 0 for both `+` and `max` on `u64`).
-fn verify_exclusive(kind: ScanKind, input: &[u64], out: &[u64]) -> bool {
-    if out.len() != input.len() {
-        return false;
+/// `input` under `kind`.
+fn verifies(kind: ScanKind, input: &[u64], out: &[u64]) -> bool {
+    match kind {
+        ScanKind::Sum => verify_scan::<Sum, u64>(input, out),
+        ScanKind::Max => verify_scan::<Max, u64>(input, out),
     }
-    let mut acc = 0u64;
-    for (x, y) in input.iter().zip(out) {
-        if *y != acc {
-            return false;
-        }
-        acc = kind.combine(acc, *x);
-    }
-    true
+    .is_ok()
 }
 
 #[cfg(test)]
@@ -1158,14 +1159,5 @@ mod tests {
         let cfg = quick();
         let svc = ScanService::new(cfg.clone());
         assert_eq!(svc.backoff(3, 2, ScanKind::Sum), legacy(&cfg, 3, 2, ScanKind::Sum));
-    }
-
-    #[test]
-    fn verify_exclusive_accepts_truth_rejects_lies() {
-        let input = [3u64, 1, 4];
-        assert!(verify_exclusive(ScanKind::Sum, &input, &[0, 3, 4]));
-        assert!(!verify_exclusive(ScanKind::Sum, &input, &[0, 3, 5]));
-        assert!(!verify_exclusive(ScanKind::Sum, &input, &[0, 3]));
-        assert!(verify_exclusive(ScanKind::Max, &input, &[0, 3, 3]));
     }
 }

@@ -2,7 +2,7 @@
 //! executor.
 //!
 //! Coalesced batches at or above `min_shard_len` run on a
-//! [`ShardedExecutor`] — fanned across independent shard pools with
+//! [`ShardedExecutor`] — fanned across independent shard threads with
 //! loss recovery and verification ([`scan_shard`]) — while small
 //! batches and the solo degradation path stay on the ordinary
 //! [`PoolBackend`], whose single pool beats the sharding overhead at
@@ -15,10 +15,10 @@
 //! which the service's own retry/degradation ladder already handles.
 
 use scan_core::segmented::Segments;
-use scan_core::{deadline, ExecError, ScanDeadline};
+use scan_core::{ExecError, ScanDeadline};
 use scan_shard::{ShardConfig, ShardError, ShardedExecutor};
 
-use crate::backend::{BatchBackend, PoolBackend, ScanKind};
+use crate::backend::{scoped, BatchBackend, PoolBackend, ScanKind};
 
 /// Batch backend executing large batches on a sharded executor.
 #[derive(Debug)]
@@ -44,13 +44,6 @@ impl ShardedBackend {
     pub fn executor(&self) -> &ShardedExecutor {
         &self.executor
     }
-
-    fn kind(kind: ScanKind) -> scan_shard::ScanKind {
-        match kind {
-            ScanKind::Sum => scan_shard::ScanKind::Sum,
-            ScanKind::Max => scan_shard::ScanKind::Max,
-        }
-    }
 }
 
 /// Fold a shard error back into the service's error space.
@@ -67,13 +60,6 @@ fn to_core(e: ShardError) -> scan_core::Error {
     }
 }
 
-fn scoped<R>(deadline: Option<&ScanDeadline>, f: impl FnOnce() -> R) -> R {
-    match deadline {
-        Some(d) => deadline::with_deadline(d, f),
-        None => f(),
-    }
-}
-
 impl BatchBackend for ShardedBackend {
     fn seg_scan(
         &self,
@@ -86,8 +72,7 @@ impl BatchBackend for ShardedBackend {
             return self.fallback.seg_scan(kind, values, segs, deadline);
         }
         scoped(deadline, || {
-            self.executor
-                .seg_scan(Self::kind(kind), values, segs.flags())
+            self.executor.seg_scan(kind, values, segs.flags())
         })
         .map_err(to_core)
     }
@@ -101,7 +86,7 @@ impl BatchBackend for ShardedBackend {
         if values.len() < self.min_shard_len {
             return self.fallback.scan_one(kind, values, deadline);
         }
-        scoped(deadline, || self.executor.scan(Self::kind(kind), values)).map_err(to_core)
+        scoped(deadline, || self.executor.scan(kind, values)).map_err(to_core)
     }
 }
 

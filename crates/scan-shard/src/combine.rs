@@ -7,35 +7,73 @@
 //! keeps the combine associative-only — the same property the paper
 //! demands of the operator — and gives it the usual O(log s) depth.
 //!
-//! The segmented *pair* operator the shards and the executor both fold
-//! with lives here too: it is pure scan vocabulary, shared by both
-//! sides of the channel boundary, whereas `pool` is the shard-private
-//! supervisor machinery the executor must only reach via messages
-//! (`cargo xtask lint` R9).
+//! The range kernels a shard job runs live here too: they are pure
+//! scan vocabulary, shared by both sides of the channel boundary (the
+//! executor runs them itself for its inline rescues), whereas `pool`
+//! is the shard-private supervisor machinery the executor must only
+//! reach via messages (`cargo xtask lint` R9).
 
-use crate::executor::ScanKind;
+use std::ops::Range;
 
-/// The segmented pair operator under `kind`: the flag records "a
-/// segment head occurred in this span", which resets the value (paper
-/// §2.3). With no heads present it degenerates to the plain operator,
-/// so the flat and segmented kernels share one code path.
-pub(crate) fn pair_combine(kind: ScanKind, a: (u64, bool), b: (u64, bool)) -> (u64, bool) {
-    if b.1 {
-        b
-    } else {
-        (kind.combine(a.0, b.0), a.1)
+use scan_core::parallel::Schedule;
+use scan_core::{try_reduce_range, try_scan_range, ExecError, ScanDeadline, ScanOp};
+
+use crate::pool::{Output, Phase};
+
+/// One job's work: `phase` of `data[range]` and its heads, through
+/// scan-core's range kernels, sequentially on the calling thread.
+pub(crate) fn compute<O: ScanOp<u64>>(
+    data: &[u64],
+    heads: Option<&[bool]>,
+    range: Range<usize>,
+    phase: Phase,
+    deadline: Option<&ScanDeadline>,
+) -> Result<Output, ExecError> {
+    match phase {
+        Phase::Reduce => range_total::<O>(data, heads, range, deadline).map(Output::Total),
+        Phase::Scan { carry } => {
+            range_scan::<O>(data, heads, range, carry, deadline).map(Output::Scanned)
+        }
     }
 }
 
-/// Element `g` as a pair: its value and whether it begins a segment.
-/// Element 0 always begins a segment (crate-wide convention); flat
-/// scans have no heads at all.
-pub(crate) fn load_pair(data: &[u64], heads: Option<&[bool]>, g: usize) -> (u64, bool) {
-    let head = match heads {
-        Some(h) => h[g] || g == 0,
-        None => false,
-    };
-    (data[g], head)
+/// The pair total of `data[range]` and its heads (a round-1 result):
+/// scan-core's range reduce, sequential on the calling thread.
+pub(crate) fn range_total<O: ScanOp<u64>>(
+    data: &[u64],
+    heads: Option<&[bool]>,
+    range: Range<usize>,
+    deadline: Option<&ScanDeadline>,
+) -> Result<(u64, bool), ExecError> {
+    let heads = heads.map(|h| &h[range.clone()]);
+    try_reduce_range::<O, u64>(Schedule::Sequential, &data[range], heads, deadline).map_err(exec)
+}
+
+/// The exclusive scan of `data[range]` seeded with the pair `carry` (a
+/// round-2 result): scan-core's range scan, sequential on the calling
+/// thread.
+pub(crate) fn range_scan<O: ScanOp<u64>>(
+    data: &[u64],
+    heads: Option<&[bool]>,
+    range: Range<usize>,
+    carry: (u64, bool),
+    deadline: Option<&ScanDeadline>,
+) -> Result<Vec<u64>, ExecError> {
+    let heads = heads.map(|h| &h[range.clone()]);
+    try_scan_range::<O, u64>(Schedule::Sequential, &data[range], heads, carry, deadline)
+        .map(|(out, _)| out)
+        .map_err(exec)
+}
+
+/// The execution failure inside a range kernel's error. The values
+/// and heads are cut from the same range, so the kernels' length check
+/// cannot fail; were it to, the executor recovers the range like a
+/// lost worker.
+fn exec(e: scan_core::Error) -> ExecError {
+    match e {
+        scan_core::Error::Exec(x) => x,
+        _ => ExecError::WorkerLost { panics: 0 },
+    }
 }
 
 /// Exclusive scan of `totals` under `comb` (associative, with

@@ -7,9 +7,9 @@ use scan_core::ExecError;
 /// Why a shard was declared lost for (part of) a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossCause {
-    /// The shard's worker pool contained one or more task panics and
-    /// the job reported [`ExecError::WorkerLost`]. The shard itself is
-    /// still alive.
+    /// The shard's kernel contained one or more panics and the job
+    /// reported [`ExecError::WorkerLost`]. The shard itself is still
+    /// alive.
     Panic,
     /// The shard did not reply within the configured watchdog window.
     /// It may still be alive (merely slow); its late reply, if any, is

@@ -1,9 +1,10 @@
 //! The sharded scan executor.
 //!
 //! A scan is split into contiguous ranges, one per admitted shard
-//! (each shard being an independent supervisor thread with its own
-//! worker pool, [`crate::pool`]), and runs in two rounds mirroring the
-//! paper's two-pass schedule lifted one level up:
+//! (each shard being an independent supervisor thread running
+//! scan-core's sequential range kernels, [`crate::pool`]), and runs in
+//! two rounds mirroring the paper's two-pass schedule lifted one level
+//! up:
 //!
 //! 1. **Reduce**: every shard folds its range to a total.
 //! 2. **Combine**: the executor tree-combines the totals into
@@ -41,13 +42,14 @@ use std::thread;
 use std::time::Duration;
 
 use scan_core::backoff::Backoff;
-use scan_core::{ExecError, Max, ScanDeadline, Segments, Sum};
+use scan_core::parallel::default_schedule;
+use scan_core::segmented::seg_combine;
+use scan_core::{try_scan_range, ExecError, Max, ScanDeadline, ScanOp, Sum};
 use scan_fault::{Breaker, BreakerConfig, ChaosEvent, ChaosPlan, Gate};
 
-use crate::combine::exclusive_combine;
+use crate::combine::{compute, exclusive_combine, range_scan, range_total};
 use crate::error::{LossCause, ShardError};
 use crate::health::{ShardHealth, ShardStatus};
-use crate::combine::{load_pair, pair_combine};
 use crate::pool::{Job, Output, Phase, Reply, Shard};
 
 /// Lock a mutex, ignoring poisoning.
@@ -58,30 +60,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Producer index meaning "computed inline by the executor".
 const INLINE: usize = usize::MAX;
 
-/// The primitive scan family a sharded run executes.
+/// The primitive scan family a sharded run (or a service request)
+/// executes: the runtime name of scan-core's [`Sum`] or [`Max`]
+/// operator over `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanKind {
     /// Exclusive `+-scan` (wrapping add; identity 0).
     Sum,
     /// Exclusive `max-scan` (identity `u64::MIN`, i.e. 0).
     Max,
-}
-
-impl ScanKind {
-    /// The binary operator.
-    #[inline]
-    pub fn combine(self, a: u64, b: u64) -> u64 {
-        match self {
-            ScanKind::Sum => a.wrapping_add(b),
-            ScanKind::Max => a.max(b),
-        }
-    }
-
-    /// The operator's identity.
-    #[inline]
-    pub fn identity(self) -> u64 {
-        0
-    }
 }
 
 /// What the executor does when a shard is lost mid-run.
@@ -100,10 +87,8 @@ pub enum RecoveryPolicy {
 /// Tuning knobs for [`ShardedExecutor`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Number of shards (independent supervisor threads + pools).
+    /// Number of shards (independent supervisor threads).
     pub shards: usize,
-    /// Worker-pool lanes per shard.
-    pub threads_per_shard: usize,
     /// How long the executor waits for one job's reply before
     /// declaring the shard lost for the run.
     pub watchdog: Duration,
@@ -133,7 +118,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 2,
-            threads_per_shard: 1,
             watchdog: Duration::from_secs(5),
             reexec_retries: 3,
             backoff: Backoff {
@@ -196,9 +180,7 @@ impl ShardedExecutor {
     /// Build the executor and spawn its shards.
     pub fn new(cfg: ShardConfig) -> Self {
         let n = cfg.shards.max(1);
-        let shards = (0..n)
-            .map(|i| Shard::spawn(i, cfg.threads_per_shard))
-            .collect();
+        let shards = (0..n).map(Shard::spawn).collect();
         ShardedExecutor {
             inner: Mutex::new(Inner {
                 cfg,
@@ -285,6 +267,20 @@ impl ShardedExecutor {
         data: &Arc<Vec<u64>>,
         heads: Option<Arc<Vec<bool>>>,
     ) -> Result<Vec<u64>, ShardError> {
+        match kind {
+            ScanKind::Sum => self.run_as::<Sum>(kind, data, heads),
+            ScanKind::Max => self.run_as::<Max>(kind, data, heads),
+        }
+    }
+
+    /// [`run`](Self::run) with `kind`'s operator `O`, which the
+    /// executor's own folds (combine, inline rescue, verify) use.
+    fn run_as<O: ScanOp<u64>>(
+        &self,
+        kind: ScanKind,
+        data: &Arc<Vec<u64>>,
+        heads: Option<Arc<Vec<bool>>>,
+    ) -> Result<Vec<u64>, ShardError> {
         let deadline = scan_core::deadline::current();
         let mut guard = lock(&self.inner);
         let inner = &mut *guard;
@@ -322,6 +318,8 @@ impl ShardedExecutor {
             }
         }
         let need = inner.cfg.min_live.max(1);
+        let head_flags = heads.as_deref().map(Vec::as_slice);
+        let identity = (O::identity(), false);
         if live.len() < need {
             inner.degraded_runs += 1;
             if matches!(inner.cfg.policy, RecoveryPolicy::Fail) {
@@ -330,7 +328,17 @@ impl ShardedExecutor {
                     need,
                 });
             }
-            return degraded(kind, data, heads.as_deref().map(Vec::as_slice));
+            // Single-pool degradation: the whole input as one range on
+            // the ordinary scan-core schedule.
+            return try_scan_range::<O, u64>(
+                default_schedule(),
+                data,
+                head_flags,
+                identity,
+                deadline.as_ref(),
+            )
+            .map(|(out, _)| out)
+            .map_err(ShardError::from_core);
         }
 
         // Partition into one contiguous range per working shard.
@@ -340,7 +348,7 @@ impl ShardedExecutor {
         let mut healthy = vec![true; nshards];
 
         // Round 1: reduce every range to its pair total.
-        let r1 = run_phase(
+        let r1 = run_phase::<O>(
             inner, kind, data, &heads, &deadline, &ranges, &workers, &admitted, &probing,
             &mut healthy, clock, None,
         )?;
@@ -352,7 +360,7 @@ impl ShardedExecutor {
                 // Defensive: a phase mismatch is recomputed inline.
                 Output::Scanned(_) => {
                     inner.inline_rescues += 1;
-                    inline_total(kind, data, heads.as_deref().map(Vec::as_slice), ranges[slot].clone())
+                    range_total::<O>(data, head_flags, ranges[slot].clone(), None)?
                 }
             };
             totals.push(t);
@@ -363,12 +371,10 @@ impl ShardedExecutor {
         }
 
         // Combine: per-shard carries by exclusive tree scan.
-        let carries = exclusive_combine(&totals, (kind.identity(), false), |a, b| {
-            pair_combine(kind, a, b)
-        });
+        let carries = exclusive_combine(&totals, identity, seg_combine::<O, u64>);
 
         // Round 2: each range's exclusive scan, seeded with its carry.
-        let r2 = run_phase(
+        let r2 = run_phase::<O>(
             inner, kind, data, &heads, &deadline, &ranges, &workers, &admitted, &probing,
             &mut healthy, clock, Some(&carries),
         )?;
@@ -386,35 +392,36 @@ impl ShardedExecutor {
                 // verify pass below settle attribution.
                 _ => {
                     inner.inline_rescues += 1;
-                    out.extend_from_slice(&inline_scan(
-                        kind,
+                    out.extend_from_slice(&range_scan::<O>(
                         data,
-                        heads.as_deref().map(Vec::as_slice),
+                        head_flags,
                         range,
                         carries[slot],
-                    ));
+                        None,
+                    )?);
                     producers2.push(INLINE);
                 }
             }
         }
 
-        // Verify: one sequential O(n) pass recomputes the recurrence,
-        // fixes any wrong element in place, and attributes lies.
+        // Verify: one sequential O(n) pass recomputes the recurrence
+        // with the pair operator, fixes any wrong element in place, and
+        // attributes lies.
         if inner.cfg.verify {
-            let mut state = (kind.identity(), false);
+            let mut state = identity;
             for slot in 0..k {
                 let carry_good = carries[slot] == state;
                 let mut elem_bad = false;
-                let mut true_total = (kind.identity(), false);
+                let mut true_total = identity;
                 for g in ranges[slot].clone() {
-                    let e = load_pair(data, heads.as_deref().map(Vec::as_slice), g);
-                    let expect = if e.1 { kind.identity() } else { state.0 };
+                    let e = (data[g], head_flags.is_some_and(|h| h[g]));
+                    let expect = if e.1 { O::identity() } else { state.0 };
                     if out[g] != expect {
                         elem_bad = true;
                         out[g] = expect;
                     }
-                    state = pair_combine(kind, state, e);
-                    true_total = pair_combine(kind, true_total, e);
+                    state = seg_combine::<O, u64>(state, e);
+                    true_total = seg_combine::<O, u64>(true_total, e);
                 }
                 if elem_bad {
                     inner.inline_rescues += 1;
@@ -542,7 +549,7 @@ fn blame(
 /// worker shards, with watchdog collection and the recovery ladder.
 /// Returns each slot's output and its producer shard (or [`INLINE`]).
 #[allow(clippy::too_many_arguments)]
-fn run_phase(
+fn run_phase<O: ScanOp<u64>>(
     inner: &mut Inner,
     kind: ScanKind,
     data: &Arc<Vec<u64>>,
@@ -678,18 +685,7 @@ fn run_phase(
         }
         let produced = match recovered {
             Some(x) => x,
-            None => {
-                inner.inline_rescues += 1;
-                let out = match phase_for(slot) {
-                    Phase::Reduce => {
-                        Output::Total(inline_total(kind, data, heads.as_deref().map(Vec::as_slice), range))
-                    }
-                    Phase::Scan { carry } => {
-                        Output::Scanned(inline_scan(kind, data, heads.as_deref().map(Vec::as_slice), range, carry))
-                    }
-                };
-                (out, INLINE)
-            }
+            None => rescue::<O>(inner, data, heads, range, phase_for(slot))?,
         };
         outputs[slot] = Some(produced);
     }
@@ -699,88 +695,36 @@ fn run_phase(
         match o {
             Some(x) => done.push(x),
             // Defensive: never reached, but the phase must stay total.
-            None => {
-                inner.inline_rescues += 1;
-                let out = match phase_for(slot) {
-                    Phase::Reduce => Output::Total(inline_total(
-                        kind,
-                        data,
-                        heads.as_deref().map(Vec::as_slice),
-                        ranges[slot].clone(),
-                    )),
-                    Phase::Scan { carry } => Output::Scanned(inline_scan(
-                        kind,
-                        data,
-                        heads.as_deref().map(Vec::as_slice),
-                        ranges[slot].clone(),
-                        carry,
-                    )),
-                };
-                done.push((out, INLINE));
-            }
+            None => done.push(rescue::<O>(
+                inner,
+                data,
+                heads,
+                ranges[slot].clone(),
+                phase_for(slot),
+            )?),
         }
     }
     Ok(done)
 }
 
-/// Trusted sequential pair fold of a range.
-fn inline_total(
-    kind: ScanKind,
+/// The trusted bottom rung of the recovery ladder: compute the slot on
+/// the executor's own thread, with the kernels a shard job runs.
+fn rescue<O: ScanOp<u64>>(
+    inner: &mut Inner,
     data: &[u64],
-    heads: Option<&[bool]>,
+    heads: &Option<Arc<Vec<bool>>>,
     range: Range<usize>,
-) -> (u64, bool) {
-    let mut acc = (kind.identity(), false);
-    for g in range {
-        acc = pair_combine(kind, acc, load_pair(data, heads, g));
-    }
-    acc
-}
-
-/// Trusted sequential exclusive scan of a range seeded with `carry`.
-fn inline_scan(
-    kind: ScanKind,
-    data: &[u64],
-    heads: Option<&[bool]>,
-    range: Range<usize>,
-    carry: (u64, bool),
-) -> Vec<u64> {
-    let mut out = Vec::with_capacity(range.len());
-    let mut state = carry;
-    for g in range {
-        let e = load_pair(data, heads, g);
-        out.push(if e.1 { kind.identity() } else { state.0 });
-        state = pair_combine(kind, state, e);
-    }
-    out
-}
-
-/// Single-pool degradation: the ordinary `scan-core` kernels under the
-/// ambient deadline.
-fn degraded(
-    kind: ScanKind,
-    data: &Arc<Vec<u64>>,
-    heads: Option<&[bool]>,
-) -> Result<Vec<u64>, ShardError> {
-    let r = match heads {
-        None => match kind {
-            ScanKind::Sum => scan_core::try_scan::<Sum, u64>(data),
-            ScanKind::Max => scan_core::try_scan::<Max, u64>(data),
-        },
-        Some(h) => {
-            let segs = Segments::from_flags(h.to_vec());
-            match kind {
-                ScanKind::Sum => scan_core::try_seg_scan::<Sum, u64>(data, &segs),
-                ScanKind::Max => scan_core::try_seg_scan::<Max, u64>(data, &segs),
-            }
-        }
-    };
-    r.map_err(ShardError::from_core)
+    phase: Phase,
+) -> Result<(Output, usize), ShardError> {
+    inner.inline_rescues += 1;
+    let heads = heads.as_deref().map(Vec::as_slice);
+    Ok((compute::<O>(data, heads, range, phase, None)?, INLINE))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scan_core::Segments;
 
     fn data(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| (i * 31 + 7) % 257).collect()

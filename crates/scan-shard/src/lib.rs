@@ -3,9 +3,11 @@
 //! This crate lifts the paper's two-pass scan schedule one level up:
 //! instead of blocks within one worker pool, a scan is partitioned
 //! into contiguous ranges fanned across several *shards* — independent
-//! supervisor threads, each owning its own [`scan_core`] worker pool —
-//! and the per-shard totals are combined by the same exclusive
-//! balanced-tree scan the paper uses for blocks ([`combine`]).
+//! supervisor threads, each running [`scan_core`]'s sequential range
+//! kernels ([`scan_core::try_reduce_range`],
+//! [`scan_core::try_scan_range`]) — and the per-shard totals are
+//! combined by the same exclusive balanced-tree scan the paper uses
+//! for blocks ([`combine`]).
 //!
 //! Shards are deliberately treated as remote executors: the only way
 //! in is a job channel, the only way out is a per-job reply channel,

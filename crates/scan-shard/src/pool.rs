@@ -1,5 +1,5 @@
-//! Shard supervisors: one long-lived thread per shard, each owning a
-//! private `scan-core` worker pool.
+//! Shard supervisors: one long-lived thread per shard, each running
+//! scan-core's sequential range kernels on its own thread.
 //!
 //! A shard is deliberately structured like a remote executor even
 //! though it lives in-process: the only way in is a job message over a
@@ -19,21 +19,15 @@
 
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread;
 
-use scan_core::pool::WorkerPool;
-use scan_core::{ExecError, ScanDeadline};
+use scan_core::parallel::{try_exclusive_scan_by_sched, Schedule};
+use scan_core::{ExecError, Max, ScanDeadline, Sum};
 use scan_fault::ChaosEvent;
 
-use crate::combine::{load_pair, pair_combine};
+use crate::combine::compute;
 use crate::executor::ScanKind;
-
-/// Lock a mutex, ignoring poisoning (the partial/output slots hold
-/// plain data; a poisoned lock still guards a consistent value).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Which half of the two-round sharded scan a job runs.
 #[derive(Debug, Clone, Copy)]
@@ -84,15 +78,14 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Spawn shard `index` with a private pool of `threads` lanes. A
-    /// failed OS spawn yields a permanently-dead shard rather than an
-    /// error — the executor treats it like any other disconnected
-    /// shard.
-    pub fn spawn(index: usize, threads: usize) -> Shard {
+    /// Spawn shard `index`. A failed OS spawn yields a
+    /// permanently-dead shard rather than an error — the executor
+    /// treats it like any other disconnected shard.
+    pub fn spawn(index: usize) -> Shard {
         let (tx, rx) = mpsc::channel::<Job>();
         let handle = thread::Builder::new()
             .name(format!("scan-shard-{index}"))
-            .spawn(move || shard_loop(threads, rx));
+            .spawn(move || shard_loop(rx));
         match handle {
             Ok(h) => Shard {
                 tx: Some(tx),
@@ -147,8 +140,7 @@ impl Drop for Shard {
 
 /// Supervisor body: serve jobs until the channel closes or a chaos
 /// kill takes the shard down.
-fn shard_loop(threads: usize, rx: Receiver<Job>) {
-    let pool = WorkerPool::new(threads);
+fn shard_loop(rx: Receiver<Job>) {
     for job in rx {
         match job.inject {
             // Hard crash: exit without replying. The job's reply
@@ -156,19 +148,26 @@ fn shard_loop(threads: usize, rx: Receiver<Job>) {
             ChaosEvent::ShardKill => return,
             ChaosEvent::Delay(d) => thread::sleep(d),
             ChaosEvent::Panic => {
-                // A task panic inside the shard's own pool: contained
-                // there, reported as a typed WorkerLost.
-                let err = pool
-                    .try_run(1, None, |_| panic!("chaos: injected shard task panic"))
-                    .err()
-                    .unwrap_or(ExecError::WorkerLost { panics: 1 });
+                // A kernel panic inside the job: the engine's fallible
+                // path contains it and reports a typed WorkerLost.
+                let err = try_exclusive_scan_by_sched(Schedule::Sequential, &[0u64], 0, |_, _| {
+                    panic!("chaos: injected shard task panic")
+                })
+                .err()
+                .unwrap_or(ExecError::WorkerLost { panics: 1 });
                 let _ = job.reply.send(Reply { result: Err(err) });
                 continue;
             }
             _ => {}
         }
         let lie = matches!(job.inject, ChaosEvent::CarryCorrupt | ChaosEvent::Lie);
-        let result = execute(&pool, &job).map(|out| if lie { corrupt(out) } else { out });
+        let heads = job.heads.as_deref().map(Vec::as_slice);
+        let (range, deadline) = (job.range.clone(), job.deadline.as_ref());
+        let result = match job.kind {
+            ScanKind::Sum => compute::<Sum>(&job.data, heads, range, job.phase, deadline),
+            ScanKind::Max => compute::<Max>(&job.data, heads, range, job.phase, deadline),
+        };
+        let result = result.map(|out| if lie { corrupt(out) } else { out });
         let _ = job.reply.send(Reply { result });
     }
 }
@@ -188,186 +187,16 @@ fn corrupt(out: Output) -> Output {
     }
 }
 
-/// Run one job on the shard's pool.
-fn execute(pool: &WorkerPool, job: &Job) -> Result<Output, ExecError> {
-    let kind = job.kind;
-    let data = &job.data[..];
-    let heads = job.heads.as_deref().map(Vec::as_slice);
-    let deadline = job.deadline.as_ref();
-    match job.phase {
-        Phase::Reduce => {
-            blocked_reduce(pool, kind, data, heads, job.range.clone(), deadline).map(Output::Total)
-        }
-        Phase::Scan { carry } => {
-            blocked_scan(pool, kind, data, heads, job.range.clone(), carry, deadline)
-                .map(Output::Scanned)
-        }
-    }
-}
-
-/// Split `len` elements into at most `pool.threads()` equal blocks;
-/// returns `(block_len, block_count)` with `block_count * block_len >=
-/// len` and every block non-empty.
-fn blocking(pool: &WorkerPool, len: usize) -> (usize, usize) {
-    let lanes = pool.threads().min(len).max(1);
-    let block = len.div_ceil(lanes);
-    (block, len.div_ceil(block))
-}
-
-/// Pair fold of the range, blocked across the shard's pool.
-fn blocked_reduce(
-    pool: &WorkerPool,
-    kind: ScanKind,
-    data: &[u64],
-    heads: Option<&[bool]>,
-    range: Range<usize>,
-    deadline: Option<&ScanDeadline>,
-) -> Result<(u64, bool), ExecError> {
-    let id = (kind.identity(), false);
-    let len = range.len();
-    if len == 0 {
-        return Ok(id);
-    }
-    let (block, nb) = blocking(pool, len);
-    let partials: Vec<Mutex<(u64, bool)>> = (0..nb).map(|_| Mutex::new(id)).collect();
-    pool.try_run(nb, deadline, |j| {
-        let lo = range.start + j * block;
-        let hi = (lo + block).min(range.end);
-        let mut acc = id;
-        for g in lo..hi {
-            acc = pair_combine(kind, acc, load_pair(data, heads, g));
-        }
-        *lock(&partials[j]) = acc;
-    })?;
-    let mut total = id;
-    for p in &partials {
-        total = pair_combine(kind, total, *lock(p));
-    }
-    Ok(total)
-}
-
-/// Exclusive scan of the range seeded with `carry`, blocked two-pass
-/// across the shard's pool: block totals, an exclusive pass over them,
-/// then per-block emission. A segment head emits the identity; any
-/// other element emits the pair state accumulated before it.
-fn blocked_scan(
-    pool: &WorkerPool,
-    kind: ScanKind,
-    data: &[u64],
-    heads: Option<&[bool]>,
-    range: Range<usize>,
-    carry: (u64, bool),
-    deadline: Option<&ScanDeadline>,
-) -> Result<Vec<u64>, ExecError> {
-    let len = range.len();
-    let mut out = vec![0u64; len];
-    if len == 0 {
-        return Ok(out);
-    }
-    let id = (kind.identity(), false);
-    let (block, nb) = blocking(pool, len);
-    // Pass 1: block pair totals.
-    let partials: Vec<Mutex<(u64, bool)>> = (0..nb).map(|_| Mutex::new(id)).collect();
-    pool.try_run(nb, deadline, |j| {
-        let lo = range.start + j * block;
-        let hi = (lo + block).min(range.end);
-        let mut acc = id;
-        for g in lo..hi {
-            acc = pair_combine(kind, acc, load_pair(data, heads, g));
-        }
-        *lock(&partials[j]) = acc;
-    })?;
-    // Exclusive pass over block totals, seeded with the shard carry.
-    let mut carries = Vec::with_capacity(nb);
-    let mut state = carry;
-    for p in &partials {
-        carries.push(state);
-        state = pair_combine(kind, state, *lock(p));
-    }
-    // Pass 2: emit each block from its carry.
-    {
-        let chunks: Vec<Mutex<&mut [u64]>> = out.chunks_mut(block).map(Mutex::new).collect();
-        pool.try_run(nb, deadline, |j| {
-            let lo = range.start + j * block;
-            let hi = (lo + block).min(range.end);
-            let mut state = carries[j];
-            let mut chunk = lock(&chunks[j]);
-            for (k, g) in (lo..hi).enumerate() {
-                let e = load_pair(data, heads, g);
-                chunk[k] = if e.1 { kind.identity() } else { state.0 };
-                state = pair_combine(kind, state, e);
-            }
-        })?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scan_core::{Max, Sum};
-
-    fn roundtrip(kind: ScanKind, data: &[u64], heads: Option<&[bool]>) -> Vec<u64> {
-        let pool = WorkerPool::new(2);
-        let range = 0..data.len();
-        let total = blocked_reduce(&pool, kind, data, heads, range.clone(), None).unwrap();
-        // Whole input in one shard: carry is the identity pair, and the
-        // reduce total must equal the inclusive fold.
-        let mut acc = (kind.identity(), false);
-        for g in 0..data.len() {
-            acc = pair_combine(kind, acc, load_pair(data, heads, g));
-        }
-        assert_eq!(total, acc);
-        blocked_scan(&pool, kind, data, heads, range, (kind.identity(), false), None).unwrap()
-    }
-
-    #[test]
-    fn flat_kernels_match_scan_core() {
-        let data: Vec<u64> = (0..257).map(|i| (i * 7 + 3) % 101).collect();
-        assert_eq!(
-            roundtrip(ScanKind::Sum, &data, None),
-            scan_core::scan::<Sum, _>(&data)
-        );
-        assert_eq!(
-            roundtrip(ScanKind::Max, &data, None),
-            scan_core::scan::<Max, _>(&data)
-        );
-    }
-
-    #[test]
-    fn segmented_kernels_match_scan_core() {
-        let data: Vec<u64> = (0..100).map(|i| i * 3 + 1).collect();
-        let heads: Vec<bool> = (0..100).map(|i| i % 7 == 0).collect();
-        let segs = scan_core::Segments::from_flags(heads.clone());
-        assert_eq!(
-            roundtrip(ScanKind::Sum, &data, Some(&heads)),
-            scan_core::seg_scan::<Sum, u64>(&data, &segs)
-        );
-        assert_eq!(
-            roundtrip(ScanKind::Max, &data, Some(&heads)),
-            scan_core::seg_scan::<Max, u64>(&data, &segs)
-        );
-    }
-
-    #[test]
-    fn scan_with_carry_continues_a_prefix() {
-        // Split [0, 200) into two ranges; the second seeded with the
-        // first's total must reproduce the tail of the full scan.
-        let data: Vec<u64> = (0..200).map(|i| i + 1).collect();
-        let pool = WorkerPool::new(1);
-        let full = scan_core::scan::<Sum, _>(&data);
-        let t0 = blocked_reduce(&pool, ScanKind::Sum, &data, None, 0..120, None).unwrap();
-        let tail =
-            blocked_scan(&pool, ScanKind::Sum, &data, None, 120..200, t0, None).unwrap();
-        assert_eq!(tail[..], full[120..]);
-    }
 
     #[test]
     fn injected_panic_is_contained_and_shard_survives() {
         use std::sync::mpsc;
         use std::sync::Arc;
 
-        let mut shard = Shard::spawn(0, 1);
+        let mut shard = Shard::spawn(0);
         let data = Arc::new((1u64..=50).collect::<Vec<_>>());
 
         let send = |shard: &mut Shard, inject| {
@@ -385,7 +214,7 @@ mod tests {
             rx
         };
 
-        // The panic is contained inside the shard's own pool and
+        // The panic is contained by the engine's fallible path and
         // reported as a typed worker loss...
         let rx = send(&mut shard, ChaosEvent::Panic);
         let reply = rx.recv().unwrap();

@@ -1,8 +1,7 @@
 //! Property tests: without chaos, the sharded executor is
 //! observationally identical to the single-pool `scan-core` kernels —
-//! flat and segmented, both operators, across shard counts and pool
-//! widths, including degenerate inputs (empty, shorter than the shard
-//! count).
+//! flat and segmented, both operators, across shard counts, including
+//! degenerate inputs (empty, shorter than the shard count).
 
 use proptest::prelude::*;
 use scan_core::{Max, Segments, Sum};
@@ -14,13 +13,11 @@ proptest! {
     #[test]
     fn sharded_equals_single_pool(
         shards in 1usize..=8,
-        threads in 1usize..=2,
         values in proptest::collection::vec(0u64..1000, 0..300),
         flags in proptest::collection::vec(any::<bool>(), 300),
     ) {
         let ex = ShardedExecutor::new(ShardConfig {
             shards,
-            threads_per_shard: threads,
             ..ShardConfig::default()
         });
 

@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn shard_pool_is_the_only_new_spawn_site() {
-        // The shard supervisors may spawn (each owns a worker pool);
+        // The shard supervisors may spawn (one thread per shard);
         // the rest of the scan-shard crate — the executor in
         // particular — must go through them.
         let t = Tree::new();

@@ -35,7 +35,7 @@ pub const UNSAFE_ALLOWLIST: [&str; 6] = [
 ];
 
 /// The files allowed to spawn threads directly: the worker pool and
-/// the shard supervisors (which each own a worker pool).
+/// the shard supervisors (long-lived, individually killable threads).
 pub const SPAWN_ALLOWLIST: [&str; 2] = [
     "crates/scan-core/src/pool.rs",
     "crates/scan-shard/src/pool.rs",
