@@ -52,10 +52,7 @@
 //! unwind already ran the guard.
 
 use crate::deadline::ScanDeadline;
-use crate::error::ExecError;
-use crate::parallel::{
-    check, run_blocks, scan_span, try_run_blocks, try_scan_span, Mode, Schedule, SendPtr,
-};
+use crate::parallel::{budget_scan_span, Budget, Mode, Schedule, SendPtr};
 use crate::simd::SimdTile;
 use crate::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::cell::UnsafeCell;
@@ -221,7 +218,7 @@ impl<S: Copy> DescTable<S> {
                         if cfg!(any(miri, loom)) || spins.is_multiple_of(64) {
                             // Checkpoint: a predecessor that will never
                             // publish implies one of these latches.
-                            if self.is_abandoned() || check(deadline).is_err() {
+                            if self.is_abandoned() || deadline.check().is_err() {
                                 return None;
                             }
                             crate::sync::thread::yield_now();
@@ -277,11 +274,12 @@ impl<S: Copy> Drop for Abandon<'_, S> {
 
 /// Single-pass scan: the lookback rendering of
 /// [`crate::parallel::engine`]'s contract (same load/emit fusion, same
-/// modes, same total). `f` must be associative and `identity` must be
-/// a two-sided identity — the slow path materializes identity-seeded
-/// local states and grafts the resolved seed on with one extra
-/// combine per element.
-pub(crate) fn lookback_engine<S, U, L, F, E>(
+/// modes, same total, same [`Budget`]). `f` must be associative and
+/// `identity` must be a two-sided identity — the slow path
+/// materializes identity-seeded local states and grafts the resolved
+/// seed on with one extra combine per element.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn engine<B, S, U, L, F, E>(
     n: usize,
     load: &L,
     identity: S,
@@ -289,8 +287,10 @@ pub(crate) fn lookback_engine<S, U, L, F, E>(
     emit: &E,
     mode: Mode,
     tile: Option<&SimdTile<S>>,
-) -> (Vec<U>, S)
+    budget: B,
+) -> Result<(Vec<U>, S), B::Err>
 where
+    B: Budget,
     S: Copy + Send + Sync,
     U: Copy + Send + Sync,
     L: Fn(usize) -> S + Sync,
@@ -307,12 +307,17 @@ where
         // The blocks always run on the pool: its strictly in-order task
         // claiming is what makes the lookback chain deadlock-free (a
         // per-call `Spawn` scope gives no claim order).
-        run_blocks(Schedule::Pooled, nblocks, move |t| {
+        budget.run_blocks(Schedule::Pooled, nblocks, move |t| {
             // Descriptor index = traversal order; map to the physical
             // slice, which runs from the other end for backward modes.
             let phys = if mode.backward() { nblocks - 1 - t } else { t };
             let r = lb_range(n, block, phys);
+            // Every early `return` below leaves the guard armed, so it
+            // publishes and successors don't wait on this block.
             let mut guard = Abandon::new(table, t, identity);
+            if table.is_abandoned() || budget.check().is_err() {
+                return;
+            }
             let seed = if t == 0 {
                 Some(identity)
             } else {
@@ -324,10 +329,13 @@ where
                 // published, so scan seeded and emit straight to the
                 // output — no scratch, no fixup.
                 // SAFETY: lookback blocks partition `0..n` and task `t`
-                // owns slice `r`, so each index is written exactly once
-                // before the `set_len` below (see `SendPtr`).
+                // owns slice `r`, so each index is written at most once,
+                // and `set_len` below runs only if every block finished.
                 let mut write = |i: usize, s: S| unsafe { o.get().add(i).write(emit(i, s)) };
-                let incl = scan_span(r, load, seed, f, mode, tile, &mut write);
+                let Ok(incl) = budget_scan_span(r, load, seed, f, mode, tile, budget, &mut write)
+                else {
+                    return;
+                };
                 table.publish_prefix(t, incl);
                 guard.disarm();
             } else {
@@ -338,117 +346,23 @@ where
                 let len = r.len();
                 let base = r.start;
                 let mut states: Vec<S> = Vec::with_capacity(len);
-                {
-                    let sp = states.as_mut_ptr();
-                    // SAFETY: thread-local scratch; `scan_span` writes
-                    // every offset in `0..len` exactly once before the
-                    // `set_len`.
-                    let mut write = |i: usize, s: S| unsafe { sp.add(i - base).write(s) };
-                    let agg = scan_span(r.clone(), load, identity, f, mode, tile, &mut write);
-                    table.publish_aggregate(t, agg);
-                    let Some(seed) = table.lookback(t, identity, f, None) else {
-                        // Abandoned chain: the guard re-publishes and the
-                        // originating panic replay discards the pass.
-                        return;
-                    };
-                    table.publish_prefix(t, f(seed, agg));
-                    guard.disarm();
-                    // SAFETY: all `len` offsets initialized just above.
-                    unsafe { states.set_len(len) };
-                    for i in r {
-                        // SAFETY: same disjoint-slice argument as the
-                        // fast path.
-                        unsafe { o.get().add(i).write(emit(i, f(seed, states[i - base]))) };
-                    }
-                }
-            }
-        });
-    }
-    // A panicking block replays out of `run_blocks` above, so reaching
-    // here means every block published a real prefix.
-    let total = if nblocks == 0 {
-        identity
-    } else {
-        table.try_prefix(nblocks - 1).unwrap_or(identity)
-    };
-    // SAFETY: every index in `0..n` was initialized by exactly one block.
-    unsafe { out.set_len(n) };
-    (out, total)
-}
-
-/// Fallible [`lookback_engine`]: deadline checkpoints every stride,
-/// panic containment via the pool, identical results on the happy
-/// path. The post-run deadline check is authoritative — any bailed
-/// block latched the token first, so partially-written output is never
-/// exposed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_lookback_engine<S, U, L, F, E>(
-    n: usize,
-    load: &L,
-    identity: S,
-    f: &F,
-    emit: &E,
-    mode: Mode,
-    tile: Option<&SimdTile<S>>,
-    d: Option<&ScanDeadline>,
-) -> Result<(Vec<U>, S), ExecError>
-where
-    S: Copy + Send + Sync,
-    U: Copy + Send + Sync,
-    L: Fn(usize) -> S + Sync,
-    F: Fn(S, S) -> S + Sync,
-    E: Fn(usize, S) -> U + Sync,
-{
-    let block = lookback_block();
-    let nblocks = n.div_ceil(block);
-    let table = DescTable::new(nblocks);
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    {
-        let o = SendPtr::new(out.as_mut_ptr());
-        let table = &table;
-        try_run_blocks(Schedule::Pooled, nblocks, d, move |t| {
-            let phys = if mode.backward() { nblocks - 1 - t } else { t };
-            let r = lb_range(n, block, phys);
-            let mut guard = Abandon::new(table, t, identity);
-            if table.is_abandoned() || check(d).is_err() {
-                return; // guard publishes so successors don't wait
-            }
-            let seed = if t == 0 {
-                Some(identity)
-            } else {
-                table.try_prefix(t - 1)
-            };
-            if let Some(seed) = seed {
-                // SAFETY: disjoint slice per task + post-run deadline
-                // check before `set_len` (see the infallible engine).
-                let mut write = |i: usize, s: S| unsafe { o.get().add(i).write(emit(i, s)) };
-                let (incl, bailed) = try_scan_span(r, load, seed, f, mode, tile, d, &mut write);
-                if bailed {
-                    return;
-                }
-                table.publish_prefix(t, incl);
-                guard.disarm();
-            } else {
-                let len = r.len();
-                let base = r.start;
-                let mut states: Vec<S> = Vec::with_capacity(len);
                 let sp = states.as_mut_ptr();
                 // SAFETY: thread-local scratch, each offset written
-                // once; `states` is only read below after a clean
-                // (unbailed) span filled it.
+                // once; `states` is only read below after the whole
+                // span filled it.
                 let mut write = |i: usize, s: S| unsafe { sp.add(i - base).write(s) };
-                let (agg, bailed) =
-                    try_scan_span(r.clone(), load, identity, f, mode, tile, d, &mut write);
-                if bailed {
+                let Ok(agg) =
+                    budget_scan_span(r.clone(), load, identity, f, mode, tile, budget, &mut write)
+                else {
                     return;
-                }
+                };
                 table.publish_aggregate(t, agg);
-                let Some(seed) = table.lookback(t, identity, f, d) else {
+                let Some(seed) = table.lookback(t, identity, f, budget.deadline()) else {
                     return;
                 };
                 table.publish_prefix(t, f(seed, agg));
                 guard.disarm();
-                // SAFETY: the unbailed span initialized all `len` offsets.
+                // SAFETY: the whole span initialized all `len` offsets.
                 unsafe { states.set_len(len) };
                 for i in r {
                     // SAFETY: disjoint slice per task, as above.
@@ -457,9 +371,11 @@ where
             }
         })?;
     }
-    // Authoritative: every bail latched the token before returning, so
-    // a clean check here proves all blocks emitted their whole slice.
-    check(d)?;
+    // Authoritative: a block returns early only if some block panicked
+    // (re-raised above under `NoDeadline`, `Err` above otherwise) or
+    // the budget was spent, which latched it first — so a clean check
+    // here proves every block emitted its whole slice.
+    budget.check()?;
     let total = if nblocks == 0 {
         identity
     } else {

@@ -28,12 +28,12 @@
 //! [`CANCEL_STRIDE`][crate::parallel] boundaries on the `try_*` path)
 //! and branch-light so the compiler can keep them in registers.
 
-use crate::deadline::{self, ScanDeadline};
+use crate::deadline;
 use crate::element::ScanElem;
 use crate::error::{Error, Result};
 use crate::parallel::{
-    block_range, check, default_schedule, engine_width, go_parallel, plan_blocks, run_blocks,
-    scan_span, try_run_blocks, Mode, Schedule, SendPtr, CANCEL_STRIDE,
+    block_range, default_schedule, engine_width, go_parallel, plan_blocks, scan_span, Budget, Mode,
+    NoDeadline, Schedule, SendPtr, CANCEL_STRIDE,
 };
 use crate::sync::MinCell;
 
@@ -58,21 +58,21 @@ impl MultiSplitScratch {
     }
 }
 
-/// Shared fused implementation. When `fallible` is false, `d` is
-/// `None`, operator panics propagate, and the only reachable error is
-/// a precondition violation (length mismatch / out-of-range bucket).
-#[allow(clippy::too_many_arguments)]
-fn multi_split_core<T, K>(
+/// Shared fused implementation, under `budget` (see [`Budget`]).
+/// Under [`NoDeadline`] operator panics propagate and the only
+/// reachable errors are precondition violations (length mismatch /
+/// out-of-range bucket).
+fn multi_split_core<B, T, K>(
     sched: Schedule,
     src: &[T],
     dst: &mut [T],
     nbuckets: usize,
     key: &K,
     scratch: &mut MultiSplitScratch,
-    d: Option<&ScanDeadline>,
-    fallible: bool,
+    budget: B,
 ) -> Result<Vec<usize>>
 where
+    B: Budget,
     T: ScanElem,
     K: Fn(T) -> usize + Sync,
 {
@@ -133,7 +133,7 @@ where
                     unsafe { dig.add(lo + i).write(k as u16) };
                 }
                 lo = hi;
-                if fallible && check(d).is_err() {
+                if budget.check().is_err() {
                     break; // bail latch; post-phase check is authoritative
                 }
             }
@@ -143,26 +143,18 @@ where
                 unsafe { cnt.add(k * nblocks + b).write(c) };
             }
         };
-        if fallible {
-            try_run_blocks(sched, nblocks, d, hist)?;
-        } else {
-            run_blocks(sched, nblocks, hist);
-        }
+        budget
+            .run_blocks(sched, nblocks, hist)
+            .map_err(B::exec_error)?;
     }
     let bad = oob.get();
     if bad != usize::MAX {
-        if !fallible {
-            // xtask-allow: panic-reachability dead on try_ entries: fallible calls take the Err return below, only the infallible wrappers reach this documented panic
-            panic!("multi_split: key mapped to bucket {bad}, but only {nbuckets} buckets exist");
-        }
         return Err(Error::IndexOutOfBounds {
             index: bad,
             len: nbuckets,
         });
     }
-    if fallible {
-        check(d)?;
-    }
+    budget.check().map_err(B::exec_error)?;
 
     // Phase 2: ONE exclusive +-scan over the flat column-major matrix.
     // Memory order is bucket-major then block-major, so the scanned
@@ -225,17 +217,15 @@ where
                     unsafe { out.add(p).write(x) };
                 }
                 lo = hi;
-                if fallible && check(d).is_err() {
+                if budget.check().is_err() {
                     break; // `dst` stays initialized; caller sees the error
                 }
             }
         };
-        if fallible {
-            try_run_blocks(sched, nblocks, d, scat)?;
-            check(d)?;
-        } else {
-            run_blocks(sched, nblocks, scat);
-        }
+        budget
+            .run_blocks(sched, nblocks, scat)
+            .map_err(B::exec_error)?;
+        budget.check().map_err(B::exec_error)?;
     }
     Ok(counts)
 }
@@ -261,8 +251,11 @@ where
     T: ScanElem,
     K: Fn(T) -> usize + Sync,
 {
-    match multi_split_core(sched, src, dst, nbuckets, &key, scratch, None, false) {
+    match multi_split_core(sched, src, dst, nbuckets, &key, scratch, NoDeadline) {
         Ok(counts) => counts,
+        Err(Error::IndexOutOfBounds { index, len }) => {
+            panic!("multi_split: key mapped to bucket {index}, but only {len} buckets exist")
+        }
         Err(e) => panic!("multi_split: {e}"),
     }
 }
@@ -299,8 +292,8 @@ where
 }
 
 /// Fallible [`multi_split_into_sched`]: cooperates with the ambient
-/// [`ScanDeadline`] (checked at block boundaries and every few
-/// thousand elements), contains operator panics as
+/// [`ScanDeadline`][crate::ScanDeadline] (checked at block boundaries
+/// and every few thousand elements), contains operator panics as
 /// [`ExecError::WorkerLost`][crate::ExecError::WorkerLost], and
 /// reports an out-of-range bucket as [`Error::IndexOutOfBounds`]
 /// instead of panicking. On error, `dst`'s contents are unspecified
@@ -318,7 +311,7 @@ where
     K: Fn(T) -> usize + Sync,
 {
     let d = deadline::current();
-    multi_split_core(sched, src, dst, nbuckets, &key, scratch, d.as_ref(), true)
+    multi_split_core(sched, src, dst, nbuckets, &key, scratch, d.as_ref())
 }
 
 /// [`try_multi_split_into_sched`] under the process-default schedule.
@@ -355,7 +348,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ExecError;
+    use crate::{ExecError, ScanDeadline};
 
     fn keys(seed: u64, n: usize, bits: u32) -> Vec<u64> {
         let mask = if bits >= 64 {

@@ -45,14 +45,16 @@ pub fn back_enumerate(flags: &[bool]) -> Vec<usize> {
 
 /// Number of true flags (a fused map→reduce).
 pub fn count(flags: &[bool]) -> usize {
-    parallel::reduce_engine(
+    let Ok(total) = parallel::reduce_engine(
         parallel::default_schedule(),
         flags.len(),
         |i| usize::from(flags[i]),
         0usize,
         |a, b| a.wrapping_add(b),
         <crate::op::Sum as ScanOp<usize>>::simd_tile(),
-    )
+        parallel::NoDeadline,
+    );
+    total
 }
 
 /// The funnel for every §2.2 flag-counting step: a fused 0/1 `+`-scan
@@ -62,7 +64,7 @@ fn index_sum_scan<G>(n: usize, g: G, mode: parallel::Mode) -> (Vec<usize>, usize
 where
     G: Fn(usize) -> usize + Sync,
 {
-    parallel::engine(
+    let Ok(r) = parallel::engine(
         parallel::default_schedule(),
         n,
         g,
@@ -71,7 +73,9 @@ where
         |_, s| s,
         mode,
         <crate::op::Sum as ScanOp<usize>>::simd_tile(),
-    )
+        parallel::NoDeadline,
+    );
+    r
 }
 
 /// `copy` (Figure 1): copy the first element over all elements.

@@ -47,12 +47,18 @@
 //!   one, chaining block offsets through a descriptor array instead of
 //!   a barriered offset scan. The two-pass engine stays as the
 //!   differential baseline, exactly like `Spawn`.
+//!
+//! Each engine has one body for both kinds of entry point: the
+//! infallible ones run it with no deadline, and their `try_*`
+//! counterparts run it under a deadline token that is checked between
+//! strides, with worker panics contained as typed errors.
 
 use crate::deadline::ScanDeadline;
 use crate::error::ExecError;
 use crate::pool;
 use crate::simd::SimdTile;
 use crate::sync::ConfigCell;
+use core::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Inputs shorter than this are scanned sequentially; the extra pass
@@ -257,35 +263,179 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// Execute `task(0..nblocks)` under the given schedule. Panics in tasks
-/// propagate to the caller under every schedule.
-pub(crate) fn run_blocks<F: Fn(usize) + Sync>(sched: Schedule, nblocks: usize, task: F) {
-    match sched {
-        // Under `cfg(loom)` there is no global pool (a static would
-        // leak state across explored executions), so the pooled
-        // schedule degrades to the sequential loop; the loom suite
-        // models `WorkerPool` directly instead. `Lookback` reaches
-        // here only for its non-scan phases (reduce/fill), which run
-        // on the pool like `Pooled`.
-        #[cfg(not(loom))]
-        Schedule::Pooled | Schedule::Lookback => pool::global().run(nblocks, task),
-        #[cfg(loom)]
-        Schedule::Pooled | Schedule::Lookback => {
-            for b in 0..nblocks {
-                task(b);
+/// The deadline budget an engine runs under: the one thing the
+/// infallible and the `try_*` entry points differ in. The sequential
+/// scan ([`seq_scan`]), the blocked scan ([`blocked_scan`]), the
+/// blocked reduction ([`reduce_engine`]), the single-pass lookback
+/// scan and `multi_split` each have one body, generic over it:
+///
+/// - [`NoDeadline`], under the infallible entry points: the error is
+///   [`Infallible`], nothing is checked, every span runs as one
+///   stride, and a panicking task reaches the caller with the
+///   operator's own payload ([`pool::WorkerPool::run`] re-raises it);
+/// - `Option<&ScanDeadline>`, under the `try_*` entry points: the
+///   token is checked between blocks, after every phase and every
+///   [`CANCEL_STRIDE`] elements inside a block, and a panicking task
+///   is contained as [`ExecError::WorkerLost`]
+///   ([`pool::WorkerPool::try_run`]).
+pub(crate) trait Budget: Copy + Sync {
+    /// What a spent budget reports.
+    type Err;
+    /// Elements a span runs between two checks.
+    const STRIDE: usize;
+    /// `Err` once the budget is spent. A spent budget stays spent (the
+    /// token's cancel flag and expiry latch never clear), so one check
+    /// after a phase is authoritative for every stride that stopped
+    /// early inside it.
+    fn check(self) -> Result<(), Self::Err>;
+    /// The token the lookback spin checkpoints poll.
+    fn deadline(&self) -> Option<&ScanDeadline>;
+    /// [`Self::Err`] as an execution error, for callers that mix
+    /// budget failures with precondition errors.
+    fn exec_error(e: Self::Err) -> ExecError;
+    /// Execute `task(0..nblocks)` under `sched`.
+    fn run_blocks<F: Fn(usize) + Sync>(
+        self,
+        sched: Schedule,
+        nblocks: usize,
+        task: F,
+    ) -> Result<(), Self::Err>;
+}
+
+/// The budget of the infallible entry points; see [`Budget`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NoDeadline;
+
+impl Budget for NoDeadline {
+    type Err = Infallible;
+    const STRIDE: usize = usize::MAX;
+
+    fn check(self) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn deadline(&self) -> Option<&ScanDeadline> {
+        None
+    }
+
+    fn exec_error(e: Infallible) -> ExecError {
+        match e {}
+    }
+
+    /// Panics in tasks propagate to the caller under every schedule.
+    fn run_blocks<F: Fn(usize) + Sync>(
+        self,
+        sched: Schedule,
+        nblocks: usize,
+        task: F,
+    ) -> Result<(), Infallible> {
+        match sched {
+            // Under `cfg(loom)` there is no global pool (a static would
+            // leak state across explored executions), so the pooled
+            // schedule degrades to the sequential loop; the loom suite
+            // models `WorkerPool` directly instead. `Lookback` reaches
+            // here only for its non-scan phases (reduce/fill), which
+            // run on the pool like `Pooled`.
+            #[cfg(not(loom))]
+            Schedule::Pooled | Schedule::Lookback => pool::global().run(nblocks, task),
+            #[cfg(loom)]
+            Schedule::Pooled | Schedule::Lookback => {
+                for b in 0..nblocks {
+                    task(b);
+                }
+            }
+            Schedule::Spawn => {
+                std::thread::scope(|s| {
+                    for b in 0..nblocks {
+                        let task = &task;
+                        s.spawn(move || task(b));
+                    }
+                });
+            }
+            Schedule::Sequential => {
+                for b in 0..nblocks {
+                    task(b);
+                }
             }
         }
-        Schedule::Spawn => {
-            std::thread::scope(|s| {
-                for b in 0..nblocks {
-                    let task = &task;
-                    s.spawn(move || task(b));
-                }
-            });
+        Ok(())
+    }
+}
+
+/// The budget of the `try_*` entry points: the ambient or explicit
+/// deadline token, if any; see [`Budget`].
+impl Budget for Option<&ScanDeadline> {
+    type Err = ExecError;
+    const STRIDE: usize = CANCEL_STRIDE;
+
+    fn check(self) -> Result<(), ExecError> {
+        match self {
+            Some(d) => d.check(),
+            None => Ok(()),
         }
-        Schedule::Sequential => {
-            for b in 0..nblocks {
-                task(b);
+    }
+
+    fn deadline(&self) -> Option<&ScanDeadline> {
+        *self
+    }
+
+    fn exec_error(e: ExecError) -> ExecError {
+        e
+    }
+
+    /// Typed errors instead of replayed panics. Under
+    /// [`Schedule::Pooled`] this is the pool's supervised `try_run`
+    /// (panic containment + watchdog); the other schedules contain
+    /// panics locally, so no schedule lets an operator panic cross
+    /// this boundary.
+    fn run_blocks<F: Fn(usize) + Sync>(
+        self,
+        sched: Schedule,
+        nblocks: usize,
+        task: F,
+    ) -> Result<(), ExecError> {
+        match sched {
+            // See `NoDeadline::run_blocks`: no global pool under `cfg(loom)`.
+            #[cfg(not(loom))]
+            Schedule::Pooled | Schedule::Lookback => pool::global().try_run(nblocks, self, task),
+            #[cfg(loom)]
+            Schedule::Pooled | Schedule::Lookback => {
+                for b in 0..nblocks {
+                    if self.check().is_err() {
+                        break;
+                    }
+                    task(b);
+                }
+                self.check()
+            }
+            Schedule::Spawn => {
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    std::thread::scope(|s| {
+                        for b in 0..nblocks {
+                            let task = &task;
+                            s.spawn(move || task(b));
+                        }
+                    });
+                }));
+                if r.is_err() {
+                    return Err(ExecError::WorkerLost { panics: 1 });
+                }
+                self.check()
+            }
+            Schedule::Sequential => {
+                let mut panics = 0u32;
+                for b in 0..nblocks {
+                    if self.check().is_err() {
+                        break;
+                    }
+                    if catch_unwind(AssertUnwindSafe(|| task(b))).is_err() {
+                        panics += 1;
+                    }
+                }
+                if panics > 0 {
+                    return Err(ExecError::WorkerLost { panics });
+                }
+                self.check()
             }
         }
     }
@@ -425,50 +575,59 @@ where
     acc
 }
 
-/// Fallible [`scan_span`]: checks the deadline between strides and
-/// returns `(carry, bailed)` — on a bail the carry is garbage and the
-/// caller must discard the pass (the token latch makes the post-phase
-/// check authoritative).
+/// `r` cut into strides of at most `stride` elements, in traversal
+/// order (right-to-left when `backward`).
+fn strides(
+    r: core::ops::Range<usize>,
+    stride: usize,
+    backward: bool,
+) -> impl Iterator<Item = core::ops::Range<usize>> {
+    (0..r.len().div_ceil(stride)).map(move |k| {
+        if backward {
+            let hi = r.end - k * stride;
+            hi - (hi - r.start).min(stride)..hi
+        } else {
+            let lo = r.start + k * stride;
+            lo..lo + (r.end - lo).min(stride)
+        }
+    })
+}
+
+/// [`scan_span`] under `budget`: in strides of [`Budget::STRIDE`]
+/// elements, checking the budget between them. On `Err` the span
+/// stopped part-way and the caller discards what it wrote.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_scan_span<S, L, F, W>(
+pub(crate) fn budget_scan_span<B, S, L, F, W>(
     r: core::ops::Range<usize>,
     load: &L,
     seed: S,
     f: &F,
     mode: Mode,
     tile: Option<&SimdTile<S>>,
-    d: Option<&ScanDeadline>,
+    budget: B,
     write: &mut W,
-) -> (S, bool)
+) -> Result<S, B::Err>
 where
+    B: Budget,
     S: Copy,
     L: Fn(usize) -> S,
     F: Fn(S, S) -> S,
     W: FnMut(usize, S),
 {
-    let mut acc = seed;
-    if mode.backward() {
-        let mut hi = r.end;
-        while hi > r.start {
-            let lo = hi.saturating_sub(CANCEL_STRIDE).max(r.start);
-            acc = scan_span(lo..hi, load, acc, f, mode, tile, write);
-            hi = lo;
-            if hi > r.start && check(d).is_err() {
-                return (acc, true);
-            }
-        }
-    } else {
-        let mut lo = r.start;
-        while lo < r.end {
-            let hi = (lo + CANCEL_STRIDE).min(r.end);
-            acc = scan_span(lo..hi, load, acc, f, mode, tile, write);
-            lo = hi;
-            if lo < r.end && check(d).is_err() {
-                return (acc, true);
-            }
-        }
+    // One stride (always under `NoDeadline`): hand the whole range
+    // over, so the optimizer sees the span's bounds and drops the
+    // load closure's index checks.
+    if r.len() <= B::STRIDE {
+        return Ok(scan_span(r, load, seed, f, mode, tile, write));
     }
-    (acc, false)
+    let mut acc = seed;
+    for (k, s) in strides(r, B::STRIDE, mode.backward()).enumerate() {
+        if k > 0 {
+            budget.check()?;
+        }
+        acc = scan_span(s, load, acc, f, mode, tile, write);
+    }
+    Ok(acc)
 }
 
 /// One contiguous span of a reduction in traversal order; the tiled
@@ -525,88 +684,51 @@ where
     acc
 }
 
-/// Fallible [`reduce_span`]; same contract as [`try_scan_span`].
-pub(crate) fn try_reduce_span<S, L, F>(
+/// [`reduce_span`] under `budget`; same contract as
+/// [`budget_scan_span`].
+pub(crate) fn budget_reduce_span<B, S, L, F>(
     r: core::ops::Range<usize>,
     load: &L,
     seed: S,
     f: &F,
     mode: Mode,
     tile: Option<&SimdTile<S>>,
-    d: Option<&ScanDeadline>,
-) -> (S, bool)
+    budget: B,
+) -> Result<S, B::Err>
 where
+    B: Budget,
     S: Copy,
     L: Fn(usize) -> S,
     F: Fn(S, S) -> S,
 {
-    let mut acc = seed;
-    if mode.backward() {
-        let mut hi = r.end;
-        while hi > r.start {
-            let lo = hi.saturating_sub(CANCEL_STRIDE).max(r.start);
-            acc = reduce_span(lo..hi, load, acc, f, mode, tile);
-            hi = lo;
-            if hi > r.start && check(d).is_err() {
-                return (acc, true);
-            }
-        }
-    } else {
-        let mut lo = r.start;
-        while lo < r.end {
-            let hi = (lo + CANCEL_STRIDE).min(r.end);
-            acc = reduce_span(lo..hi, load, acc, f, mode, tile);
-            lo = hi;
-            if lo < r.end && check(d).is_err() {
-                return (acc, true);
-            }
-        }
+    // One stride: as in `budget_scan_span`.
+    if r.len() <= B::STRIDE {
+        return Ok(reduce_span(r, load, seed, f, mode, tile));
     }
-    (acc, false)
+    let mut acc = seed;
+    for (k, s) in strides(r, B::STRIDE, mode.backward()).enumerate() {
+        if k > 0 {
+            budget.check()?;
+        }
+        acc = reduce_span(s, load, acc, f, mode, tile);
+    }
+    Ok(acc)
 }
 
-/// Sequential fused scan: one pass, any direction, emit-projected.
-fn seq_engine<S, U, L, F, E>(
-    n: usize,
-    load: &L,
-    identity: S,
-    f: &F,
-    emit: &E,
-    mode: Mode,
-    tile: Option<&SimdTile<S>>,
-) -> (Vec<U>, S)
-where
-    S: Copy,
-    U: Copy,
-    L: Fn(usize) -> S,
-    F: Fn(S, S) -> S,
-    E: Fn(usize, S) -> U,
-{
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    let acc = {
-        let o = out.as_mut_ptr();
-        // SAFETY: `scan_span` writes every index in `0..n` exactly
-        // once (single-threaded), before the `set_len` below.
-        let mut write = |i: usize, s: S| unsafe { o.add(i).write(emit(i, s)) };
-        scan_span(0..n, load, identity, f, mode, tile, &mut write)
-    };
-    // SAFETY: every index in `0..n` was initialized above.
-    unsafe { out.set_len(n) };
-    (out, acc)
-}
-
-/// The generic blocked scan engine. Returns the emitted output vector
-/// and the total reduction of all loaded values (in traversal order),
-/// which costs nothing extra: it is the final accumulator of the block
-/// offset scan.
+/// The scan engine. Returns the emitted output vector and the total
+/// reduction of all loaded values (in traversal order). Small inputs,
+/// [`Schedule::Sequential`] and one-block plans run [`seq_scan`];
+/// [`Schedule::Lookback`] runs [`crate::lookback`]'s single pass;
+/// everything else [`blocked_scan`].
 ///
-/// `f` must be associative with identity `identity`; the blocked
-/// schedule reassociates combines across blocks. A `tile` (typed
+/// `f` must be associative with identity `identity`; the parallel
+/// schedules reassociate combines across blocks. A `tile` (typed
 /// entry points pass [`crate::op::ScanOp::simd_tile`]) vectorizes the
 /// inner loops without changing any result bit — tiles are registered
-/// only for exact operators.
+/// only for exact operators. The `budget` strides the spans but never
+/// changes the block plan or the association.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn engine<S, U, L, F, E>(
+pub(crate) fn engine<B, S, U, L, F, E>(
     sched: Schedule,
     n: usize,
     load: L,
@@ -615,38 +737,108 @@ pub(crate) fn engine<S, U, L, F, E>(
     emit: E,
     mode: Mode,
     tile: Option<&SimdTile<S>>,
-) -> (Vec<U>, S)
+    budget: B,
+) -> Result<(Vec<U>, S), B::Err>
 where
+    B: Budget,
     S: Copy + Send + Sync,
     U: Copy + Send + Sync,
     L: Fn(usize) -> S + Sync,
     F: Fn(S, S) -> S + Sync,
     E: Fn(usize, S) -> U + Sync,
 {
+    budget.check()?;
+    let (load, f, emit) = (&load, &f, &emit);
     if !go_parallel(sched, n) {
-        return seq_engine(n, &load, identity, &f, &emit, mode, tile);
+        return seq_scan(n, load, identity, f, emit, mode, tile, budget);
     }
     if sched == Schedule::Lookback {
-        return crate::lookback::lookback_engine(n, &load, identity, &f, &emit, mode, tile);
+        return crate::lookback::engine(n, load, identity, f, emit, mode, tile, budget);
     }
     let nblocks = plan_blocks(n, engine_width(sched));
     if nblocks <= 1 {
-        return seq_engine(n, &load, identity, &f, &emit, mode, tile);
+        return seq_scan(n, load, identity, f, emit, mode, tile, budget);
     }
+    blocked_scan(
+        sched, n, nblocks, load, identity, f, emit, mode, tile, budget,
+    )
+}
 
+/// The sequential scan: one span over `0..n`, emitted into a fresh
+/// vector. A function of its own, apart from [`blocked_scan`]: its
+/// tile loops vectorize only while the load closure arrives as a
+/// reference parameter, not as a local the blocked path lends to
+/// other threads.
+#[allow(clippy::too_many_arguments)]
+fn seq_scan<B, S, U, L, F, E>(
+    n: usize,
+    load: &L,
+    identity: S,
+    f: &F,
+    emit: &E,
+    mode: Mode,
+    tile: Option<&SimdTile<S>>,
+    budget: B,
+) -> Result<(Vec<U>, S), B::Err>
+where
+    B: Budget,
+    S: Copy,
+    U: Copy,
+    L: Fn(usize) -> S,
+    F: Fn(S, S) -> S,
+    E: Fn(usize, S) -> U,
+{
+    let mut out: Vec<U> = Vec::with_capacity(n);
+    let o = out.as_mut_ptr();
+    // SAFETY: single-threaded; the span writes each index in `0..n`
+    // once, and `set_len` runs only if it ran to the end (on `Err` the
+    // vector is dropped at length 0; `U: Copy`, nothing to drop).
+    let mut write = |i: usize, s: S| unsafe { o.add(i).write(emit(i, s)) };
+    let acc = budget_scan_span(0..n, load, identity, f, mode, tile, budget, &mut write)?;
+    // SAFETY: the whole span ran, initializing every index.
+    unsafe { out.set_len(n) };
+    Ok((out, acc))
+}
+
+/// The blocked two-pass scan over `nblocks` blocks; the final
+/// accumulator of its block-offset scan is the total, at no extra
+/// cost.
+#[allow(clippy::too_many_arguments)]
+fn blocked_scan<B, S, U, L, F, E>(
+    sched: Schedule,
+    n: usize,
+    nblocks: usize,
+    load: &L,
+    identity: S,
+    f: &F,
+    emit: &E,
+    mode: Mode,
+    tile: Option<&SimdTile<S>>,
+    budget: B,
+) -> Result<(Vec<U>, S), B::Err>
+where
+    B: Budget,
+    S: Copy + Send + Sync,
+    U: Copy + Send + Sync,
+    L: Fn(usize) -> S + Sync,
+    F: Fn(S, S) -> S + Sync,
+    E: Fn(usize, S) -> U + Sync,
+{
     // Up sweep: one partial reduction per block, in traversal order.
     let mut partials = vec![identity; nblocks];
     {
         let p = SendPtr(partials.as_mut_ptr());
-        let load = &load;
-        let f = &f;
-        run_blocks(sched, nblocks, move |b| {
+        budget.run_blocks(sched, nblocks, move |b| {
             let r = block_range(n, nblocks, b);
-            let acc = reduce_span(r, load, identity, f, mode, tile);
-            // SAFETY: task `b` writes only index `b` (see `SendPtr`).
-            unsafe { p.get().add(b).write(acc) };
-        });
+            // A block that runs out of budget keeps the identity
+            // partial; the phase check below discards the pass.
+            if let Ok(acc) = budget_reduce_span(r, load, identity, f, mode, tile, budget) {
+                // SAFETY: task `b` writes only index `b` (see `SendPtr`).
+                unsafe { p.get().add(b).write(acc) };
+            }
+        })?;
     }
+    budget.check()?;
 
     // Scan of block sums (small, sequential), in place; the final
     // accumulator is the total reduction.
@@ -669,43 +861,50 @@ where
 
     // Down sweep: local re-scan seeded with the block offset, written
     // straight into uninitialized output — no identity pre-fill pass.
+    // On an error the output is dropped at length 0, so its partially
+    // initialized prefix is never exposed (`U: Copy`, nothing to drop).
     let mut out: Vec<U> = Vec::with_capacity(n);
     {
         let o = SendPtr(out.as_mut_ptr());
         let offsets = &offsets;
-        let load = &load;
-        let f = &f;
-        let emit = &emit;
-        run_blocks(sched, nblocks, move |b| {
+        budget.run_blocks(sched, nblocks, move |b| {
             let r = block_range(n, nblocks, b);
             // SAFETY: blocks are disjoint and cover `0..n`, so task `b`
-            // writes each of its indices exactly once into the
-            // uninitialized buffer before the `set_len` below.
+            // writes each of its indices at most once; `set_len` runs
+            // only if every block finished (phase check below).
             let mut write = |i: usize, s: S| unsafe { o.get().add(i).write(emit(i, s)) };
-            scan_span(r, load, offsets[b], f, mode, tile, &mut write);
-        });
+            // A block that runs out of budget stops part-way; the phase
+            // check below keeps `set_len` off its unwritten tail.
+            let _ = budget_scan_span(r, load, offsets[b], f, mode, tile, budget, &mut write);
+        })?;
     }
+    budget.check()?;
     // SAFETY: every index in `0..n` was initialized by exactly one block.
     unsafe { out.set_len(n) };
-    (out, total)
+    Ok((out, total))
 }
 
-/// Blocked reduction through a load closure.
-pub(crate) fn reduce_engine<S, L, F>(
+/// Blocked reduction through a load closure, under `budget` (see
+/// [`engine`]).
+pub(crate) fn reduce_engine<B, S, L, F>(
     sched: Schedule,
     n: usize,
     load: L,
     identity: S,
     f: F,
     tile: Option<&SimdTile<S>>,
-) -> S
+    budget: B,
+) -> Result<S, B::Err>
 where
+    B: Budget,
     S: Copy + Send + Sync,
     L: Fn(usize) -> S + Sync,
     F: Fn(S, S) -> S + Sync,
 {
+    budget.check()?;
+    let mode = Mode::ExclusiveFwd;
     if !go_parallel(sched, n) {
-        return reduce_span(0..n, &load, identity, &f, Mode::ExclusiveFwd, tile);
+        return budget_reduce_span(0..n, &load, identity, &f, mode, tile, budget);
     }
     let nblocks = plan_blocks(n, engine_width(sched));
     let mut partials = vec![identity; nblocks];
@@ -713,14 +912,18 @@ where
         let p = SendPtr(partials.as_mut_ptr());
         let load = &load;
         let f = &f;
-        run_blocks(sched, nblocks, move |b| {
+        budget.run_blocks(sched, nblocks, move |b| {
             let r = block_range(n, nblocks, b);
-            let acc = reduce_span(r, load, identity, f, Mode::ExclusiveFwd, tile);
-            // SAFETY: task `b` writes only index `b`.
-            unsafe { p.get().add(b).write(acc) };
-        });
+            // Out of budget: the identity partial stays, and the phase
+            // check below discards the pass.
+            if let Ok(acc) = budget_reduce_span(r, load, identity, f, mode, tile, budget) {
+                // SAFETY: task `b` writes only index `b`.
+                unsafe { p.get().add(b).write(acc) };
+            }
+        })?;
     }
-    seq_reduce_by(&partials, identity, f)
+    budget.check()?;
+    Ok(seq_reduce_by(&partials, identity, f))
 }
 
 /// Blocked elementwise tabulation: `out[i] = g(i)`, written straight
@@ -738,7 +941,7 @@ where
     {
         let o = SendPtr(out.as_mut_ptr());
         let g = &g;
-        run_blocks(sched, nblocks, move |b| {
+        let Ok(()) = NoDeadline.run_blocks(sched, nblocks, move |b| {
             for i in block_range(n, nblocks, b) {
                 // SAFETY: blocks are disjoint and cover `0..n`.
                 unsafe { o.get().add(i).write(g(i)) };
@@ -750,127 +953,16 @@ where
     out
 }
 
-/// Check an optional deadline token.
-pub(crate) fn check(d: Option<&ScanDeadline>) -> Result<(), ExecError> {
-    match d {
-        Some(d) => d.check(),
-        None => Ok(()),
-    }
-}
-
-/// Fallible [`run_blocks`]: typed errors instead of replayed panics.
-///
-/// Under [`Schedule::Pooled`] this is the pool's supervised `try_run`
-/// (panic containment + watchdog). The other schedules contain panics
-/// locally so no schedule lets an operator panic cross this boundary.
-pub(crate) fn try_run_blocks<F: Fn(usize) + Sync>(
-    sched: Schedule,
-    nblocks: usize,
-    deadline: Option<&ScanDeadline>,
-    task: F,
-) -> Result<(), ExecError> {
-    match sched {
-        // See `run_blocks`: no global pool under `cfg(loom)`.
-        #[cfg(not(loom))]
-        Schedule::Pooled | Schedule::Lookback => pool::global().try_run(nblocks, deadline, task),
-        #[cfg(loom)]
-        Schedule::Pooled | Schedule::Lookback => {
-            for b in 0..nblocks {
-                if check(deadline).is_err() {
-                    break;
-                }
-                task(b);
-            }
-            check(deadline)
-        }
-        Schedule::Spawn => {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                std::thread::scope(|s| {
-                    for b in 0..nblocks {
-                        let task = &task;
-                        s.spawn(move || task(b));
-                    }
-                });
-            }));
-            if r.is_err() {
-                return Err(ExecError::WorkerLost { panics: 1 });
-            }
-            check(deadline)
-        }
-        Schedule::Sequential => {
-            let mut panics = 0u32;
-            for b in 0..nblocks {
-                if check(deadline).is_err() {
-                    break;
-                }
-                if catch_unwind(AssertUnwindSafe(|| task(b))).is_err() {
-                    panics += 1;
-                }
-            }
-            if panics > 0 {
-                return Err(ExecError::WorkerLost { panics });
-            }
-            check(deadline)
-        }
-    }
-}
-
-/// Fallible sequential fused scan: [`seq_engine`] with a deadline check
-/// every [`CANCEL_STRIDE`] elements. Same traversal, same association.
-#[allow(clippy::too_many_arguments)]
-fn try_seq_engine<S, U, L, F, E>(
-    n: usize,
-    load: &L,
-    identity: S,
-    f: &F,
-    emit: &E,
-    mode: Mode,
-    tile: Option<&SimdTile<S>>,
-    d: Option<&ScanDeadline>,
-) -> Result<(Vec<U>, S), ExecError>
-where
-    S: Copy,
-    U: Copy,
-    L: Fn(usize) -> S,
-    F: Fn(S, S) -> S,
-    E: Fn(usize, S) -> U,
-{
-    check(d)?;
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    let (acc, bailed) = {
-        let o = out.as_mut_ptr();
-        // SAFETY: single-threaded; each index in `0..n` is written at
-        // most once, and `set_len` below only runs on the unbailed
-        // path, where every index was written.
-        let mut write = |i: usize, s: S| unsafe { o.add(i).write(emit(i, s)) };
-        try_scan_span(0..n, load, identity, f, mode, tile, d, &mut write)
-    };
-    if bailed {
-        // Dropping `out` at length 0 discards the partial prefix
-        // (`U: Copy`, nothing needs dropping). A bail implies the
-        // token latched, so surface its error.
-        return Err(check(d).err().unwrap_or(ExecError::DeadlineExceeded));
-    }
-    // SAFETY: the unbailed span initialized every index in `0..n`.
-    unsafe { out.set_len(n) };
-    Ok((out, acc))
-}
-
-/// Fallible blocked scan engine: the same block plan, traversal order
-/// and operator association as [`engine`] (results are bit-identical),
-/// but cooperative and contained:
-///
-/// - the deadline token is checked between blocks and every
-///   [`CANCEL_STRIDE`] elements inside a block; a tripped token makes
-///   every remaining stride bail early (the token's expiry latch makes
-///   the post-phase check authoritative, so a bailed block's garbage
-///   partial is never used);
-/// - a panicking operator (or load/emit closure) is contained and
-///   surfaces as [`ExecError::WorkerLost`] — nothing unwinds out of
-///   this function.
-///
-/// The happy path of the *infallible* [`engine`] is untouched by all of
-/// this; callers that do not opt into `try_*` pay nothing.
+/// [`engine`] under the `try_*` budget, contained: the deadline token
+/// is checked between blocks, after every phase and every
+/// [`CANCEL_STRIDE`] elements inside a block (a spent token makes
+/// every remaining stride stop early, and its latch makes the phase
+/// checks authoritative, so a stopped block's partial output is never
+/// used), and a panicking operator (or load/emit closure) surfaces as
+/// [`ExecError::WorkerLost`] — nothing unwinds out of this function.
+/// On success the result is the infallible call's, bit for bit (under
+/// [`Schedule::Lookback`] only for exact operators: which blocks take
+/// its seeded fast path, and so its association, depends on timing).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_engine<S, U, L, F, E>(
     sched: Schedule,
@@ -891,105 +983,15 @@ where
     E: Fn(usize, S) -> U + Sync,
 {
     match catch_unwind(AssertUnwindSafe(|| {
-        try_engine_inner(sched, n, &load, identity, &f, &emit, mode, tile, deadline)
+        engine(sched, n, load, identity, f, emit, mode, tile, deadline)
     })) {
         Ok(r) => r,
         Err(_) => Err(ExecError::WorkerLost { panics: 1 }),
     }
 }
 
-/// [`try_engine`] body; panics escaping it are mapped by the wrapper.
-#[allow(clippy::too_many_arguments)]
-fn try_engine_inner<S, U, L, F, E>(
-    sched: Schedule,
-    n: usize,
-    load: &L,
-    identity: S,
-    f: &F,
-    emit: &E,
-    mode: Mode,
-    tile: Option<&SimdTile<S>>,
-    d: Option<&ScanDeadline>,
-) -> Result<(Vec<U>, S), ExecError>
-where
-    S: Copy + Send + Sync,
-    U: Copy + Send + Sync,
-    L: Fn(usize) -> S + Sync,
-    F: Fn(S, S) -> S + Sync,
-    E: Fn(usize, S) -> U + Sync,
-{
-    check(d)?;
-    if !go_parallel(sched, n) {
-        return try_seq_engine(n, load, identity, f, emit, mode, tile, d);
-    }
-    if sched == Schedule::Lookback {
-        return crate::lookback::try_lookback_engine(n, load, identity, f, emit, mode, tile, d);
-    }
-    let nblocks = plan_blocks(n, engine_width(sched));
-    if nblocks <= 1 {
-        return try_seq_engine(n, load, identity, f, emit, mode, tile, d);
-    }
-
-    // Up sweep, as in `engine`, with per-stride bail-out.
-    let mut partials = vec![identity; nblocks];
-    {
-        let p = SendPtr(partials.as_mut_ptr());
-        try_run_blocks(sched, nblocks, d, move |b| {
-            let r = block_range(n, nblocks, b);
-            let (acc, _bailed) = try_reduce_span(r, load, identity, f, mode, tile, d);
-            // A bailed block writes a garbage partial; the post-phase
-            // deadline check below discards the whole pass.
-            // SAFETY: task `b` writes only index `b` (see `SendPtr`).
-            unsafe { p.get().add(b).write(acc) };
-        })?;
-    }
-    // Authoritative: any bail above latched the token first.
-    check(d)?;
-
-    // Scan of block sums, identical to `engine`.
-    let mut offsets = partials;
-    let mut acc = identity;
-    if mode.backward() {
-        for o in offsets.iter_mut().rev() {
-            let x = *o;
-            *o = acc;
-            acc = f(acc, x);
-        }
-    } else {
-        for o in offsets.iter_mut() {
-            let x = *o;
-            *o = acc;
-            acc = f(acc, x);
-        }
-    }
-    let total = acc;
-
-    // Down sweep into uninitialized output, with per-stride bail-out.
-    // On any error the vector is dropped at length 0 — the partially
-    // initialized tail is never exposed (`U: Copy`, nothing to drop).
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    {
-        let o = SendPtr(out.as_mut_ptr());
-        let offsets = &offsets;
-        try_run_blocks(sched, nblocks, d, move |b| {
-            let r = block_range(n, nblocks, b);
-            // SAFETY: blocks are disjoint and cover `0..n`, so each
-            // write targets an index unique to this block; `set_len`
-            // only runs if no block bailed (post-phase deadline check).
-            let mut write = |i: usize, s: S| unsafe { o.get().add(i).write(emit(i, s)) };
-            try_scan_span(r, load, offsets[b], f, mode, tile, d, &mut write);
-        })?;
-    }
-    // Authoritative for the down sweep: a bailed block means the token
-    // is latched, so we never `set_len` over uninitialized slots.
-    check(d)?;
-    // SAFETY: every index in `0..n` was initialized by exactly one block.
-    unsafe { out.set_len(n) };
-    Ok((out, total))
-}
-
-/// Fallible blocked reduction; see [`try_engine`] for the failure
-/// contract.
+/// [`reduce_engine`] under the `try_*` budget, contained; see
+/// [`try_engine`] for the failure contract.
 pub(crate) fn try_reduce_engine<S, L, F>(
     sched: Schedule,
     n: usize,
@@ -1005,36 +1007,69 @@ where
     F: Fn(S, S) -> S + Sync,
 {
     match catch_unwind(AssertUnwindSafe(|| {
-        check(d)?;
-        if !go_parallel(sched, n) {
-            let (acc, bailed) =
-                try_reduce_span(0..n, &load, identity, &f, Mode::ExclusiveFwd, tile, d);
-            if bailed {
-                return Err(check(d).err().unwrap_or(ExecError::DeadlineExceeded));
-            }
-            return Ok(acc);
-        }
-        let nblocks = plan_blocks(n, engine_width(sched));
-        let mut partials = vec![identity; nblocks];
-        {
-            let p = SendPtr(partials.as_mut_ptr());
-            let load = &load;
-            let f = &f;
-            try_run_blocks(sched, nblocks, d, move |b| {
-                let r = block_range(n, nblocks, b);
-                let (acc, _bailed) =
-                    try_reduce_span(r, load, identity, f, Mode::ExclusiveFwd, tile, d);
-                // SAFETY: task `b` writes only index `b`.
-                unsafe { p.get().add(b).write(acc) };
-            })?;
-        }
-        // A bailed block left a garbage partial; the latch catches it.
-        check(d)?;
-        Ok(seq_reduce_by(&partials, identity, &f))
+        reduce_engine(sched, n, load, identity, f, tile, d)
     })) {
         Ok(r) => r,
         Err(_) => Err(ExecError::WorkerLost { panics: 1 }),
     }
+}
+
+/// The whole-slice scan of `g(a[i])` under every infallible
+/// closure-operator scan entry point below.
+fn slice_scan<T, U, G, F>(
+    sched: Schedule,
+    a: &[T],
+    g: G,
+    identity: U,
+    f: F,
+    mode: Mode,
+) -> (Vec<U>, U)
+where
+    T: Copy + Sync,
+    U: Copy + Send + Sync,
+    G: Fn(T) -> U + Sync,
+    F: Fn(U, U) -> U + Sync,
+{
+    let load = |i| g(a[i]);
+    let Ok(r) = engine(
+        sched,
+        a.len(),
+        load,
+        identity,
+        f,
+        |_, s| s,
+        mode,
+        None,
+        NoDeadline,
+    );
+    r
+}
+
+/// Fallible [`slice_scan`], under the ambient deadline scope.
+fn try_slice_scan<T, F>(
+    sched: Schedule,
+    a: &[T],
+    identity: T,
+    f: F,
+    mode: Mode,
+) -> Result<(Vec<T>, T), ExecError>
+where
+    T: Copy + Send + Sync,
+    F: Fn(T, T) -> T + Sync,
+{
+    let d = crate::deadline::current();
+    let load = |i| a[i];
+    try_engine(
+        sched,
+        a.len(),
+        load,
+        identity,
+        f,
+        |_, s| s,
+        mode,
+        None,
+        d.as_ref(),
+    )
 }
 
 /// Exclusive scan; parallel above [`PAR_THRESHOLD`], sequential below.
@@ -1055,17 +1090,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    engine(
-        sched,
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveFwd,
-        None,
-    )
-    .0
+    slice_scan(sched, a, |x| x, identity, f, Mode::ExclusiveFwd).0
 }
 
 /// Inclusive scan; parallel above [`PAR_THRESHOLD`], sequential below.
@@ -1083,17 +1108,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    engine(
-        sched,
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::InclusiveFwd,
-        None,
-    )
-    .0
+    slice_scan(sched, a, |x| x, identity, f, Mode::InclusiveFwd).0
 }
 
 /// Exclusive *backward* scan: element `i` receives the combine, in
@@ -1113,17 +1128,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    engine(
-        sched,
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveBwd,
-        None,
-    )
-    .0
+    slice_scan(sched, a, |x| x, identity, f, Mode::ExclusiveBwd).0
 }
 
 /// Inclusive backward scan; see [`exclusive_scan_backward_by`].
@@ -1141,17 +1146,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    engine(
-        sched,
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::InclusiveBwd,
-        None,
-    )
-    .0
+    slice_scan(sched, a, |x| x, identity, f, Mode::InclusiveBwd).0
 }
 
 /// Fallible [`exclusive_scan_by`]: identical result on success, but
@@ -1178,19 +1173,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    let d = crate::deadline::current();
-    try_engine(
-        sched,
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveFwd,
-        None,
-        d.as_ref(),
-    )
-    .map(|r| r.0)
+    Ok(try_slice_scan(sched, a, identity, f, Mode::ExclusiveFwd)?.0)
 }
 
 /// Fallible [`inclusive_scan_by`]; see [`try_exclusive_scan_by`] for
@@ -1200,19 +1183,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    let d = crate::deadline::current();
-    try_engine(
-        default_schedule(),
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::InclusiveFwd,
-        None,
-        d.as_ref(),
-    )
-    .map(|r| r.0)
+    Ok(try_slice_scan(default_schedule(), a, identity, f, Mode::InclusiveFwd)?.0)
 }
 
 /// Fallible [`exclusive_scan_backward_by`]; see
@@ -1222,19 +1193,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    let d = crate::deadline::current();
-    try_engine(
-        default_schedule(),
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveBwd,
-        None,
-        d.as_ref(),
-    )
-    .map(|r| r.0)
+    Ok(try_slice_scan(default_schedule(), a, identity, f, Mode::ExclusiveBwd)?.0)
 }
 
 /// Fallible [`inclusive_scan_backward_by`]; see
@@ -1244,19 +1203,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    let d = crate::deadline::current();
-    try_engine(
-        default_schedule(),
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::InclusiveBwd,
-        None,
-        d.as_ref(),
-    )
-    .map(|r| r.0)
+    Ok(try_slice_scan(default_schedule(), a, identity, f, Mode::InclusiveBwd)?.0)
 }
 
 /// Fallible [`scan_with_total_by`]; see [`try_exclusive_scan_by`] for
@@ -1266,18 +1213,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    let d = crate::deadline::current();
-    try_engine(
-        default_schedule(),
-        a.len(),
-        |i| a[i],
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveFwd,
-        None,
-        d.as_ref(),
-    )
+    try_slice_scan(default_schedule(), a, identity, f, Mode::ExclusiveFwd)
 }
 
 /// Fallible [`reduce_by`]; see [`try_exclusive_scan_by`] for the
@@ -1312,15 +1248,13 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    engine(
+    slice_scan(
         default_schedule(),
-        a.len(),
-        |i| a[i],
+        a,
+        |x| x,
         identity,
         f,
-        |_, s| s,
         Mode::ExclusiveFwd,
-        None,
     )
 }
 
@@ -1333,17 +1267,7 @@ where
     G: Fn(T) -> U + Sync,
     F: Fn(U, U) -> U + Sync,
 {
-    engine(
-        default_schedule(),
-        a.len(),
-        |i| g(a[i]),
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveFwd,
-        None,
-    )
-    .0
+    scan_map_with_total_by(a, g, identity, f).0
 }
 
 /// [`scan_map_by`] that also returns the total reduction of the mapped
@@ -1355,16 +1279,7 @@ where
     G: Fn(T) -> U + Sync,
     F: Fn(U, U) -> U + Sync,
 {
-    engine(
-        default_schedule(),
-        a.len(),
-        |i| g(a[i]),
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveFwd,
-        None,
-    )
+    slice_scan(default_schedule(), a, g, identity, f, Mode::ExclusiveFwd)
 }
 
 /// Fused map→backward-scan; see [`scan_map_by`].
@@ -1375,17 +1290,7 @@ where
     G: Fn(T) -> U + Sync,
     F: Fn(U, U) -> U + Sync,
 {
-    engine(
-        default_schedule(),
-        a.len(),
-        |i| g(a[i]),
-        identity,
-        f,
-        |_, s| s,
-        Mode::ExclusiveBwd,
-        None,
-    )
-    .0
+    slice_scan(default_schedule(), a, g, identity, f, Mode::ExclusiveBwd).0
 }
 
 /// Fused map→reduce: the reduction of `[g(a[0]), g(a[1]), ...]` without
@@ -1397,7 +1302,17 @@ where
     G: Fn(T) -> U + Sync,
     F: Fn(U, U) -> U + Sync,
 {
-    reduce_engine(default_schedule(), a.len(), |i| g(a[i]), identity, f, None)
+    let load = |i| g(a[i]);
+    let Ok(t) = reduce_engine(
+        default_schedule(),
+        a.len(),
+        load,
+        identity,
+        f,
+        None,
+        NoDeadline,
+    );
+    t
 }
 
 /// Reduction; parallel above [`PAR_THRESHOLD`].
@@ -1415,7 +1330,8 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Sync,
 {
-    reduce_engine(sched, a.len(), |i| a[i], identity, f, None)
+    let Ok(t) = reduce_engine(sched, a.len(), |i| a[i], identity, f, None, NoDeadline);
+    t
 }
 
 /// Parallel elementwise map into a fresh vector (the paper's
@@ -1751,6 +1667,15 @@ mod tests {
                 try_exclusive_scan_by_sched(sched, &a, 0, |x, y| x + y)
             });
             assert_eq!(got, Err(ExecError::DeadlineExceeded), "sched {sched:?}");
+            // Infallible APIs never fail on a deadline (DESIGN.md §10).
+            let got = crate::deadline::with_deadline(&d, || {
+                exclusive_scan_by_sched(sched, &a, 0, |x, y| x + y)
+            });
+            assert_eq!(
+                got,
+                seq_exclusive_scan_by(&a, 0, |x, y| x + y),
+                "infallible, sched {sched:?}"
+            );
         }
         let got = crate::deadline::with_deadline(&d, || try_reduce_by(&a, 0, |x, y| x + y));
         assert_eq!(got, Err(ExecError::DeadlineExceeded));
@@ -1822,6 +1747,28 @@ mod tests {
                 matches!(got, Err(ExecError::WorkerLost { panics }) if panics >= 1),
                 "sched {sched:?}: {got:?}"
             );
+            // The infallible entry points re-raise the operator's own
+            // panic; only `Spawn`'s thread scope raises its own message.
+            let explode = |x: u64, y: u64| {
+                assert!(x + y < 1_000_000, "operator exploded");
+                x + y
+            };
+            for (what, msg) in [
+                (
+                    "exclusive_scan_by_sched",
+                    panic_message(|| exclusive_scan_by_sched(sched, &a, 0, explode)),
+                ),
+                (
+                    "reduce_by_sched",
+                    panic_message(|| reduce_by_sched(sched, &a, 0, explode)),
+                ),
+            ] {
+                let msg = msg.unwrap_or_else(|| panic!("sched {sched:?}: {what} did not panic"));
+                assert!(
+                    sched == Schedule::Spawn || msg.contains("operator exploded"),
+                    "sched {sched:?}: {what} raised {msg:?}"
+                );
+            }
         }
         // Small inputs take the sequential path inside try_engine and
         // must be contained there too.
@@ -1830,6 +1777,18 @@ mod tests {
         assert!(matches!(got, Err(ExecError::WorkerLost { .. })));
         let got = try_reduce_by(&small, 0, |_, _| -> u64 { panic!("tiny boom") });
         assert!(matches!(got, Err(ExecError::WorkerLost { .. })));
+    }
+
+    /// The message of the panic `f` raises, or `None` if it returns.
+    fn panic_message<R>(f: impl FnOnce() -> R) -> Option<String> {
+        let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+        Some(match payload.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default(),
+        })
     }
 
     use std::sync::atomic::{AtomicUsize, Ordering};

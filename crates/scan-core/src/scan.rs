@@ -65,14 +65,16 @@ pub fn inclusive_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T]) -> Vec<T> {
 
 /// Reduction over the whole vector with operator `O`.
 pub fn reduce<O: ScanOp<T>, T: ScanElem>(a: &[T]) -> T {
-    parallel::reduce_engine(
+    let Ok(total) = parallel::reduce_engine(
         parallel::default_schedule(),
         a.len(),
         |i| a[i],
         O::identity(),
         O::combine,
         O::simd_tile(),
-    )
+        parallel::NoDeadline,
+    );
+    total
 }
 
 /// Fallible [`scan`]: identical result on success, but honors the
@@ -125,7 +127,7 @@ pub fn try_reduce<O: ScanOp<T>, T: ScanElem>(a: &[T]) -> Result<T> {
 /// cannot prove an arbitrary closure exact, but `O::simd_tile` is
 /// registered only for operators whose reassociation is bit-exact.
 fn typed_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], mode: parallel::Mode) -> (Vec<T>, T) {
-    parallel::engine(
+    let Ok(r) = parallel::engine(
         parallel::default_schedule(),
         a.len(),
         |i| a[i],
@@ -134,7 +136,9 @@ fn typed_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], mode: parallel::Mode) -> (Vec<
         |_, s| s,
         mode,
         O::simd_tile(),
-    )
+        parallel::NoDeadline,
+    );
+    r
 }
 
 /// Fallible [`typed_scan`], under the ambient deadline scope.

@@ -131,7 +131,7 @@ impl Segments {
     /// the `Seg-Number` vector of the paper's Figure 16. The flag
     /// vector is loaded on the fly; no 0/1 vector is materialized.
     pub fn segment_ids(&self) -> Vec<usize> {
-        parallel::engine(
+        let Ok((out, _)) = parallel::engine(
             parallel::default_schedule(),
             self.len(),
             |i| usize::from(self.is_head(i)),
@@ -140,15 +140,16 @@ impl Segments {
             |_, s| s - 1,
             parallel::Mode::InclusiveFwd,
             <crate::op::Sum as ScanOp<usize>>::simd_tile(),
-        )
-        .0
+            parallel::NoDeadline,
+        );
+        out
     }
 
     /// For every element, the index of its segment's head element.
     ///
     /// Computed as a fused inclusive `max`-scan of `flag ? index : 0`.
     pub fn head_index_per_element(&self) -> Vec<usize> {
-        parallel::engine(
+        let Ok((out, _)) = parallel::engine(
             parallel::default_schedule(),
             self.len(),
             |i| if self.is_head(i) { i } else { 0 },
@@ -157,8 +158,9 @@ impl Segments {
             |_, s| s,
             parallel::Mode::InclusiveFwd,
             <crate::op::Max as ScanOp<usize>>::simd_tile(),
-        )
-        .0
+            parallel::NoDeadline,
+        );
+        out
     }
 
     /// Iterate over the `(start, end)` half-open range of every segment.
@@ -221,7 +223,7 @@ pub fn seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
     // The engine's exclusive state at `i` is the inclusive pair state
     // at `i - 1`, so emitting `identity` at heads and the carried value
     // elsewhere is exactly the per-segment right-shift.
-    parallel::engine(
+    let Ok((out, _)) = parallel::engine(
         parallel::default_schedule(),
         a.len(),
         |i| (a[i], segs.is_head(i)),
@@ -230,8 +232,9 @@ pub fn seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
         |i, s: (T, bool)| if segs.is_head(i) { O::identity() } else { s.0 },
         parallel::Mode::ExclusiveFwd,
         O::simd_seg_tile(),
-    )
-    .0
+        parallel::NoDeadline,
+    );
+    out
 }
 
 /// Fallible [`seg_scan`]: checks the length precondition instead of
@@ -266,7 +269,7 @@ pub fn try_seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> crat
 /// If `a.len() != segs.len()`.
 pub fn seg_inclusive_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
     assert_eq!(a.len(), segs.len(), "seg_inclusive_scan length mismatch");
-    parallel::engine(
+    let Ok((out, _)) = parallel::engine(
         parallel::default_schedule(),
         a.len(),
         |i| (a[i], segs.is_head(i)),
@@ -275,8 +278,9 @@ pub fn seg_inclusive_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -
         |_, s: (T, bool)| s.0,
         parallel::Mode::InclusiveFwd,
         O::simd_seg_tile(),
-    )
-    .0
+        parallel::NoDeadline,
+    );
+    out
 }
 
 /// Exclusive *backward* segmented scan: within each segment, element `i`
@@ -292,7 +296,7 @@ pub fn seg_inclusive_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -
 /// If `a.len() != segs.len()`.
 pub fn seg_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
     assert_eq!(a.len(), segs.len(), "seg_scan_backward length mismatch");
-    parallel::engine(
+    let Ok((out, _)) = parallel::engine(
         parallel::default_schedule(),
         a.len(),
         |i| (a[i], is_tail(segs, i)),
@@ -301,8 +305,9 @@ pub fn seg_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) ->
         |i, s: (T, bool)| if is_tail(segs, i) { O::identity() } else { s.0 },
         parallel::Mode::ExclusiveBwd,
         O::simd_seg_tile(),
-    )
-    .0
+        parallel::NoDeadline,
+    );
+    out
 }
 
 /// Inclusive backward segmented scan.
@@ -315,7 +320,7 @@ pub fn seg_inclusive_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Se
         segs.len(),
         "seg_inclusive_scan_backward length mismatch"
     );
-    parallel::engine(
+    let Ok((out, _)) = parallel::engine(
         parallel::default_schedule(),
         a.len(),
         |i| (a[i], is_tail(segs, i)),
@@ -324,8 +329,9 @@ pub fn seg_inclusive_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Se
         |_, s: (T, bool)| s.0,
         parallel::Mode::InclusiveBwd,
         O::simd_seg_tile(),
-    )
-    .0
+        parallel::NoDeadline,
+    );
+    out
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 //! point, under all three parallel schedules ([`Schedule::Pooled`],
 //! [`Schedule::Spawn`], and the single-pass [`Schedule::Lookback`])
 //! and all four scan directions, must agree with the sequential
-//! reference at sizes straddling `PAR_THRESHOLD`.
+//! reference at sizes straddling `PAR_THRESHOLD`, and every entry
+//! point's `try_*` twin must return `Ok` with the infallible call's
+//! output, bit for bit.
 //!
 //! The container running CI may expose a single core, which would give
 //! the lazy global pool width 1 and silently skip the parallel paths.
@@ -94,6 +96,20 @@ fn wadd(a: u64, b: u64) -> u64 {
     a.wrapping_add(b)
 }
 
+/// The segmented `(value, flag)` pair operator over wrapping `+`.
+fn seg_wadd((v1, f1): (u64, bool), (v2, f2): (u64, bool)) -> (u64, bool) {
+    if f2 {
+        (v2, true)
+    } else {
+        (v1.wrapping_add(v2), f1)
+    }
+}
+
+/// The bit patterns of `v`, so float results compare bit for bit.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -104,6 +120,15 @@ proptest! {
             let a = data(seed, n);
             let ex = parallel::seq_exclusive_scan_by(&a, 0u64, wadd);
             let inc = parallel::seq_inclusive_scan_by(&a, 0u64, wadd);
+            // Float `+` is not associative: the `try_*` twin can match
+            // the infallible call bit for bit only because both run the
+            // same block plan with the same association. Lookback has no
+            // fixed association (a block seeds its scan or grafts the
+            // seed on afterwards, depending on whether its predecessor
+            // has published yet), so only the two-pass schedules are
+            // checked on it.
+            let af: Vec<f64> = a.iter().map(|&x| (x >> 11) as f64 / ((x % 997) as f64 + 1.0)).collect();
+            let fadd = |x: f64, y: f64| x + y;
             for sched in PAR_SCHEDULES {
                 prop_assert_eq!(
                     parallel::exclusive_scan_by_sched(sched, &a, 0u64, wadd),
@@ -114,6 +139,37 @@ proptest! {
                     parallel::inclusive_scan_by_sched(sched, &a, 0u64, wadd),
                     inc.clone(),
                     "inclusive fwd n={} sched={:?}", n, sched
+                );
+                prop_assert_eq!(
+                    parallel::try_exclusive_scan_by_sched(sched, &a, 0u64, wadd),
+                    Ok(ex.clone()),
+                    "try exclusive fwd n={} sched={:?}", n, sched
+                );
+                let try_inc = with_default_schedule(sched, || {
+                    parallel::try_inclusive_scan_by(&a, 0u64, wadd)
+                });
+                prop_assert_eq!(try_inc, Ok(inc.clone()), "try inclusive fwd n={} sched={:?}", n, sched);
+
+                if sched == Schedule::Lookback {
+                    continue;
+                }
+                let f_ex = parallel::exclusive_scan_by_sched(sched, &af, 0.0, fadd);
+                let f_try_ex = parallel::try_exclusive_scan_by_sched(sched, &af, 0.0, fadd);
+                prop_assert!(f_try_ex.is_ok(), "try f64 exclusive n={} sched={:?}", n, sched);
+                prop_assert_eq!(
+                    bits(&f_try_ex.unwrap_or_default()),
+                    bits(&f_ex),
+                    "try f64 exclusive bits n={} sched={:?}", n, sched
+                );
+                let f_inc = parallel::inclusive_scan_by_sched(sched, &af, 0.0, fadd);
+                let f_try_inc = with_default_schedule(sched, || {
+                    parallel::try_inclusive_scan_by(&af, 0.0, fadd)
+                });
+                prop_assert!(f_try_inc.is_ok(), "try f64 inclusive n={} sched={:?}", n, sched);
+                prop_assert_eq!(
+                    bits(&f_try_inc.unwrap_or_default()),
+                    bits(&f_inc),
+                    "try f64 inclusive bits n={} sched={:?}", n, sched
                 );
             }
         }
@@ -140,6 +196,14 @@ proptest! {
                     inc.clone(),
                     "inclusive bwd n={} sched={:?}", n, sched
                 );
+                let (try_ex, try_inc) = with_default_schedule(sched, || {
+                    (
+                        parallel::try_exclusive_scan_backward_by(&a, 0u64, u64::max),
+                        parallel::try_inclusive_scan_backward_by(&a, 0u64, u64::max),
+                    )
+                });
+                prop_assert_eq!(try_ex, Ok(ex.clone()), "try exclusive bwd n={} sched={:?}", n, sched);
+                prop_assert_eq!(try_inc, Ok(inc.clone()), "try inclusive bwd n={} sched={:?}", n, sched);
             }
         }
     }
@@ -157,6 +221,10 @@ proptest! {
                 });
                 prop_assert_eq!(got, ex.clone(), "with_total scan n={}", n);
                 prop_assert_eq!(got_total, total, "with_total total n={}", n);
+                let try_got = with_default_schedule(sched, || {
+                    parallel::try_scan_with_total_by(&a, 0u64, wadd)
+                });
+                prop_assert_eq!(try_got, Ok((ex.clone(), total)), "try with_total n={} sched={:?}", n, sched);
             }
         }
     }
@@ -206,6 +274,11 @@ proptest! {
                     parallel::reduce_by_sched(sched, &a, 0u64, u64::max),
                     red_ref,
                     "reduce n={} sched={:?}", n, sched
+                );
+                prop_assert_eq!(
+                    parallel::try_reduce_by_sched(sched, &a, 0u64, u64::max),
+                    Ok(red_ref),
+                    "try reduce n={} sched={:?}", n, sched
                 );
                 prop_assert_eq!(
                     parallel::map_by_sched(sched, &a, |x| x ^ 0xff),
@@ -267,6 +340,10 @@ proptest! {
                 prop_assert_eq!(g_inc, inc.clone(), "seg incl fwd n={}", n);
                 prop_assert_eq!(g_bex, bex.clone(), "seg excl bwd n={}", n);
                 prop_assert_eq!(g_binc, binc.clone(), "seg incl bwd n={}", n);
+                let try_ex = with_default_schedule(sched, || {
+                    scan_core::try_seg_scan::<Sum, _>(&a, &segs)
+                });
+                prop_assert_eq!(try_ex, Ok(ex.clone()), "try seg excl fwd n={} sched={:?}", n, sched);
 
                 // The raw pair operator through the generic engine: the
                 // classic (value, flag) associative combine.
@@ -286,6 +363,10 @@ proptest! {
                 );
                 let got: Vec<u64> = combined.iter().map(|&(v, _)| v).collect();
                 prop_assert_eq!(got, inc.clone(), "pair-op seg scan n={} sched={:?}", n, sched);
+                let try_combined = with_default_schedule(sched, || {
+                    parallel::try_inclusive_scan_by(&pairs, (0u64, false), seg_wadd)
+                });
+                prop_assert_eq!(try_combined, Ok(combined), "try pair-op seg scan n={} sched={:?}", n, sched);
             }
         }
     }
@@ -307,6 +388,8 @@ proptest! {
             for sched in PAR_SCHEDULES {
                 let got = with_default_schedule(sched, || scan_core::scan::<Max, _>(&a));
                 prop_assert_eq!(got, ex.clone(), "scan::<Max> n={} sched={:?}", n, sched);
+                let try_got = with_default_schedule(sched, || scan_core::try_scan::<Max, _>(&a));
+                prop_assert_eq!(try_got, Ok(ex.clone()), "try_scan::<Max> n={} sched={:?}", n, sched);
             }
         }
     }

@@ -7,7 +7,10 @@
 //! - `.method(..)` resolves to same-file impl methods of that name,
 //!   else same-crate ones — never workspace-wide (std receivers like
 //!   `s.spawn(..)` or `buf.write(..)` would alias onto any workspace
-//!   impl sharing the name);
+//!   impl sharing the name). Names that std's `Iterator`, `Option`,
+//!   `Result` and slice types define ([`STD_METHOD_NAMES`]) resolve
+//!   same-file only: `keys.iter().find(..)` must not alias onto a
+//!   union-find `find`, nor `.map(..)`/`.count()` onto vector types;
 //! - `Type::name(..)` resolves to methods of impls whose self type is
 //!   `Type` (so `Vec::new` draws no edge into workspace `new`s);
 //! - `module::name(..)` prefers free functions defined in a same-crate
@@ -29,6 +32,42 @@ use crate::model::{Vis, Workspace};
 
 /// Global function id: (file index, fn index within file).
 pub type FnId = (usize, usize);
+
+/// Method names std's `Iterator` (and `DoubleEndedIterator`),
+/// `Option`, `Result` and slice types define. The receiver of a
+/// `.name(..)` call is unknown to a name-based resolver, and these
+/// names are called on std receivers all over the workspace, so a
+/// same-crate impl method that shares one is reached only from its
+/// own file.
+#[rustfmt::skip]
+pub const STD_METHOD_NAMES: &[&str] = &[
+    // Iterator / DoubleEndedIterator
+    "all", "any", "by_ref", "chain", "cloned", "cmp", "collect", "copied", "count", "cycle",
+    "enumerate", "eq", "filter", "filter_map", "find", "find_map", "flat_map", "flatten", "fold",
+    "for_each", "fuse", "ge", "gt", "inspect", "is_sorted", "is_sorted_by", "is_sorted_by_key",
+    "last", "le", "lt", "map", "map_while", "max", "max_by", "max_by_key", "min", "min_by",
+    "min_by_key", "ne", "next", "next_back", "nth", "nth_back", "partial_cmp", "partition",
+    "peekable", "position", "product", "reduce", "rev", "rfind", "rfold", "rposition", "scan",
+    "size_hint", "skip", "skip_while", "step_by", "sum", "take", "take_while", "try_fold",
+    "try_for_each", "try_rfold", "unzip", "zip",
+    // Option / Result
+    "and", "and_then", "as_deref", "as_deref_mut", "as_mut", "as_ref", "err", "expect",
+    "expect_err", "get_or_insert", "get_or_insert_with", "insert", "inspect_err", "is_err",
+    "is_err_and", "is_none", "is_none_or", "is_ok", "is_ok_and", "is_some", "is_some_and",
+    "map_err", "map_or", "map_or_else", "ok", "ok_or", "ok_or_else", "or", "or_else", "replace",
+    "take_if", "transpose", "unwrap", "unwrap_err", "unwrap_or", "unwrap_or_default",
+    "unwrap_or_else", "xor",
+    // slices
+    "as_mut_ptr", "as_ptr", "as_slice", "binary_search", "binary_search_by",
+    "binary_search_by_key", "chunks", "chunks_exact", "chunks_exact_mut", "chunks_mut",
+    "clone_from_slice", "concat", "contains", "copy_from_slice", "copy_within", "ends_with",
+    "fill", "fill_with", "first", "first_mut", "get", "get_mut", "is_empty", "iter", "iter_mut",
+    "join", "last_mut", "len", "partition_point", "rchunks", "repeat", "reverse", "rotate_left",
+    "rotate_right", "rsplit", "rsplitn", "select_nth_unstable", "sort", "sort_by", "sort_by_key",
+    "sort_unstable", "sort_unstable_by", "sort_unstable_by_key", "split", "split_at",
+    "split_at_mut", "split_first", "split_last", "splitn", "starts_with", "swap", "to_vec",
+    "windows",
+];
 
 /// The resolved workspace call graph.
 pub struct CallGraph {
@@ -107,9 +146,15 @@ impl CallGraph {
                     // No workspace-wide fallback for methods: std
                     // receivers (`s.spawn`, `buf.write`, ...) would
                     // alias onto any workspace impl sharing the name.
-                    methods_by_file
-                        .get(&(fi, name))
-                        .or_else(|| methods_by_crate.get(&(file.crate_name(), name)))
+                    // Std adapter names do not even fall back
+                    // same-crate (see `STD_METHOD_NAMES`).
+                    methods_by_file.get(&(fi, name)).or_else(|| {
+                        if STD_METHOD_NAMES.contains(&name) {
+                            None
+                        } else {
+                            methods_by_crate.get(&(file.crate_name(), name))
+                        }
+                    })
                 } else if let Some(q) = &call.qual {
                     let q = q.as_str();
                     if q.chars().next().is_some_and(char::is_uppercase) {
@@ -283,6 +328,43 @@ mod tests {
             !reach.contains_key(&fn_id(&w, "explode")),
             "Vec::new must not alias Pool::new"
         );
+    }
+
+    #[test]
+    fn std_adapter_names_resolve_same_file_only() {
+        // Std adapters on std receivers in one file must not resolve
+        // to same-named impl methods in another file of the crate.
+        for (adapter, method) in [
+            ("keys.iter().map(|k| k + 1).sum()", "map"),
+            ("keys.iter().enumerate().count() as u64", "enumerate"),
+            ("keys.iter().count() as u64", "count"),
+            ("*keys.iter().find(|&&k| k > 1).unwrap_or(&0)", "find"),
+        ] {
+            let w = ws(&[
+                (
+                    "crates/a/src/vector.rs",
+                    &format!(
+                        "pub struct V;\nimpl V {{\n    pub fn {method}(&self) {{ explode() }}\n}}\nfn explode() {{ panic!(\"v\") }}\npub fn try_local(v: &V) {{ v.{method}() }}\n"
+                    ),
+                ),
+                (
+                    "crates/a/src/sort.rs",
+                    &format!("pub fn try_sort(keys: &[u64]) -> u64 {{ {adapter} }}\n"),
+                ),
+            ]);
+            let g = CallGraph::build(&w);
+            let target = fn_id(&w, method);
+            let reach = g.reach_from(&w, fn_id(&w, "try_sort"));
+            assert!(
+                !reach.contains_key(&target),
+                "`{adapter}` must not alias `V::{method}` in another file"
+            );
+            let reach = g.reach_from(&w, fn_id(&w, "try_local"));
+            assert!(
+                reach.contains_key(&target),
+                "a receiver call in `V::{method}`'s own file must still resolve"
+            );
+        }
     }
 
     #[test]
