@@ -11,13 +11,18 @@
 //!    per-shard carries ([`crate::combine`]).
 //! 3. **Scan**: every shard produces the exclusive scan of its range
 //!    seeded with its carry.
+//! 4. **Assemble**: one parallel pass on scan-core's global pool, one
+//!    task per range, copies each piece into the output while checking
+//!    every element of it and folding the range's true total; a k-step
+//!    pass then checks each range against its true carry and
+//!    recomputes any range that fails (`crate::assemble`).
 //!
 //! Around that schedule sits the robustness machinery:
 //!
 //! - **Loss detection** — a shard is lost for a run when it reports a
 //!   contained worker panic, misses the watchdog window, closes its
-//!   channel (dead supervisor), or returns output that fails the O(n)
-//!   verification pass (a *lying* shard).
+//!   channel (dead supervisor), or returns a total or a piece that the
+//!   assembly pass finds wrong (a *lying* shard).
 //! - **Recovery ladder** — lost ranges are re-executed on surviving
 //!   shards with seeded, capped backoff between attempts
 //!   ([`scan_core::backoff`]); if every survivor fails too, the
@@ -47,6 +52,7 @@ use scan_core::segmented::seg_combine;
 use scan_core::{try_scan_range, ExecError, Max, ScanDeadline, ScanOp, Sum};
 use scan_fault::{Breaker, BreakerConfig, ChaosEvent, ChaosPlan, Gate};
 
+use crate::assemble::assemble;
 use crate::combine::{compute, exclusive_combine, range_scan, range_total};
 use crate::error::{LossCause, ShardError};
 use crate::health::{ShardHealth, ShardStatus};
@@ -100,10 +106,6 @@ pub struct ShardConfig {
     pub backoff: Backoff,
     /// Per-shard circuit-breaker tuning, on the executor's run clock.
     pub breaker: BreakerConfig,
-    /// Run the O(n) postcondition verification after assembly. This is
-    /// what catches lying shards; disabling it trades that detection
-    /// for one less sequential pass.
-    pub verify: bool,
     /// Minimum admitted shards required to run sharded; below this the
     /// run degrades (or fails, under [`RecoveryPolicy::Fail`]).
     pub min_live: usize,
@@ -126,7 +128,6 @@ impl Default for ShardConfig {
                 seed: 0x5aad_c0de_0b57_ac1e,
             },
             breaker: BreakerConfig::default(),
-            verify: true,
             min_live: 1,
             policy: RecoveryPolicy::Recover,
             chaos: None,
@@ -274,7 +275,7 @@ impl ShardedExecutor {
     }
 
     /// [`run`](Self::run) with `kind`'s operator `O`, which the
-    /// executor's own folds (combine, inline rescue, verify) use.
+    /// executor's own folds (combine, inline rescue, assembly) use.
     fn run_as<O: ScanOp<u64>>(
         &self,
         kind: ScanKind,
@@ -378,21 +379,21 @@ impl ShardedExecutor {
             inner, kind, data, &heads, &deadline, &ranges, &workers, &admitted, &probing,
             &mut healthy, clock, Some(&carries),
         )?;
-        let mut out = Vec::with_capacity(n);
+        let mut pieces = Vec::with_capacity(k);
         let mut producers2 = Vec::with_capacity(k);
         for (slot, (piece, producer)) in r2.into_iter().enumerate() {
             let range = ranges[slot].clone();
             match piece {
                 Output::Scanned(v) if v.len() == range.len() => {
-                    out.extend_from_slice(&v);
+                    pieces.push(v);
                     producers2.push(producer);
                 }
                 // A wrong-length or wrong-phase result is a lie in
                 // shape rather than value: recompute inline, let the
-                // verify pass below settle attribution.
+                // assembly check below settle attribution.
                 _ => {
                     inner.inline_rescues += 1;
-                    out.extend_from_slice(&range_scan::<O>(
+                    pieces.push(range_scan::<O>(
                         data,
                         head_flags,
                         range,
@@ -404,40 +405,18 @@ impl ShardedExecutor {
             }
         }
 
-        // Verify: one sequential O(n) pass recomputes the recurrence
-        // with the pair operator, fixes any wrong element in place, and
-        // attributes lies.
-        if inner.cfg.verify {
-            let mut state = identity;
-            for slot in 0..k {
-                let carry_good = carries[slot] == state;
-                let mut elem_bad = false;
-                let mut true_total = identity;
-                for g in ranges[slot].clone() {
-                    let e = (data[g], head_flags.is_some_and(|h| h[g]));
-                    let expect = if e.1 { O::identity() } else { state.0 };
-                    if out[g] != expect {
-                        elem_bad = true;
-                        out[g] = expect;
-                    }
-                    state = seg_combine::<O, u64>(state, e);
-                    true_total = seg_combine::<O, u64>(true_total, e);
-                }
-                if elem_bad {
-                    inner.inline_rescues += 1;
-                }
-                // A wrong claimed total is a round-1 lie by this
-                // slot's reduce producer.
-                if totals[slot] != true_total {
-                    blame(inner, &mut healthy, producers1[slot], &probing, clock)?;
-                }
-                // Wrong elements under a correct carry are a round-2
-                // lie by this slot's scan producer. (Under a corrupted
-                // carry the mismatch is the upstream liar's fault,
-                // already blamed via its total.)
-                if elem_bad && carry_good {
-                    blame(inner, &mut healthy, producers2[slot], &probing, clock)?;
-                }
+        // Assemble and verify in one parallel pass (`crate::assemble`),
+        // then attribute lies in range order.
+        let (out, verdicts) = assemble::<O>(data, head_flags, &ranges, pieces, &totals, &carries)?;
+        for (slot, v) in verdicts.into_iter().enumerate() {
+            if v.rescued {
+                inner.inline_rescues += 1;
+            }
+            if v.total_lied {
+                blame(inner, &mut healthy, producers1[slot], &probing, clock)?;
+            }
+            if v.piece_lied {
+                blame(inner, &mut healthy, producers2[slot], &probing, clock)?;
             }
         }
 

@@ -19,8 +19,9 @@
 //! What the executor guarantees under [`RecoveryPolicy::Recover`]:
 //! bit-equal output to the single-pool kernels whenever *any* compute
 //! path remains — lost ranges are re-executed on survivors with seeded
-//! backoff, then inline; lying shards are caught by an O(n) verify
-//! pass, fixed in place, and quarantined behind a
+//! backoff, then inline; lying shards are caught by the parallel pass
+//! that assembles the output and checks every element of it, their
+//! ranges are recomputed inline, and they are quarantined behind a
 //! [`scan_fault::Breaker`] until a probe run readmits them. Under
 //! [`RecoveryPolicy::Fail`], the first loss surfaces as a typed
 //! [`ShardError`] instead.
@@ -28,6 +29,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod assemble;
 pub mod combine;
 pub mod error;
 pub mod executor;

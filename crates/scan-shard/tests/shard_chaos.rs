@@ -11,7 +11,8 @@ use std::time::Duration;
 use scan_core::{Max, Segments, Sum};
 use scan_fault::{BreakerConfig, BreakerState, ChaosPlan};
 use scan_shard::{
-    LossCause, RecoveryPolicy, ScanKind, ShardConfig, ShardError, ShardedExecutor,
+    LossCause, RecoveryPolicy, ScanKind, ShardConfig, ShardError, ShardHealth, ShardStatus,
+    ShardedExecutor,
 };
 
 fn data(n: usize) -> Vec<u64> {
@@ -333,4 +334,158 @@ fn health_reports_breaker_state() {
         .iter()
         .any(|s| matches!(s.state, BreakerState::Open { .. }) && s.skipped >= 1),
         "{h:?}");
+}
+
+/// One pinned attribution scenario: eight runs cycling flat Sum, flat
+/// Max, segmented Sum and segmented Max over growing `n`, with heads
+/// inside ranges and on range starts, under breakers that never open
+/// (so the job schedule is fixed by the plan alone). Every `Ok` must
+/// equal scan-core's answer. Returns the run outcomes (`.` for `Ok`,
+/// else the shard a `ShardLost { cause: Lied }` names) and the final
+/// health.
+fn attribution_scenario(
+    shards: usize,
+    every: u64,
+    policy: RecoveryPolicy,
+) -> (String, ShardHealth) {
+    let ex = ShardedExecutor::new(ShardConfig {
+        policy,
+        breaker: BreakerConfig {
+            failure_threshold: u32::MAX,
+            ..BreakerConfig::default()
+        },
+        ..cfg(
+            shards,
+            ChaosPlan {
+                carry_corrupt_every: every,
+                ..ChaosPlan::quiet(31)
+            },
+        )
+    });
+    let mut outcomes = String::new();
+    for run in 0..8usize {
+        // `n` divisible by 12 splits exactly 2, 3 and 4 ways: the
+        // heads at n/4, n/3 and n/2 start ranges, while the range
+        // starts at 2n/3 and 3n/4 are not heads.
+        let n = 12 * (10 + 3 * run);
+        let a = data(n);
+        let heads: Vec<bool> = (0..n)
+            .map(|i| i % 29 == 11 || i == n / 4 || i == n / 3 || i == n / 2)
+            .collect();
+        let segs = Segments::from_flags(heads.clone());
+        let (got, want) = match run % 4 {
+            0 => (ex.scan(ScanKind::Sum, &a), scan_core::scan::<Sum, _>(&a)),
+            1 => (ex.scan(ScanKind::Max, &a), scan_core::scan::<Max, _>(&a)),
+            2 => (
+                ex.seg_scan(ScanKind::Sum, &a, &heads),
+                scan_core::seg_scan::<Sum, u64>(&a, &segs),
+            ),
+            _ => (
+                ex.seg_scan(ScanKind::Max, &a, &heads),
+                scan_core::seg_scan::<Max, u64>(&a, &segs),
+            ),
+        };
+        let ctx = format!("{policy:?} shards={shards} every={every} run={run}");
+        match got {
+            Ok(v) => {
+                assert_eq!(v, want, "{ctx}");
+                outcomes.push('.');
+            }
+            Err(ShardError::ShardLost {
+                shard,
+                cause: LossCause::Lied,
+            }) => outcomes.push_str(&shard.to_string()),
+            Err(e) => panic!("{ctx}: unexpected {e:?}"),
+        }
+    }
+    (outcomes, ex.health())
+}
+
+/// Lie attribution, pinned: 32 scenarios (1–4 shards, lie periods 1,
+/// 2, 3 and 5, both policies), each compared field by field with a
+/// pinned outcome string and health. Any change to how lies are
+/// detected, repaired or blamed shows up as a different
+/// `inline_rescues`, `lies`, `served` or `Err` sequence.
+#[test]
+fn lie_attribution_is_pinned() {
+    use RecoveryPolicy::{Fail, Recover};
+    /// `(shards, carry_corrupt_every, policy, outcomes,
+    /// inline_rescues, per-shard (served, lies))`.
+    type Row = (
+        usize,
+        u64,
+        RecoveryPolicy,
+        &'static str,
+        u64,
+        &'static [(u64, u64)],
+    );
+    #[rustfmt::skip]
+    const PINNED: [Row; 32] = [
+        (1, 1, Recover, "........", 8, &[(16, 16)]),
+        (1, 2, Recover, "........", 8, &[(16, 8)]),
+        (1, 3, Recover, "........", 2, &[(16, 5)]),
+        (1, 5, Recover, "........", 1, &[(16, 3)]),
+        (2, 1, Recover, "........", 16, &[(16, 16), (16, 8)]),
+        (2, 2, Recover, "........", 8, &[(16, 0), (16, 16)]),
+        (2, 3, Recover, "........", 5, &[(16, 5), (16, 3)]),
+        (2, 5, Recover, "........", 3, &[(16, 3), (16, 3)]),
+        (3, 1, Recover, "........", 23, &[(16, 16), (16, 8), (16, 9)]),
+        (3, 2, Recover, "........", 15, &[(16, 8), (16, 8), (16, 1)]),
+        (3, 3, Recover, "........", 8, &[(16, 0), (16, 0), (16, 16)]),
+        (3, 5, Recover, "........", 7, &[(16, 3), (16, 3), (16, 2)]),
+        (4, 1, Recover, "........", 31, &[(16, 16), (16, 8), (16, 9), (16, 8)]),
+        (4, 2, Recover, "........", 20, &[(16, 0), (16, 16), (16, 0), (16, 13)]),
+        (4, 3, Recover, "........", 17, &[(16, 5), (16, 5), (16, 5), (16, 4)]),
+        (4, 5, Recover, "........", 6, &[(16, 3), (16, 2), (16, 1), (16, 2)]),
+        (1, 1, Fail, "00000000", 8, &[(16, 8)]),
+        (1, 2, Fail, "00000000", 8, &[(16, 8)]),
+        (1, 3, Fail, ".00.00.0", 2, &[(16, 5)]),
+        (1, 5, Fail, "..0.0..0", 1, &[(16, 3)]),
+        (2, 1, Fail, "00000000", 8, &[(16, 8), (16, 0)]),
+        (2, 2, Fail, "11111111", 8, &[(16, 0), (16, 8)]),
+        (2, 3, Fail, "01001001", 3, &[(16, 5), (16, 3)]),
+        (2, 5, Fail, ".0101.01", 2, &[(16, 3), (16, 3)]),
+        (3, 1, Fail, "00000000", 8, &[(16, 8), (16, 0), (16, 0)]),
+        (3, 2, Fail, "00000000", 8, &[(16, 8), (16, 0), (16, 0)]),
+        (3, 3, Fail, "22222222", 8, &[(16, 0), (16, 0), (16, 8)]),
+        (3, 5, Fail, "10210102", 4, &[(16, 3), (16, 3), (16, 2)]),
+        (4, 1, Fail, "00000000", 8, &[(16, 8), (16, 0), (16, 0), (16, 0)]),
+        (4, 2, Fail, "11111111", 8, &[(16, 0), (16, 8), (16, 0), (16, 0)]),
+        (4, 3, Fail, "10010010", 5, &[(16, 5), (16, 3), (16, 0), (16, 0)]),
+        (4, 5, Fail, "01302013", 2, &[(16, 3), (16, 2), (16, 1), (16, 2)]),
+    ];
+    let grid = [Recover, Fail].into_iter().flat_map(|policy| {
+        (1..=4usize).flat_map(move |shards| [1u64, 2, 3, 5].map(|every| (shards, every, policy)))
+    });
+    for ((shards, every, policy), row) in grid.zip(PINNED) {
+        let (_, _, _, outcomes, inline_rescues, per_shard) = row;
+        assert_eq!((row.0, row.1, row.2), (shards, every, policy));
+        let ctx = format!("{policy:?} shards={shards} every={every}");
+        let (got, health) = attribution_scenario(shards, every, policy);
+        assert_eq!(got, outcomes, "{ctx}");
+        let lies: u64 = per_shard.iter().map(|&(_, lies)| lies).sum();
+        let want = ShardHealth {
+            shards: per_shard
+                .iter()
+                .map(|&(served, lies)| ShardStatus {
+                    state: BreakerState::Closed,
+                    alive: true,
+                    served,
+                    panics: 0,
+                    watchdog_losses: 0,
+                    lies,
+                    disconnects: 0,
+                    quarantines: 0,
+                    probes: 0,
+                    skipped: 0,
+                })
+                .collect(),
+            runs: 8,
+            degraded_runs: 0,
+            losses: lies,
+            recoveries: 0,
+            inline_rescues,
+        };
+        assert_eq!(health, want, "{ctx}");
+    }
 }
