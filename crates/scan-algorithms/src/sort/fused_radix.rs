@@ -9,21 +9,81 @@
 //! from `O(2^w · n)` to `O(n + blocks · 2^w)`. Step charges on the
 //! `Ctx` machine are unchanged (see [`Ctx::multi_split`][Ctx]): fusion
 //! is an execution detail, not a different scan-model algorithm.
+//!
+//! Each pass moves every key once in and once out. Pass 1 reads the
+//! caller's keys (or the zipped pairs) directly, and both ping-pong
+//! buffers are zeroed allocations, whose pages the OS maps on first
+//! write, so no copy of the input precedes the first pass. From a
+//! 16 MiB output on, on a host with streaming stores, the scatter
+//! writes whole output lines with them (DESIGN.md §11). Key widths
+//! above 64 sort as 64: every `u64` key fits.
 
 use scan_core::multi_split::{multi_split_into, try_multi_split_into, MultiSplitScratch};
 use scan_core::{Error, Result};
 use scan_pram::{Ctx, Model};
+use std::borrow::Cow;
+use std::convert::Infallible;
 
-/// Typed width check shared by the `try_*` sorts: every key must fit
-/// in `key_bits` bits.
-pub(crate) fn check_key_width(keys: &[u64], key_bits: u32) -> Result<()> {
+/// The key width the radix passes visit — `key_bits`, clamped to 64,
+/// since every `u64` key fits 64 bits — or `Err` with the first key
+/// that does not fit in `key_bits` bits.
+fn key_width(keys: &[u64], key_bits: u32) -> core::result::Result<u32, u64> {
     match keys.iter().find(|&&k| key_bits < 64 && k >> key_bits != 0) {
-        Some(&bad) => Err(Error::WidthOverflow {
-            required: 64 - bad.leading_zeros(),
-            available: key_bits,
-        }),
-        None => Ok(()),
+        Some(&bad) => Err(bad),
+        None => Ok(key_bits.min(u64::BITS)),
     }
+}
+
+/// [`key_width`] for the infallible sorts.
+///
+/// # Panics
+/// If a key does not fit in `key_bits` bits.
+pub(crate) fn expect_key_width(keys: &[u64], key_bits: u32) -> u32 {
+    key_width(keys, key_bits)
+        .unwrap_or_else(|bad| panic!("key {bad} does not fit in {key_bits} bits"))
+}
+
+/// [`key_width`] for the `try_*` sorts: a key that does not fit is an
+/// [`Error::WidthOverflow`].
+pub(crate) fn check_key_width(keys: &[u64], key_bits: u32) -> Result<u32> {
+    key_width(keys, key_bits).map_err(|bad| Error::WidthOverflow {
+        required: 64 - bad.leading_zeros(),
+        available: key_bits,
+    })
+}
+
+/// The digit passes of one sort over two ping-pong buffers, returning
+/// the sorted one. `pass(src, dst, shift)` splits `src` into `dst` by
+/// the digit at bit `shift`. Pass 1 reads `input` itself, so nothing
+/// copies it first. An owned `input` becomes the second buffer; a new
+/// buffer starts zeroed, so its pages are mapped on first write. With
+/// no passes, `input` is returned as a `Vec`.
+fn ping_pong<T, E>(
+    input: Cow<'_, [T]>,
+    key_bits: u32,
+    digit_bits: u32,
+    mut pass: impl FnMut(&[T], &mut [T], u32) -> core::result::Result<(), E>,
+) -> core::result::Result<Vec<T>, E>
+where
+    T: Copy + Default,
+{
+    if key_bits == 0 {
+        return Ok(input.into_owned());
+    }
+    let n = input.len();
+    let mut a = vec![T::default(); n];
+    pass(&input, &mut a, 0)?;
+    let mut b = match input {
+        Cow::Owned(v) => v,
+        Cow::Borrowed(_) => vec![T::default(); n],
+    };
+    let mut shift = digit_bits;
+    while shift < key_bits {
+        pass(&a, &mut b, shift)?;
+        core::mem::swap(&mut a, &mut b);
+        shift += digit_bits;
+    }
+    Ok(a)
 }
 
 /// Fused multi-digit split radix sort on a step-counting machine,
@@ -40,17 +100,12 @@ pub fn fused_radix_sort_digits_ctx(
     digit_bits: u32,
 ) -> Vec<u64> {
     assert!((1..=16).contains(&digit_bits), "digit width must be 1..=16");
-    if let Some(&bad) = keys.iter().find(|&&k| key_bits < 64 && k >> key_bits != 0) {
-        panic!("key {bad} does not fit in {key_bits} bits");
-    }
+    let key_bits = expect_key_width(keys, key_bits);
     let n = keys.len();
     let buckets = 1usize << digit_bits;
     let mask = (buckets - 1) as u64;
-    let mut a = keys.to_vec();
-    let mut b = keys.to_vec();
     let mut scratch = MultiSplitScratch::new();
-    let mut shift = 0;
-    while shift < key_bits {
+    let pass = |src: &[u64], dst: &mut [u64], shift: u32| {
         // Same charges as the enumerate-per-bucket schedule (see
         // `Ctx::multi_split`): digit map, per-bucket flag + enumerate,
         // destination arithmetic, scatter.
@@ -62,16 +117,16 @@ pub fn fused_radix_sort_digits_ctx(
         ctx.charge_elementwise_op(n);
         ctx.charge_permute_op(n);
         multi_split_into(
-            &a,
-            &mut b,
+            src,
+            dst,
             buckets,
             move |k| ((k >> shift) & mask) as usize,
             &mut scratch,
         );
-        core::mem::swap(&mut a, &mut b);
-        shift += digit_bits;
-    }
-    a
+        Ok::<_, Infallible>(())
+    };
+    let Ok(sorted) = ping_pong(Cow::Borrowed(keys), key_bits, digit_bits, pass);
+    sorted
 }
 
 /// Fused multi-digit sort with the default scan-model machine.
@@ -99,29 +154,25 @@ pub fn fused_radix_sort_pairs_digits(
 ) -> (Vec<u64>, Vec<u64>) {
     assert!((1..=16).contains(&digit_bits), "digit width must be 1..=16");
     assert_eq!(keys.len(), payloads.len(), "pairs length mismatch");
-    if let Some(&bad) = keys.iter().find(|&&k| key_bits < 64 && k >> key_bits != 0) {
-        panic!("key {bad} does not fit in {key_bits} bits");
-    }
+    let key_bits = expect_key_width(keys, key_bits);
     let buckets = 1usize << digit_bits;
     let mask = (buckets - 1) as u64;
-    let mut a: Vec<(u64, u64)> = keys.iter().copied().zip(payloads.iter().copied()).collect();
-    let mut b = a.clone();
+    let pairs: Vec<(u64, u64)> = keys.iter().copied().zip(payloads.iter().copied()).collect();
     let mut scratch = MultiSplitScratch::new();
-    let mut shift = 0;
-    while shift < key_bits {
+    let pass = |src: &[(u64, u64)], dst: &mut [(u64, u64)], shift: u32| {
         multi_split_into(
-            &a,
-            &mut b,
+            src,
+            dst,
             buckets,
             move |(k, _)| ((k >> shift) & mask) as usize,
             &mut scratch,
         );
-        core::mem::swap(&mut a, &mut b);
-        shift += digit_bits;
-    }
+        Ok::<_, Infallible>(())
+    };
+    let Ok(sorted) = ping_pong(Cow::Owned(pairs), key_bits, digit_bits, pass);
     (
-        a.iter().map(|&(k, _)| k).collect(),
-        a.iter().map(|&(_, v)| v).collect(),
+        sorted.iter().map(|&(k, _)| k).collect(),
+        sorted.iter().map(|&(_, v)| v).collect(),
     )
 }
 
@@ -140,25 +191,21 @@ pub fn try_fused_radix_sort_digits(
 ) -> Result<Vec<u64>> {
     assert!((1..=16).contains(&digit_bits), "digit width must be 1..=16");
     scan_core::deadline::checkpoint()?;
-    check_key_width(keys, key_bits)?;
+    let key_bits = check_key_width(keys, key_bits)?;
     let buckets = 1usize << digit_bits;
     let mask = (buckets - 1) as u64;
-    let mut a = keys.to_vec();
-    let mut b = keys.to_vec();
     let mut scratch = MultiSplitScratch::new();
-    let mut shift = 0;
-    while shift < key_bits {
+    let pass = |src: &[u64], dst: &mut [u64], shift: u32| {
         try_multi_split_into(
-            &a,
-            &mut b,
+            src,
+            dst,
             buckets,
             move |k| ((k >> shift) & mask) as usize,
             &mut scratch,
-        )?;
-        core::mem::swap(&mut a, &mut b);
-        shift += digit_bits;
-    }
-    Ok(a)
+        )
+        .map(drop)
+    };
+    ping_pong(Cow::Borrowed(keys), key_bits, digit_bits, pass)
 }
 
 /// Checked fused sort with the default digit width.
@@ -255,6 +302,55 @@ mod tests {
         d.cancel();
         let r = deadline::with_deadline(&d, || try_fused_radix_sort(&ks, 16));
         assert_eq!(r, Err(Error::Exec(ExecError::Cancelled)));
+    }
+
+    #[test]
+    fn widths_above_64_sort_as_64() {
+        use crate::sort::radix::{
+            split_radix_sort, split_radix_sort_ctx, split_radix_sort_digits,
+            split_radix_sort_digits_ctx, split_radix_sort_pairs, split_radix_sort_pairs_ctx,
+            try_split_radix_sort, try_split_radix_sort_digits,
+        };
+        // Keys with high bits set: a pass that re-sorts by low bits
+        // (a shift of 64 or more, masked to `shift % 64`) unsorts them.
+        let mut ks = vec![3u64, 0x100, 1, 0x200, 2, u64::MAX, 1 << 63];
+        ks.extend(keys(0xD1CE, 300, 64));
+        let mut expect = ks.clone();
+        expect.sort_unstable();
+        let tags: Vec<u64> = (0..ks.len() as u64).collect();
+        let mut by_key: Vec<(u64, u64)> = ks.iter().copied().zip(tags.iter().copied()).collect();
+        by_key.sort_by_key(|&(k, _)| k); // stable: the sorts' order
+        let expect_pairs: (Vec<u64>, Vec<u64>) = by_key.into_iter().unzip();
+        let ctx = || Ctx::new(Model::Scan);
+        for bits in [65u32, 72, 128, u32::MAX] {
+            #[rustfmt::skip] // one entry point per row
+            let sorts = [
+                ("fused_radix_sort", fused_radix_sort(&ks, bits)),
+                ("fused w=7", fused_radix_sort_digits(&ks, bits, 7)),
+                ("fused w=16", fused_radix_sort_digits(&ks, bits, 16)),
+                ("fused ctx", fused_radix_sort_digits_ctx(&mut ctx(), &ks, bits, 7)),
+                ("try_fused", try_fused_radix_sort(&ks, bits).unwrap()),
+                ("try_fused w=7", try_fused_radix_sort_digits(&ks, bits, 7).unwrap()),
+                ("split_radix_sort", split_radix_sort(&ks, bits)),
+                ("split ctx", split_radix_sort_ctx(&mut ctx(), &ks, bits)),
+                ("split w=7", split_radix_sort_digits(&ks, bits, 7)),
+                ("split ctx w=7", split_radix_sort_digits_ctx(&mut ctx(), &ks, bits, 7)),
+                ("try_split", try_split_radix_sort(&ks, bits).unwrap()),
+                ("try_split w=7", try_split_radix_sort_digits(&ks, bits, 7).unwrap()),
+            ];
+            for (name, got) in sorts {
+                assert_eq!(got, expect, "{name} at key_bits={bits}");
+            }
+            #[rustfmt::skip]
+            let pairs = [
+                ("fused pairs", fused_radix_sort_pairs_digits(&ks, &tags, bits, 7)),
+                ("split pairs", split_radix_sort_pairs(&ks, &tags, bits)),
+                ("split pairs ctx", split_radix_sort_pairs_ctx(&mut ctx(), &ks, &tags, bits)),
+            ];
+            for (name, got) in pairs {
+                assert_eq!(got, expect_pairs, "{name} at key_bits={bits}");
+            }
+        }
     }
 
     #[test]

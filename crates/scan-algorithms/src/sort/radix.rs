@@ -7,6 +7,7 @@
 //! `O(lg n)` bits. This is the sort the Connection Machine's
 //! instruction set shipped.
 
+use super::fused_radix::{check_key_width, expect_key_width};
 use scan_pram::{Ctx, Model};
 
 /// Split radix sort of unsigned keys, ascending and stable, on a
@@ -16,9 +17,7 @@ use scan_pram::{Ctx, Model};
 /// # Panics
 /// If a key has a set bit at or above `key_bits`.
 pub fn split_radix_sort_ctx(ctx: &mut Ctx, keys: &[u64], key_bits: u32) -> Vec<u64> {
-    if let Some(&bad) = keys.iter().find(|&&k| key_bits < 64 && k >> key_bits != 0) {
-        panic!("key {bad} does not fit in {key_bits} bits");
-    }
+    let key_bits = expect_key_width(keys, key_bits);
     let mut a = keys.to_vec();
     // define split-radix-sort(A, number-of-bits):
     //   for i from 0 to (number-of-bits − 1): A ← split(A, A⟨i⟩)
@@ -51,9 +50,7 @@ pub fn split_radix_sort_digits_ctx(
     digit_bits: u32,
 ) -> Vec<u64> {
     assert!((1..=16).contains(&digit_bits), "digit width must be 1..=16");
-    if let Some(&bad) = keys.iter().find(|&&k| key_bits < 64 && k >> key_bits != 0) {
-        panic!("key {bad} does not fit in {key_bits} bits");
-    }
+    let key_bits = expect_key_width(keys, key_bits);
     let buckets = 1usize << digit_bits;
     let mut a = keys.to_vec();
     // Flag and destination buffers are hoisted out of the bucket loop
@@ -104,7 +101,7 @@ pub fn split_radix_sort_digits(keys: &[u64], key_bits: u32, digit_bits: u32) -> 
 /// pass and inside the underlying checked split.
 pub fn try_split_radix_sort(keys: &[u64], key_bits: u32) -> scan_core::Result<Vec<u64>> {
     scan_core::deadline::checkpoint()?;
-    super::fused_radix::check_key_width(keys, key_bits)?;
+    let key_bits = check_key_width(keys, key_bits)?;
     let mut a = keys.to_vec();
     for i in 0..key_bits {
         scan_core::deadline::checkpoint()?;
@@ -127,7 +124,7 @@ pub fn try_split_radix_sort_digits(
 ) -> scan_core::Result<Vec<u64>> {
     assert!((1..=16).contains(&digit_bits), "digit width must be 1..=16");
     scan_core::deadline::checkpoint()?;
-    super::fused_radix::check_key_width(keys, key_bits)?;
+    let key_bits = check_key_width(keys, key_bits)?;
     let buckets = 1usize << digit_bits;
     let mut a = keys.to_vec();
     let mut ones = vec![0usize; a.len()];
@@ -170,7 +167,8 @@ pub fn split_radix_sort_pairs_ctx(
 ) -> (Vec<u64>, Vec<u64>) {
     assert_eq!(keys.len(), payloads.len(), "pairs length mismatch");
     let mut pairs: Vec<(u64, u64)> = keys.iter().copied().zip(payloads.iter().copied()).collect();
-    for i in 0..key_bits {
+    // Widths above 64 sort as 64: every `u64` key fits.
+    for i in 0..key_bits.min(u64::BITS) {
         let flags = ctx.map(&pairs, |(k, _)| (k >> i) & 1 == 1);
         pairs = ctx.split(&pairs, &flags);
     }

@@ -152,7 +152,8 @@ fn bench_sizes(smoke: bool) -> Vec<usize> {
 
 fn sort_sizes(smoke: bool) -> Vec<usize> {
     if smoke {
-        vec![1 << 10]
+        // One size runs a single block, the other several.
+        vec![1 << 10, (1 << 14) + 1]
     } else {
         vec![1 << 14, 1 << 16, 1 << 18, 1 << 20]
     }
@@ -493,6 +494,21 @@ fn main() {
                 new_ns: new,
             });
         }
+    }
+
+    // `multi_split` stages and streams its scatter's output lines only
+    // from a 16 MiB destination on, and only with the vector path on:
+    // one sort that large, which CI runs under both SIMD pins (streamed
+    // lines, or the direct scatter).
+    if smoke {
+        let keys = random_keys(1 << 21, 32, 0x5027);
+        let mut expect = keys.clone();
+        expect.sort_unstable();
+        assert_eq!(
+            fused_radix_sort(&keys, 32),
+            expect,
+            "fused sort wrong on the staged scatter"
+        );
     }
 
     // Streaming and sharded execution against the in-RAM kernel on

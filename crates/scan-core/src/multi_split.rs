@@ -19,8 +19,12 @@
 //!    and the column heads `mat[k * nblocks]` are the bucket bases —
 //!    both fall out of a single scan.
 //! 3. **Scatter** — one write pass. Each block loads its cursor row
-//!    from the scanned matrix and streams elements to their final
-//!    positions through a per-block cursor array.
+//!    from the scanned matrix and moves elements to their final
+//!    positions through a per-block cursor array. For an output of at
+//!    least 16 MiB, on a host with streaming stores, it stages them in
+//!    one 64-byte line per bucket and writes each full line of its own
+//!    segment with streaming stores, which skip the read for ownership
+//!    (DESIGN.md §11).
 //!
 //! The result is stable: within a block, source order is preserved by
 //! the monotone cursors; across blocks, by the block-major order of the
@@ -35,11 +39,79 @@ use crate::parallel::{
     block_range, default_schedule, engine_width, go_parallel, plan_blocks, scan_span, Budget, Mode,
     NoDeadline, Schedule, SendPtr, CANCEL_STRIDE,
 };
+use crate::simd::{self, LINE};
 use crate::sync::MinCell;
+use core::ptr;
 
 /// Maximum bucket count a single `multi_split` accepts (the digit
 /// cache is `u16`, so bucket ids must fit 16 bits).
 pub const MAX_BUCKETS: usize = 1 << 16;
+
+/// Most buckets the staged scatter serves: a radix sort's 256 (8-bit
+/// digits), the only bucket count it was measured at. The staging
+/// lines, one [`LINE`] per bucket, then take 16 KiB per block and stay
+/// in L1.
+const MAX_STAGED_BUCKETS: usize = 256;
+
+/// Smallest `dst`, in bytes, the staged scatter serves. Streaming stores
+/// pay only once the output no longer fits in cache: on a 2-vCPU Xeon
+/// guest (2 MiB L2 per core), a warm 256-bucket pass of `u64` costs the
+/// same either way at 16 MiB, 8–37% more streamed at 8 MiB, and 19–42%
+/// less from 28 MiB on. The crossover moves with cache size, and this
+/// value was tuned on that one host only. Unit tests and Miri stage
+/// every eligible input (any non-empty `dst`), so the staging
+/// arithmetic runs at the sizes they can check.
+const MIN_STAGED_BYTES: usize = if cfg!(any(test, miri)) { 1 } else { 16 << 20 };
+
+/// One bucket's staging line, aligned like the line of `dst` it fills.
+#[repr(C, align(64))]
+struct Line([u8; LINE]);
+
+const _: () = assert!(align_of::<Line>() == LINE);
+
+/// Whether phase 3 stages its output lines: the element size is a
+/// power of two no larger than a line, `dst` is aligned to it (so every
+/// line boundary falls between elements), the staging lines fit
+/// [`MAX_STAGED_BUCKETS`], `dst` holds at least [`MIN_STAGED_BYTES`],
+/// and full lines are streamed. Staging without streaming stores gains
+/// nothing, so other hosts and inputs take the direct scatter; unit
+/// tests and Miri stage anyway, with plain line copies, to check the
+/// staging arithmetic.
+fn staged<T>(dst: &[T], nbuckets: usize) -> bool {
+    let size = size_of::<T>();
+    size.is_power_of_two()
+        && size <= LINE
+        && dst.as_ptr().addr().is_multiple_of(size)
+        && nbuckets <= MAX_STAGED_BUCKETS
+        && size_of_val(dst) >= MIN_STAGED_BYTES
+        && (cfg!(any(test, miri)) || simd::stream_lines())
+}
+
+/// Hands `put` the cached digit and the element at every index of `r`,
+/// in order, checking `budget` every [`CANCEL_STRIDE`] elements. A spent
+/// budget stops the block early; the post-phase check reports it.
+/// Always inlined, so that the scatter closures' captures stay in
+/// registers.
+#[inline(always)]
+fn for_each_digit<T: Copy, B: Budget>(
+    src: &[T],
+    digits: &[u16],
+    r: core::ops::Range<usize>,
+    budget: B,
+    mut put: impl FnMut(usize, T),
+) {
+    let mut lo = r.start;
+    while lo < r.end {
+        let hi = (lo + CANCEL_STRIDE).min(r.end);
+        for (&x, &k) in src[lo..hi].iter().zip(&digits[lo..hi]) {
+            put(usize::from(k), x);
+        }
+        lo = hi;
+        if budget.check().is_err() {
+            break; // `dst` stays initialized; caller sees the error
+        }
+    }
+}
 
 /// Reusable scratch for [`multi_split_into`]: the per-element digit
 /// cache and the `blocks × buckets` count matrix. Hoisting the scratch
@@ -196,6 +268,9 @@ where
 
     // Phase 3: scatter, one write pass over `dst`.
     {
+        let staged = staged(dst, nbuckets);
+        let stream = staged && simd::stream_lines();
+        let dst_addr = dst.as_ptr().addr();
         let out = SendPtr::new(dst.as_mut_ptr());
         let mat = &scratch.counts;
         let digits = &scratch.digits;
@@ -203,24 +278,88 @@ where
             let r = block_range(n, nblocks, b);
             let mut cur: Vec<usize> = (0..nbuckets).map(|k| mat[k * nblocks + b]).collect();
             let out = out.get();
-            let mut lo = r.start;
-            while lo < r.end {
-                let hi = (lo + CANCEL_STRIDE).min(r.end);
-                for (i, &x) in src[lo..hi].iter().enumerate() {
-                    let k = digits[lo + i] as usize;
-                    let p = cur[k];
-                    cur[k] = p + 1;
+            if !staged {
+                for_each_digit(src, digits, r, budget, |k, x| {
+                    // Phase 1 checked every digit against `nbuckets`.
+                    let Some(c) = cur.get_mut(k) else { return };
+                    let p = *c;
+                    *c = p + 1;
                     // SAFETY: positions are an exact partition of 0..n —
                     // block b's bucket-k cursor starts at the scanned
                     // matrix slot (k, b) and advances once per cached
                     // digit, so no two writes (in any block) collide.
                     unsafe { out.add(p).write(x) };
-                }
-                lo = hi;
-                if budget.check().is_err() {
-                    break; // `dst` stays initialized; caller sees the error
-                }
+                });
+                return;
             }
+            // Staged: bucket k's pending elements wait in line k, at the
+            // slot their output position has in its 64-byte line of
+            // `dst`. Block b owns `from..cur` of bucket k's segment.
+            // `lanes` is computed where it is used, so it folds to a
+            // constant.
+            let phase = dst_addr % LINE / size_of::<T>(); // slot of dst[0]
+            let mut seg: Vec<[usize; 2]> = cur.into_iter().map(|c| [c, c]).collect();
+            let mut lines = Box::<[Line]>::new_uninit_slice(nbuckets);
+            let stage = lines.as_mut_ptr().cast::<T>();
+            for_each_digit(src, digits, r, budget, |k, x| {
+                let lanes = LINE / size_of::<T>();
+                // Phase 1 checked every digit against `nbuckets`.
+                let Some([from, cur]) = seg.get_mut(k) else {
+                    return;
+                };
+                let (from, p) = (*from, *cur);
+                *cur = p + 1;
+                let s = (phase + p) % lanes;
+                // SAFETY: `seg.get_mut(k)` succeeded, so k < nbuckets, and
+                // s < lanes: the slot lies in `lines[k]`. Lines are 64-byte
+                // aligned and `size_of::<T>()` is a power of two no larger
+                // than 64, so the slot is aligned for `T`.
+                unsafe { stage.add(k * lanes + s).write(x) };
+                if s + 1 < lanes {
+                    return;
+                }
+                // Position p ends its line. Every slot from the line's
+                // start, or from `from` if that is later, holds this
+                // block's element for that position.
+                if p + 1 >= from + lanes {
+                    // SAFETY: the whole line `p + 1 - lanes..=p` lies in
+                    // block b's own segment (as in the direct path, no
+                    // other write touches it), and it starts 64-byte
+                    // aligned because p ends a line of `dst`'s addresses.
+                    // The fence below ends the block's streamed stores.
+                    unsafe {
+                        simd::copy_line(
+                            out.add(p + 1 - lanes).cast(),
+                            stage.add(k * lanes).cast(),
+                            stream,
+                        );
+                    }
+                } else {
+                    let m = p + 1 - from;
+                    // SAFETY: `from..=p` is block b's own and was staged
+                    // in the line's last m slots.
+                    unsafe {
+                        ptr::copy_nonoverlapping(
+                            stage.add(k * lanes + lanes - m),
+                            out.add(from),
+                            m,
+                        );
+                    }
+                }
+            });
+            // Each bucket's unfinished last line: the m positions before
+            // `cur` that share its line and that block b owns.
+            let lanes = LINE / size_of::<T>();
+            for (k, &[from, cur]) in seg.iter().enumerate() {
+                let s = (phase + cur) % lanes;
+                let m = s.min(cur - from);
+                // SAFETY: `cur - m..cur` is block b's own, staged in slots
+                // `s - m..s` of line k since the line's last flush.
+                unsafe {
+                    ptr::copy_nonoverlapping(stage.add(k * lanes + s - m), out.add(cur - m), m)
+                };
+            }
+            simd::line_fence(stream);
         };
         budget
             .run_blocks(sched, nblocks, scat)
@@ -502,6 +641,156 @@ mod tests {
             let _ = sched; // schedules share the ambient-deadline path
             assert_eq!(r, Err(Error::Exec(ExecError::Cancelled)));
         }
+    }
+
+    /// An element type for the line-shape sweep: built from a random
+    /// word, bucketed by a key drawn from it.
+    trait Elem: ScanElem {
+        fn make(x: u64) -> Self;
+        fn key(self) -> u64;
+    }
+    impl Elem for u32 {
+        fn make(x: u64) -> Self {
+            x as u32
+        }
+        fn key(self) -> u64 {
+            u64::from(self)
+        }
+    }
+    impl Elem for u64 {
+        fn make(x: u64) -> Self {
+            x
+        }
+        fn key(self) -> u64 {
+            self
+        }
+    }
+    impl Elem for (u64, u64) {
+        fn make(x: u64) -> Self {
+            (x, !x)
+        }
+        fn key(self) -> u64 {
+            self.0
+        }
+    }
+    /// 16 bytes, 4 of them padding.
+    impl Elem for (u64, u32) {
+        fn make(x: u64) -> Self {
+            (x, x as u32)
+        }
+        fn key(self) -> u64 {
+            self.0
+        }
+    }
+    /// 8 bytes at 4-byte alignment: staged only where `dst` is 8-aligned.
+    impl Elem for [u32; 2] {
+        fn make(x: u64) -> Self {
+            [x as u32, (x >> 32) as u32]
+        }
+        fn key(self) -> u64 {
+            u64::from(self[0])
+        }
+    }
+    /// 12 bytes: never staged.
+    impl Elem for [u32; 3] {
+        fn make(x: u64) -> Self {
+            [x as u32, (x >> 32) as u32, 7]
+        }
+        fn key(self) -> u64 {
+            u64::from(self[0])
+        }
+    }
+
+    /// The staging cutoff is a radix sort's 256 buckets.
+    const SWEEP_BUCKETS: [usize; 4] = [1, 2, MAX_STAGED_BUCKETS, MAX_STAGED_BUCKETS + 1];
+    const SWEEP_SCHEDS: [Schedule; 3] = [Schedule::Sequential, Schedule::Pooled, Schedule::Spawn];
+
+    /// Straddles the parallel cutoff; no size is a multiple of a line.
+    fn sweep_sizes() -> [usize; 3] {
+        let t = crate::parallel::PAR_THRESHOLD;
+        [37, t - 1, t + 3]
+    }
+
+    /// Split `a` into every `dst` that `dsts` yields, under every
+    /// schedule and sweep bucket count, against a stable sort by bucket.
+    fn sweep<T: Elem>(mut dsts: impl FnMut(usize, &mut dyn FnMut(&mut [T]))) {
+        for n in sweep_sizes() {
+            let a: Vec<T> = keys(0xC0FFEE ^ n as u64, n, 64)
+                .into_iter()
+                .map(T::make)
+                .collect();
+            for nbuckets in SWEEP_BUCKETS {
+                let key = move |x: T| (x.key() % nbuckets as u64) as usize;
+                let mut want = a.clone();
+                want.sort_by_key(|&x| key(x));
+                let mut want_counts = vec![0usize; nbuckets];
+                for &x in &a {
+                    want_counts[key(x)] += 1;
+                }
+                dsts(n, &mut |dst: &mut [T]| {
+                    for sched in SWEEP_SCHEDS {
+                        let mut scratch = MultiSplitScratch::new();
+                        let counts =
+                            multi_split_into_sched(sched, &a, dst, nbuckets, key, &mut scratch);
+                        let at = dst.as_ptr().addr() % LINE;
+                        let shape = format!(
+                            "{} n={n} buckets={nbuckets} {sched:?} dst%64={at}",
+                            core::any::type_name::<T>()
+                        );
+                        assert!(dst == want.as_slice(), "{shape}");
+                        assert_eq!(counts, want_counts, "{shape}");
+                    }
+                });
+            }
+        }
+    }
+
+    /// `dst` as `&mut buf[o..]` for o = 0..8, so lines start at every
+    /// element offset a `Vec`'s own alignment allows.
+    fn offset_dsts<T: Elem>(n: usize, run: &mut dyn FnMut(&mut [T])) {
+        let mut buf = vec![T::make(0); n + 8];
+        for o in 0..8 {
+            run(&mut buf[o..o + n]);
+        }
+    }
+
+    #[test]
+    fn staged_scatter_matches_reference_for_every_line_shape() {
+        sweep::<u32>(offset_dsts);
+        sweep::<u64>(offset_dsts);
+        sweep::<(u64, u64)>(offset_dsts);
+        sweep::<(u64, u32)>(offset_dsts);
+        sweep::<[u32; 3]>(offset_dsts);
+        // 8-byte elements at every 4-byte offset: half of them are
+        // misaligned for their size and take the direct scatter.
+        sweep::<[u32; 2]>(|n, run| {
+            let mut words = vec![0u32; 2 * n + 8];
+            for o in 0..8 {
+                let pairs = words[o..o + 2 * n].as_mut_ptr().cast::<[u32; 2]>();
+                // SAFETY: `[u32; 2]` has `u32`'s alignment, and its n
+                // elements are the 2n words of the subslice.
+                run(unsafe { core::slice::from_raw_parts_mut(pairs, n) });
+            }
+        });
+    }
+
+    #[test]
+    fn staging_is_chosen_from_size_alignment_and_buckets() {
+        let words = vec![0u32; 64];
+        assert!(staged(&words[1..], MAX_STAGED_BUCKETS));
+        assert!(!staged(&words[1..], MAX_STAGED_BUCKETS + 1));
+        let pairs_at = |o: usize| {
+            let p = words[o..].as_ptr().cast::<[u32; 2]>();
+            // SAFETY: `[u32; 2]` has `u32`'s alignment, and 4 of them
+            // fit in the words from `o` on.
+            unsafe { core::slice::from_raw_parts(p, 4) }
+        };
+        let even = usize::from(!words.as_ptr().addr().is_multiple_of(8));
+        assert!(staged(pairs_at(even), 256));
+        assert!(!staged(pairs_at(even + 1), 256));
+        assert!(!staged(&[[0u32; 3]; 4], 256));
+        assert!(!staged(&[(); 4], 256));
+        assert!(!staged(&[[0u64; 16]; 2], 2));
     }
 
     #[test]

@@ -37,6 +37,14 @@
 //! tier-1 suite both ways. When the answer is [`Isa::Scalar`] the
 //! tile getters return `None` and the generic engine runs its
 //! original scalar loops untouched.
+//!
+//! # Line stores
+//!
+//! `copy_line` and `line_fence` serve `multi_split`'s staged scatter:
+//! one 64-byte line written with non-temporal stores, and the `sfence`
+//! that must follow them. They sit behind the same dispatch:
+//! `stream_lines` is false under the scalar pin, on non-`x86_64`
+//! targets and under Miri, where `copy_line` is a plain copy.
 
 use crate::sync::ConfigCell;
 
@@ -512,6 +520,81 @@ macro_rules! seg_tile {
             (active_isa() == Isa::Avx2).then_some(&T)
         }
     };
+}
+
+// ---------------------------------------------------------------------------
+// Line stores for `multi_split`'s staged scatter.
+// ---------------------------------------------------------------------------
+
+/// Bytes in one staged output line: the cache line of every target the
+/// crate tunes for.
+pub(crate) const LINE: usize = 64;
+
+/// Whether [`copy_line`] may bypass the cache: on `x86_64` outside
+/// Miri, when the vector path is on (`SCAN_CORE_SIMD=0` pins the plain
+/// copy). Streaming stores are SSE2, baseline on `x86_64`.
+pub(crate) fn stream_lines() -> bool {
+    cfg!(all(target_arch = "x86_64", not(miri))) && active_isa() == Isa::Avx2
+}
+
+/// Copy one [`LINE`]-byte line from `src` to `dst`. With `stream`, the
+/// stores are non-temporal: they skip the read for ownership of `dst`'s
+/// line, which a plain store of a line not in cache pays first.
+///
+/// # Safety
+/// `src` and `dst` are valid for [`LINE`] bytes, 64-byte aligned, and
+/// do not overlap. A thread that passes `stream = true` must call
+/// [`line_fence`] before it or any other thread next accesses `dst`.
+// SAFETY: callers keep the contract above; the blocks below cite it.
+#[inline]
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(unused_variables))]
+pub(crate) unsafe fn copy_line(dst: *mut u8, src: *const u8, stream: bool) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if stream {
+        // SAFETY: the caller guarantees both ranges are valid, 64-byte
+        // aligned (`movdqa` and `movntdq` need 16) and disjoint. The
+        // block copies bytes as `memcpy` does: a staged line may hold
+        // an element's padding, which an intrinsic load into an
+        // integer vector would read as an uninitialized integer.
+        unsafe {
+            core::arch::asm!(
+                "movdqa {a}, xmmword ptr [{src}]",
+                "movdqa {b}, xmmword ptr [{src} + 16]",
+                "movdqa {c}, xmmword ptr [{src} + 32]",
+                "movdqa {d}, xmmword ptr [{src} + 48]",
+                "movntdq xmmword ptr [{dst}], {a}",
+                "movntdq xmmword ptr [{dst} + 16], {b}",
+                "movntdq xmmword ptr [{dst} + 32], {c}",
+                "movntdq xmmword ptr [{dst} + 48], {d}",
+                src = in(reg) src,
+                dst = in(reg) dst,
+                a = out(xmm_reg) _,
+                b = out(xmm_reg) _,
+                c = out(xmm_reg) _,
+                d = out(xmm_reg) _,
+                options(nostack, preserves_flags),
+            );
+        }
+        return;
+    }
+    // SAFETY: the caller guarantees both ranges are valid and disjoint.
+    unsafe { core::ptr::copy_nonoverlapping(src, dst, LINE) };
+}
+
+/// The `sfence` that orders this thread's streaming [`copy_line`]
+/// stores before its later stores, such as the pool's completion
+/// signal. Rust's `core::arch` docs require it before any other access
+/// to streamed memory. A no-op when `stream` is false.
+#[inline]
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(unused_variables))]
+pub(crate) fn line_fence(stream: bool) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if stream {
+        // SAFETY: `sfence` has no operands and touches no memory; it
+        // only orders this thread's earlier stores. It is left without
+        // `nomem`, so the compiler keeps memory accesses on their side.
+        unsafe { core::arch::asm!("sfence", options(nostack, preserves_flags)) };
+    }
 }
 
 macro_rules! sum_op {

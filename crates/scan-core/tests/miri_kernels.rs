@@ -132,6 +132,46 @@ fn multi_split_kernel_is_sound_at_miri_size() {
 }
 
 #[test]
+fn staged_scatter_is_sound_at_miri_size() {
+    // Under Miri, every input the staged scatter can take takes it, and
+    // its line copies are plain, so Miri checks the staging and flush
+    // pointer arithmetic. `dst` starts mid-line, so the output's first
+    // line begins before `dst[0]`; two buckets over several blocks give
+    // (bucket, block) segments with full lines and partial lines at
+    // both edges. Odd-sized elements take the direct scatter.
+    shrink_threshold();
+    let a = input(n());
+    let nbuckets = 2;
+    let key = |x: u64| (x >> 3) as usize % nbuckets;
+    let mut expect = a.clone();
+    expect.sort_by_key(|&x| key(x)); // stable
+    let mut buf = vec![0u64; a.len() + 8];
+    let o = (1..8)
+        .find(|&o| !buf[o..].as_ptr().addr().is_multiple_of(64))
+        .expect("8-byte steps leave a 64-byte line within 8 elements");
+    let odd: Vec<[u32; 3]> = a.iter().map(|&x| [x as u32, (x >> 32) as u32, 1]).collect();
+    let odd_key = |t: [u32; 3]| (t[0] >> 3) as usize % nbuckets;
+    let mut odd_expect = odd.clone();
+    odd_expect.sort_by_key(|&t| odd_key(t));
+    for sched in SCHEDS {
+        let mut scratch = multi_split::MultiSplitScratch::new();
+        let dst = &mut buf[o..o + a.len()];
+        multi_split::multi_split_into_sched(sched, &a, dst, nbuckets, key, &mut scratch);
+        assert_eq!(dst, expect.as_slice(), "{sched:?}");
+        let mut odd_dst = vec![[0u32; 3]; odd.len()];
+        multi_split::multi_split_into_sched(
+            sched,
+            &odd,
+            &mut odd_dst,
+            nbuckets,
+            odd_key,
+            &mut scratch,
+        );
+        assert_eq!(odd_dst, odd_expect, "{sched:?}");
+    }
+}
+
+#[test]
 fn pack_kernel_is_sound_at_miri_size() {
     shrink_threshold();
     let a = input(n());
