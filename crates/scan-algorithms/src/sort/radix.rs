@@ -138,8 +138,7 @@ pub fn try_split_radix_sort_digits(
             for (o, &d) in ones.iter_mut().zip(digit.iter()) {
                 *o = usize::from(d == b);
             }
-            let (ranks, count) =
-                scan_core::scan::try_scan_with_total::<scan_core::op::Sum, _>(&ones)?;
+            let (ranks, count) = scan_core::Scan::op::<scan_core::op::Sum, _>().try_run(&ones)?;
             for i in 0..a.len() {
                 if digit[i] == b {
                     dest[i] = base + ranks[i];

@@ -4,9 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use scan_bench::random_keys;
 use scan_core::op::{Max, Sum};
-use scan_core::parallel::{exclusive_scan_by, seq_exclusive_scan_by};
+use scan_core::parallel::seq_exclusive_scan_by;
 use scan_core::segmented::{seg_scan, Segments};
 use scan_core::simulate::{self, SoftwareScans};
+use scan_core::Scan;
 
 fn bench_plain_scans(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan/plus");
@@ -19,7 +20,7 @@ fn bench_plain_scans(c: &mut Criterion) {
             b.iter(|| seq_exclusive_scan_by(a, 0u64, |x, y| x.wrapping_add(y)))
         });
         g.bench_with_input(BenchmarkId::new("parallel", n), &a, |b, a| {
-            b.iter(|| exclusive_scan_by(a, 0u64, |x, y| x.wrapping_add(y)))
+            b.iter(|| Scan::by(0u64, |x, y| x.wrapping_add(y)).run(a).0)
         });
     }
     g.finish();

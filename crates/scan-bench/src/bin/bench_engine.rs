@@ -49,7 +49,7 @@ use scan_bench::random_keys;
 use scan_core::ops::{enumerate, pack};
 use scan_core::parallel::{self, Schedule};
 use scan_core::segmented::{seg_scan, Segments};
-use scan_core::{scan, Max, Sum};
+use scan_core::{scan, Max, Scan, Sum};
 use std::time::Instant;
 
 /// One kernel measurement: median ns per call for both engines.
@@ -111,18 +111,17 @@ fn under<R>(sched: Schedule, f: impl FnOnce() -> R) -> R {
 /// pair vector, inclusive-scan it, then a separate shift pass.
 fn old_seg_plus_scan(a: &[u64], segs: &Segments) -> Vec<u64> {
     let pairs: Vec<(u64, bool)> = (0..a.len()).map(|i| (a[i], segs.is_head(i))).collect();
-    let inc = parallel::inclusive_scan_by_sched(
-        Schedule::Spawn,
-        &pairs,
-        (0u64, false),
-        |(v1, f1), (v2, f2)| {
-            if f2 {
-                (v2, true)
-            } else {
-                (v1.wrapping_add(v2), f1)
-            }
-        },
-    );
+    let inc = Scan::by((0u64, false), |(v1, f1), (v2, f2)| {
+        if f2 {
+            (v2, true)
+        } else {
+            (v1.wrapping_add(v2), f1)
+        }
+    })
+    .schedule(Schedule::Spawn)
+    .inclusive()
+    .run(&pairs)
+    .0;
     (0..a.len())
         .map(|i| if segs.is_head(i) { 0 } else { inc[i - 1].0 })
         .collect()
@@ -131,8 +130,13 @@ fn old_seg_plus_scan(a: &[u64], segs: &Segments) -> Vec<u64> {
 /// Seed-style unfused pack: 0/1 vector, scan, reduce, scatter.
 fn old_pack(a: &[u64], keep: &[bool]) -> Vec<u64> {
     let ones: Vec<usize> = parallel::map_by_sched(Schedule::Spawn, keep, usize::from);
-    let dest = parallel::exclusive_scan_by_sched(Schedule::Spawn, &ones, 0, |x, y| x + y);
-    let total = parallel::reduce_by_sched(Schedule::Spawn, &ones, 0, |x, y| x + y);
+    let dest = Scan::by(0, |x, y| x + y)
+        .schedule(Schedule::Spawn)
+        .run(&ones)
+        .0;
+    let total = Scan::by(0, |x, y| x + y)
+        .schedule(Schedule::Spawn)
+        .total(&ones);
     let mut out = vec![0u64; total];
     for i in 0..a.len() {
         if keep[i] {
@@ -217,7 +221,9 @@ fn run_chaos(smoke: bool) {
             let a2 = a.clone();
             let handle = std::thread::spawn(move || {
                 let body = || {
-                    parallel::try_exclusive_scan_by(&a2, 0u64, chaos_op(plan, u64::wrapping_add))
+                    Scan::by(0u64, chaos_op(plan, u64::wrapping_add))
+                        .try_run(&a2)
+                        .map(|r| r.0)
                 };
                 let t = Instant::now();
                 let got = match deadline_ms {
@@ -294,11 +300,17 @@ fn main() {
 
         // +-scan: identical kernel, old schedule vs pooled schedule.
         let old = time_median(w, k, || {
-            parallel::exclusive_scan_by_sched(Schedule::Spawn, &a, 0u64, u64::wrapping_add)
+            Scan::by(0u64, u64::wrapping_add)
+                .schedule(Schedule::Spawn)
+                .run(&a)
+                .0
         });
         let new = time_median(w, k, || scan::<Sum, _>(&a));
         assert_eq!(
-            parallel::exclusive_scan_by_sched(Schedule::Spawn, &a, 0u64, u64::wrapping_add),
+            Scan::by(0u64, u64::wrapping_add)
+                .schedule(Schedule::Spawn)
+                .run(&a)
+                .0,
             scan::<Sum, _>(&a),
             "+-scan engines disagree at n={n}"
         );
@@ -311,7 +323,7 @@ fn main() {
 
         // max-scan.
         let old = time_median(w, k, || {
-            parallel::exclusive_scan_by_sched(Schedule::Spawn, &a, 0u64, u64::max)
+            Scan::by(0u64, u64::max).schedule(Schedule::Spawn).run(&a).0
         });
         let new = time_median(w, k, || scan::<Max, _>(&a));
         rows.push(Row {
@@ -340,13 +352,19 @@ fn main() {
         // enumerate: 0/1 vector + scan vs fused map→scan.
         let old = time_median(w, k, || {
             let ones: Vec<usize> = parallel::map_by_sched(Schedule::Spawn, &flags, usize::from);
-            parallel::exclusive_scan_by_sched(Schedule::Spawn, &ones, 0, |x, y| x + y)
+            Scan::by(0, |x, y| x + y)
+                .schedule(Schedule::Spawn)
+                .run(&ones)
+                .0
         });
         let new = time_median(w, k, || enumerate(&flags));
         assert_eq!(
             {
                 let ones: Vec<usize> = parallel::map_by_sched(Schedule::Spawn, &flags, usize::from);
-                parallel::exclusive_scan_by_sched(Schedule::Spawn, &ones, 0, |x, y| x + y)
+                Scan::by(0, |x, y| x + y)
+                    .schedule(Schedule::Spawn)
+                    .run(&ones)
+                    .0
             },
             enumerate(&flags),
             "enumerate engines disagree at n={n}"

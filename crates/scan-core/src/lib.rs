@@ -11,7 +11,8 @@
 //!
 //! - the five primitive scan operators the paper uses (`+`, `max`, `min`,
 //!   `or`, `and`), in forward and backward directions, exclusive and
-//!   inclusive ([`mod@scan`], [`ops`]);
+//!   inclusive, all described by one value, [`Scan`] ([`mod@scan`],
+//!   [`ops`]);
 //! - segmented versions of all scans, which restart at segment boundaries
 //!   ([`segmented`], paper §2.3);
 //! - parallel execution kernels (blocked two-pass over a persistent
@@ -78,11 +79,9 @@ pub use multi_split::{
 };
 pub use op::{And, Max, Min, Or, Prod, ScanOp, Sum};
 pub use scan::{
-    inclusive_scan, inclusive_scan_backward, reduce, scan, scan_backward, scan_with_total,
-    try_inclusive_scan, try_inclusive_scan_backward, try_reduce, try_reduce_range, try_scan,
-    try_scan_backward, try_scan_range, try_scan_with_total,
+    inclusive_scan, inclusive_scan_backward, reduce, scan, scan_backward, scan_with_total, Scan,
 };
-pub use segmented::{seg_inclusive_scan, seg_scan, seg_scan_backward, try_seg_scan, Segments};
+pub use segmented::{seg_inclusive_scan, seg_scan, seg_scan_backward, Segments};
 pub use stream::{
     CarryCheckpoint, CarryDigest, ChunkSource, ScanStream, SegScanStream, SliceSource,
 };
@@ -98,13 +97,9 @@ pub mod prelude {
         try_select, try_split, try_split3, try_split_count,
     };
     pub use crate::scan::{
-        inclusive_scan, inclusive_scan_backward, reduce, scan, scan_backward, scan_with_total,
-        try_inclusive_scan, try_inclusive_scan_backward, try_reduce, try_scan, try_scan_backward,
-        try_scan_with_total,
+        inclusive_scan, inclusive_scan_backward, reduce, scan, scan_backward, scan_with_total, Scan,
     };
-    pub use crate::segmented::{
-        seg_inclusive_scan, seg_scan, seg_scan_backward, try_seg_scan, Segments,
-    };
+    pub use crate::segmented::{seg_inclusive_scan, seg_scan, seg_scan_backward, Segments};
     pub use crate::segops::{
         seg_copy, seg_distribute, seg_enumerate, seg_reduce, seg_split, seg_split3, try_seg_copy,
         try_seg_distribute, try_seg_reduce, try_seg_split, try_seg_split3,

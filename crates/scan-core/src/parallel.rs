@@ -17,7 +17,7 @@
 //!    blocks; each worker reduces its block (`B` partial sums).
 //! 2. Exclusive scan of the `B` block sums (tiny, sequential). The
 //!    final accumulator of this step is the total reduction, which
-//!    [`scan_with_total_by`] returns without any extra pass.
+//!    [`crate::scan_with_total`] returns without any extra pass.
 //! 3. **Down sweep** — each worker re-scans its block locally, seeded
 //!    with its block's offset from step 2, writing directly into the
 //!    (uninitialized) output buffer.
@@ -52,6 +52,13 @@
 //! infallible ones run it with no deadline, and their `try_*`
 //! counterparts run it under a deadline token that is checked between
 //! strides, with worker panics contained as typed errors.
+//!
+//! Scans and reductions reach these engines through one descriptor,
+//! [`crate::Scan`]: a closure operator is [`crate::Scan::by`], and
+//! [`crate::Scan::schedule`] picks a [`Schedule`] for one call. This
+//! module keeps the engines, the schedule switch, the sequential
+//! reference loops (`seq_*_by`) and the elementwise kernels (`map_by`,
+//! `tabulate_by`, `zip_by`).
 
 use crate::deadline::ScanDeadline;
 use crate::error::ExecError;
@@ -214,11 +221,20 @@ pub(crate) enum Mode {
 }
 
 impl Mode {
+    pub(crate) fn new(inclusive: bool, backward: bool) -> Mode {
+        match (inclusive, backward) {
+            (false, false) => Mode::ExclusiveFwd,
+            (true, false) => Mode::InclusiveFwd,
+            (false, true) => Mode::ExclusiveBwd,
+            (true, true) => Mode::InclusiveBwd,
+        }
+    }
+
     pub(crate) fn backward(self) -> bool {
         matches!(self, Mode::ExclusiveBwd | Mode::InclusiveBwd)
     }
 
-    fn inclusive(self) -> bool {
+    pub(crate) fn inclusive(self) -> bool {
         matches!(self, Mode::InclusiveFwd | Mode::InclusiveBwd)
     }
 }
@@ -953,385 +969,19 @@ where
     out
 }
 
-/// [`engine`] under the `try_*` budget, contained: the deadline token
-/// is checked between blocks, after every phase and every
-/// [`CANCEL_STRIDE`] elements inside a block (a spent token makes
-/// every remaining stride stop early, and its latch makes the phase
-/// checks authoritative, so a stopped block's partial output is never
-/// used), and a panicking operator (or load/emit closure) surfaces as
-/// [`ExecError::WorkerLost`] — nothing unwinds out of this function.
-/// On success the result is the infallible call's, bit for bit (under
-/// [`Schedule::Lookback`] only for exact operators: which blocks take
-/// its seeded fast path, and so its association, depends on timing).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_engine<S, U, L, F, E>(
-    sched: Schedule,
-    n: usize,
-    load: L,
-    identity: S,
-    f: F,
-    emit: E,
-    mode: Mode,
-    tile: Option<&SimdTile<S>>,
-    deadline: Option<&ScanDeadline>,
-) -> Result<(Vec<U>, S), ExecError>
-where
-    S: Copy + Send + Sync,
-    U: Copy + Send + Sync,
-    L: Fn(usize) -> S + Sync,
-    F: Fn(S, S) -> S + Sync,
-    E: Fn(usize, S) -> U + Sync,
-{
-    match catch_unwind(AssertUnwindSafe(|| {
-        engine(sched, n, load, identity, f, emit, mode, tile, deadline)
-    })) {
-        Ok(r) => r,
-        Err(_) => Err(ExecError::WorkerLost { panics: 1 }),
-    }
-}
-
-/// [`reduce_engine`] under the `try_*` budget, contained; see
-/// [`try_engine`] for the failure contract.
-pub(crate) fn try_reduce_engine<S, L, F>(
-    sched: Schedule,
-    n: usize,
-    load: L,
-    identity: S,
-    f: F,
-    tile: Option<&SimdTile<S>>,
-    d: Option<&ScanDeadline>,
-) -> Result<S, ExecError>
-where
-    S: Copy + Send + Sync,
-    L: Fn(usize) -> S + Sync,
-    F: Fn(S, S) -> S + Sync,
-{
-    match catch_unwind(AssertUnwindSafe(|| {
-        reduce_engine(sched, n, load, identity, f, tile, d)
-    })) {
-        Ok(r) => r,
-        Err(_) => Err(ExecError::WorkerLost { panics: 1 }),
-    }
-}
-
-/// The whole-slice scan of `g(a[i])` under every infallible
-/// closure-operator scan entry point below.
-fn slice_scan<T, U, G, F>(
-    sched: Schedule,
-    a: &[T],
-    g: G,
-    identity: U,
-    f: F,
-    mode: Mode,
-) -> (Vec<U>, U)
-where
-    T: Copy + Sync,
-    U: Copy + Send + Sync,
-    G: Fn(T) -> U + Sync,
-    F: Fn(U, U) -> U + Sync,
-{
-    let load = |i| g(a[i]);
-    let Ok(r) = engine(
-        sched,
-        a.len(),
-        load,
-        identity,
-        f,
-        |_, s| s,
-        mode,
-        None,
-        NoDeadline,
-    );
-    r
-}
-
-/// Fallible [`slice_scan`], under the ambient deadline scope.
-fn try_slice_scan<T, F>(
-    sched: Schedule,
-    a: &[T],
-    identity: T,
-    f: F,
-    mode: Mode,
-) -> Result<(Vec<T>, T), ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    let d = crate::deadline::current();
-    let load = |i| a[i];
-    try_engine(
-        sched,
-        a.len(),
-        load,
-        identity,
-        f,
-        |_, s| s,
-        mode,
-        None,
-        d.as_ref(),
-    )
-}
-
-/// Exclusive scan; parallel above [`PAR_THRESHOLD`], sequential below.
-///
-/// `f` must be associative with identity `identity`; the blocked schedule
-/// reassociates combines across blocks.
-pub fn exclusive_scan_by<T, F>(a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    exclusive_scan_by_sched(default_schedule(), a, identity, f)
-}
-
-/// [`exclusive_scan_by`] under an explicit [`Schedule`].
-pub fn exclusive_scan_by_sched<T, F>(sched: Schedule, a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    slice_scan(sched, a, |x| x, identity, f, Mode::ExclusiveFwd).0
-}
-
-/// Inclusive scan; parallel above [`PAR_THRESHOLD`], sequential below.
-pub fn inclusive_scan_by<T, F>(a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    inclusive_scan_by_sched(default_schedule(), a, identity, f)
-}
-
-/// [`inclusive_scan_by`] under an explicit [`Schedule`].
-pub fn inclusive_scan_by_sched<T, F>(sched: Schedule, a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    slice_scan(sched, a, |x| x, identity, f, Mode::InclusiveFwd).0
-}
-
-/// Exclusive *backward* scan: element `i` receives the combine, in
-/// descending index order, of the elements after it. Walks the blocks
-/// right-to-left — no reversed copy of the input is made.
-pub fn exclusive_scan_backward_by<T, F>(a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    exclusive_scan_backward_by_sched(default_schedule(), a, identity, f)
-}
-
-/// [`exclusive_scan_backward_by`] under an explicit [`Schedule`].
-pub fn exclusive_scan_backward_by_sched<T, F>(sched: Schedule, a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    slice_scan(sched, a, |x| x, identity, f, Mode::ExclusiveBwd).0
-}
-
-/// Inclusive backward scan; see [`exclusive_scan_backward_by`].
-pub fn inclusive_scan_backward_by<T, F>(a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    inclusive_scan_backward_by_sched(default_schedule(), a, identity, f)
-}
-
-/// [`inclusive_scan_backward_by`] under an explicit [`Schedule`].
-pub fn inclusive_scan_backward_by_sched<T, F>(sched: Schedule, a: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    slice_scan(sched, a, |x| x, identity, f, Mode::InclusiveBwd).0
-}
-
-/// Fallible [`exclusive_scan_by`]: identical result on success, but
-/// cooperative and contained — the ambient [`crate::deadline`] scope
-/// (if any) is honored at block boundaries and every [`CANCEL_STRIDE`]
-/// elements, and a panicking operator becomes
-/// [`ExecError::WorkerLost`] instead of unwinding into the caller.
-pub fn try_exclusive_scan_by<T, F>(a: &[T], identity: T, f: F) -> Result<Vec<T>, ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    try_exclusive_scan_by_sched(default_schedule(), a, identity, f)
-}
-
-/// [`try_exclusive_scan_by`] under an explicit [`Schedule`].
-pub fn try_exclusive_scan_by_sched<T, F>(
-    sched: Schedule,
-    a: &[T],
-    identity: T,
-    f: F,
-) -> Result<Vec<T>, ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    Ok(try_slice_scan(sched, a, identity, f, Mode::ExclusiveFwd)?.0)
-}
-
-/// Fallible [`inclusive_scan_by`]; see [`try_exclusive_scan_by`] for
-/// the failure contract.
-pub fn try_inclusive_scan_by<T, F>(a: &[T], identity: T, f: F) -> Result<Vec<T>, ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    Ok(try_slice_scan(default_schedule(), a, identity, f, Mode::InclusiveFwd)?.0)
-}
-
-/// Fallible [`exclusive_scan_backward_by`]; see
-/// [`try_exclusive_scan_by`] for the failure contract.
-pub fn try_exclusive_scan_backward_by<T, F>(a: &[T], identity: T, f: F) -> Result<Vec<T>, ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    Ok(try_slice_scan(default_schedule(), a, identity, f, Mode::ExclusiveBwd)?.0)
-}
-
-/// Fallible [`inclusive_scan_backward_by`]; see
-/// [`try_exclusive_scan_by`] for the failure contract.
-pub fn try_inclusive_scan_backward_by<T, F>(a: &[T], identity: T, f: F) -> Result<Vec<T>, ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    Ok(try_slice_scan(default_schedule(), a, identity, f, Mode::InclusiveBwd)?.0)
-}
-
-/// Fallible [`scan_with_total_by`]; see [`try_exclusive_scan_by`] for
-/// the failure contract.
-pub fn try_scan_with_total_by<T, F>(a: &[T], identity: T, f: F) -> Result<(Vec<T>, T), ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    try_slice_scan(default_schedule(), a, identity, f, Mode::ExclusiveFwd)
-}
-
-/// Fallible [`reduce_by`]; see [`try_exclusive_scan_by`] for the
-/// failure contract.
-pub fn try_reduce_by<T, F>(a: &[T], identity: T, f: F) -> Result<T, ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    try_reduce_by_sched(default_schedule(), a, identity, f)
-}
-
-/// [`try_reduce_by`] under an explicit [`Schedule`].
-pub fn try_reduce_by_sched<T, F>(
-    sched: Schedule,
-    a: &[T],
-    identity: T,
-    f: F,
-) -> Result<T, ExecError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    let d = crate::deadline::current();
-    try_reduce_engine(sched, a.len(), |i| a[i], identity, f, None, d.as_ref())
-}
-
-/// Exclusive scan that also returns the total reduction, in one pass
-/// over the input: the total falls out of the block-offset scan.
-pub fn scan_with_total_by<T, F>(a: &[T], identity: T, f: F) -> (Vec<T>, T)
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    slice_scan(
-        default_schedule(),
-        a,
-        |x| x,
-        identity,
-        f,
-        Mode::ExclusiveFwd,
-    )
-}
-
-/// Fused map→scan: the exclusive forward scan of `[g(a[0]), g(a[1]),
-/// ...]` without materializing the mapped vector.
-pub fn scan_map_by<T, U, G, F>(a: &[T], g: G, identity: U, f: F) -> Vec<U>
-where
-    T: Copy + Sync,
-    U: Copy + Send + Sync,
-    G: Fn(T) -> U + Sync,
-    F: Fn(U, U) -> U + Sync,
-{
-    scan_map_with_total_by(a, g, identity, f).0
-}
-
-/// [`scan_map_by`] that also returns the total reduction of the mapped
-/// values (still one pass over the input).
-pub fn scan_map_with_total_by<T, U, G, F>(a: &[T], g: G, identity: U, f: F) -> (Vec<U>, U)
-where
-    T: Copy + Sync,
-    U: Copy + Send + Sync,
-    G: Fn(T) -> U + Sync,
-    F: Fn(U, U) -> U + Sync,
-{
-    slice_scan(default_schedule(), a, g, identity, f, Mode::ExclusiveFwd)
-}
-
-/// Fused map→backward-scan; see [`scan_map_by`].
-pub fn scan_map_backward_by<T, U, G, F>(a: &[T], g: G, identity: U, f: F) -> Vec<U>
-where
-    T: Copy + Sync,
-    U: Copy + Send + Sync,
-    G: Fn(T) -> U + Sync,
-    F: Fn(U, U) -> U + Sync,
-{
-    slice_scan(default_schedule(), a, g, identity, f, Mode::ExclusiveBwd).0
-}
-
-/// Fused map→reduce: the reduction of `[g(a[0]), g(a[1]), ...]` without
-/// materializing the mapped vector.
-pub fn reduce_map_by<T, U, G, F>(a: &[T], g: G, identity: U, f: F) -> U
-where
-    T: Copy + Sync,
-    U: Copy + Send + Sync,
-    G: Fn(T) -> U + Sync,
-    F: Fn(U, U) -> U + Sync,
-{
-    let load = |i| g(a[i]);
-    let Ok(t) = reduce_engine(
-        default_schedule(),
-        a.len(),
-        load,
-        identity,
-        f,
-        None,
-        NoDeadline,
-    );
-    t
-}
-
-/// Reduction; parallel above [`PAR_THRESHOLD`].
-pub fn reduce_by<T, F>(a: &[T], identity: T, f: F) -> T
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    reduce_by_sched(default_schedule(), a, identity, f)
-}
-
-/// [`reduce_by`] under an explicit [`Schedule`].
-pub fn reduce_by_sched<T, F>(sched: Schedule, a: &[T], identity: T, f: F) -> T
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    let Ok(t) = reduce_engine(sched, a.len(), |i| a[i], identity, f, None, NoDeadline);
-    t
+/// Run `f`, an engine call under a deadline budget, contained: a
+/// panicking operator (or load/emit closure) surfaces as
+/// [`ExecError::WorkerLost`], and nothing unwinds out of this function.
+/// The budget checks the deadline token between blocks, after every
+/// phase and every [`CANCEL_STRIDE`] elements inside a block (a spent
+/// token makes every remaining stride stop early, and its latch makes
+/// the phase checks authoritative, so a stopped block's partial output
+/// is never used). On success the result is the infallible call's,
+/// bit for bit (under [`Schedule::Lookback`] only for exact operators:
+/// which blocks take its seeded fast path, and so its association,
+/// depends on timing).
+pub(crate) fn contain<R>(f: impl FnOnce() -> Result<R, ExecError>) -> Result<R, ExecError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or(Err(ExecError::WorkerLost { panics: 1 }))
 }
 
 /// Parallel elementwise map into a fresh vector (the paper's
@@ -1383,6 +1033,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scan;
 
     #[test]
     fn seq_exclusive_matches_paper_example() {
@@ -1397,12 +1048,16 @@ mod tests {
     fn empty_and_single() {
         let e: [u32; 0] = [];
         assert!(seq_exclusive_scan_by(&e, 0, |a, b| a + b).is_empty());
-        assert!(exclusive_scan_by(&e, 0, |a, b| a + b).is_empty());
-        assert!(exclusive_scan_backward_by(&e, 0, |a, b| a + b).is_empty());
+        assert!(Scan::by(0, |a, b| a + b).run(&e).0.is_empty());
+        assert!(Scan::by(0, |a, b| a + b).backward().run(&e).0.is_empty());
         assert_eq!(seq_exclusive_scan_by(&[7u32], 0, |a, b| a + b), vec![0]);
         assert_eq!(seq_inclusive_scan_by(&[7u32], 0, |a, b| a + b), vec![7]);
         assert_eq!(
-            inclusive_scan_backward_by(&[7u32], 0, |a, b| a + b),
+            Scan::by(0, |a, b| a + b)
+                .backward()
+                .inclusive()
+                .run(&[7u32])
+                .0,
             vec![7]
         );
     }
@@ -1418,7 +1073,10 @@ mod tests {
             Schedule::Spawn,
             Schedule::Sequential,
         ] {
-            let got = exclusive_scan_by_sched(sched, &a, 0, |x, y| x.wrapping_add(y));
+            let got = Scan::by(0u64, |x, y| x.wrapping_add(y))
+                .schedule(sched)
+                .run(&a)
+                .0;
             assert_eq!(seq, got, "schedule {sched:?}");
         }
     }
@@ -1429,7 +1087,14 @@ mod tests {
         let a: Vec<u64> = (0..n as u64).map(|i| (i * 48271) % 104729).collect();
         let seq = seq_inclusive_scan_by(&a, 0, |x, y| x.max(y));
         for sched in [Schedule::Pooled, Schedule::Lookback, Schedule::Spawn] {
-            assert_eq!(seq, inclusive_scan_by_sched(sched, &a, 0, |x, y| x.max(y)));
+            assert_eq!(
+                seq,
+                Scan::by(0, |x, y| x.max(y))
+                    .schedule(sched)
+                    .inclusive()
+                    .run(&a)
+                    .0
+            );
         }
     }
 
@@ -1450,12 +1115,21 @@ mod tests {
                 Schedule::Sequential,
             ] {
                 assert_eq!(
-                    exclusive_scan_backward_by_sched(sched, &a, 0, |x, y| x.wrapping_add(y)),
+                    Scan::by(0u64, |x, y| x.wrapping_add(y))
+                        .schedule(sched)
+                        .backward()
+                        .run(&a)
+                        .0,
                     expect_exc,
                     "n={n} sched={sched:?}"
                 );
                 assert_eq!(
-                    inclusive_scan_backward_by_sched(sched, &a, 0, |x, y| x.wrapping_add(y)),
+                    Scan::by(0u64, |x, y| x.wrapping_add(y))
+                        .schedule(sched)
+                        .backward()
+                        .inclusive()
+                        .run(&a)
+                        .0,
                     expect_inc,
                     "n={n} sched={sched:?}"
                 );
@@ -1467,7 +1141,7 @@ mod tests {
     fn with_total_agrees_with_reduce() {
         for n in [0usize, 1, 100, PAR_THRESHOLD + 1] {
             let a: Vec<u64> = (0..n as u64).collect();
-            let (s, t) = scan_with_total_by(&a, 0, |x, y| x + y);
+            let (s, t) = Scan::by(0, |x, y| x + y).run(&a);
             assert_eq!(s, seq_exclusive_scan_by(&a, 0, |x, y| x + y));
             assert_eq!(t, seq_reduce_by(&a, 0, |x, y| x + y));
         }
@@ -1479,10 +1153,12 @@ mod tests {
         let flags: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
         let ones: Vec<usize> = flags.iter().map(|&f| usize::from(f)).collect();
         assert_eq!(
-            scan_map_by(&flags, usize::from, 0, |a, b| a + b),
+            Scan::by(0, |a, b| a + b)
+                .run(&map_by(&flags, usize::from))
+                .0,
             seq_exclusive_scan_by(&ones, 0, |a, b| a + b)
         );
-        let (s, t) = scan_map_with_total_by(&flags, usize::from, 0, |a, b| a + b);
+        let (s, t) = Scan::by(0, |a, b| a + b).run(&map_by(&flags, usize::from));
         assert_eq!(s, seq_exclusive_scan_by(&ones, 0, |a, b| a + b));
         assert_eq!(t, ones.iter().sum::<usize>());
         let mut rev_ones = ones.clone();
@@ -1490,11 +1166,14 @@ mod tests {
         let mut expect = seq_exclusive_scan_by(&rev_ones, 0, |a, b| a + b);
         expect.reverse();
         assert_eq!(
-            scan_map_backward_by(&flags, usize::from, 0, |a, b| a + b),
+            Scan::by(0, |a, b| a + b)
+                .backward()
+                .run(&map_by(&flags, usize::from))
+                .0,
             expect
         );
         assert_eq!(
-            reduce_map_by(&flags, usize::from, 0, |a, b| a + b),
+            Scan::by(0, |a, b| a + b).total(&map_by(&flags, usize::from)),
             ones.iter().sum::<usize>()
         );
     }
@@ -1510,7 +1189,7 @@ mod tests {
             Schedule::Sequential,
         ] {
             assert_eq!(
-                reduce_by_sched(sched, &a, 0, |x, y| x + y),
+                Scan::by(0, |x, y| x + y).schedule(sched).total(&a),
                 (n as u64 - 1) * (n as u64) / 2
             );
         }
@@ -1588,8 +1267,14 @@ mod tests {
         // bit-identical between Pooled and Spawn.
         let n = PAR_THRESHOLD * 2 + 13;
         let a: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let pooled = exclusive_scan_by_sched(Schedule::Pooled, &a, 0.0, |x, y| x + y);
-        let spawn = exclusive_scan_by_sched(Schedule::Spawn, &a, 0.0, |x, y| x + y);
+        let pooled = Scan::by(0.0, |x, y| x + y)
+            .schedule(Schedule::Pooled)
+            .run(&a)
+            .0;
+        let spawn = Scan::by(0.0, |x, y| x + y)
+            .schedule(Schedule::Spawn)
+            .run(&a)
+            .0;
         if pool::global_threads() > 1 {
             assert_eq!(pooled, spawn);
         } else {
@@ -1618,29 +1303,50 @@ mod tests {
             Schedule::Sequential,
         ] {
             assert_eq!(
-                try_exclusive_scan_by_sched(sched, &a, 0, u64::wrapping_add).unwrap(),
-                exclusive_scan_by_sched(sched, &a, 0, u64::wrapping_add),
+                Scan::by(0, u64::wrapping_add)
+                    .schedule(sched)
+                    .try_run(&a)
+                    .map(|r| r.0)
+                    .unwrap(),
+                Scan::by(0, u64::wrapping_add).schedule(sched).run(&a).0,
                 "sched {sched:?}"
             );
         }
         assert_eq!(
-            try_inclusive_scan_by(&a, 0, u64::wrapping_add).unwrap(),
-            inclusive_scan_by(&a, 0, u64::wrapping_add)
+            Scan::by(0, u64::wrapping_add)
+                .inclusive()
+                .try_run(&a)
+                .map(|r| r.0)
+                .unwrap(),
+            Scan::by(0, u64::wrapping_add).inclusive().run(&a).0
         );
         assert_eq!(
-            try_exclusive_scan_backward_by(&a, 0, u64::wrapping_add).unwrap(),
-            exclusive_scan_backward_by(&a, 0, u64::wrapping_add)
+            Scan::by(0, u64::wrapping_add)
+                .backward()
+                .try_run(&a)
+                .map(|r| r.0)
+                .unwrap(),
+            Scan::by(0, u64::wrapping_add).backward().run(&a).0
         );
         assert_eq!(
-            try_inclusive_scan_backward_by(&a, 0, u64::wrapping_add).unwrap(),
-            inclusive_scan_backward_by(&a, 0, u64::wrapping_add)
+            Scan::by(0, u64::wrapping_add)
+                .backward()
+                .inclusive()
+                .try_run(&a)
+                .map(|r| r.0)
+                .unwrap(),
+            Scan::by(0, u64::wrapping_add)
+                .backward()
+                .inclusive()
+                .run(&a)
+                .0
         );
-        let (s, t) = try_scan_with_total_by(&a, 0, u64::wrapping_add).unwrap();
-        let (es, et) = scan_with_total_by(&a, 0, u64::wrapping_add);
+        let (s, t) = Scan::by(0, u64::wrapping_add).try_run(&a).unwrap();
+        let (es, et) = Scan::by(0, u64::wrapping_add).run(&a);
         assert_eq!((s, t), (es, et));
         assert_eq!(
-            try_reduce_by(&a, 0, u64::wrapping_add).unwrap(),
-            reduce_by(&a, 0, u64::wrapping_add)
+            Scan::by(0, u64::wrapping_add).try_total(&a).unwrap(),
+            Scan::by(0, u64::wrapping_add).total(&a)
         );
     }
 
@@ -1649,8 +1355,10 @@ mod tests {
         let n = PAR_THRESHOLD + 5;
         let a: Vec<u64> = (0..n as u64).collect();
         let d = ScanDeadline::after(std::time::Duration::from_secs(60));
-        let got = crate::deadline::with_deadline(&d, || try_exclusive_scan_by(&a, 0, |x, y| x + y));
-        assert_eq!(got.unwrap(), exclusive_scan_by(&a, 0, |x, y| x + y));
+        let got = crate::deadline::with_deadline(&d, || {
+            Scan::by(0, |x, y| x + y).try_run(&a).map(|r| r.0)
+        });
+        assert_eq!(got.unwrap(), Scan::by(0, |x, y| x + y).run(&a).0);
     }
 
     #[test]
@@ -1664,12 +1372,15 @@ mod tests {
             Schedule::Sequential,
         ] {
             let got = crate::deadline::with_deadline(&d, || {
-                try_exclusive_scan_by_sched(sched, &a, 0, |x, y| x + y)
+                Scan::by(0, |x, y| x + y)
+                    .schedule(sched)
+                    .try_run(&a)
+                    .map(|r| r.0)
             });
             assert_eq!(got, Err(ExecError::DeadlineExceeded), "sched {sched:?}");
             // Infallible APIs never fail on a deadline (DESIGN.md §10).
             let got = crate::deadline::with_deadline(&d, || {
-                exclusive_scan_by_sched(sched, &a, 0, |x, y| x + y)
+                Scan::by(0, |x, y| x + y).schedule(sched).run(&a).0
             });
             assert_eq!(
                 got,
@@ -1677,7 +1388,7 @@ mod tests {
                 "infallible, sched {sched:?}"
             );
         }
-        let got = crate::deadline::with_deadline(&d, || try_reduce_by(&a, 0, |x, y| x + y));
+        let got = crate::deadline::with_deadline(&d, || Scan::by(0, |x, y| x + y).try_total(&a));
         assert_eq!(got, Err(ExecError::DeadlineExceeded));
     }
 
@@ -1698,22 +1409,24 @@ mod tests {
             let got = crate::deadline::with_deadline(&d, || {
                 let d = &d;
                 let seen = &seen;
-                try_engine(
-                    sched,
-                    n,
-                    |i| {
-                        if seen.fetch_add(1, Ordering::Relaxed) == 3 * CANCEL_STRIDE {
-                            d.cancel();
-                        }
-                        a[i]
-                    },
-                    0u64,
-                    |x, y| x + y,
-                    |_, s| s,
-                    Mode::ExclusiveFwd,
-                    None,
-                    Some(d),
-                )
+                contain(|| {
+                    engine(
+                        sched,
+                        n,
+                        |i| {
+                            if seen.fetch_add(1, Ordering::Relaxed) == 3 * CANCEL_STRIDE {
+                                d.cancel();
+                            }
+                            a[i]
+                        },
+                        0u64,
+                        |x, y| x + y,
+                        |_, s| s,
+                        Mode::ExclusiveFwd,
+                        None,
+                        Some(d),
+                    )
+                })
             });
             assert_eq!(
                 got.map(|r| r.1),
@@ -1739,10 +1452,13 @@ mod tests {
             Schedule::Spawn,
             Schedule::Sequential,
         ] {
-            let got = try_exclusive_scan_by_sched(sched, &a, 0, |x, y| {
+            let got = Scan::by(0, |x, y| {
                 assert!(x + y < 1_000_000, "operator exploded");
                 x + y
-            });
+            })
+            .schedule(sched)
+            .try_run(&a)
+            .map(|r| r.0);
             assert!(
                 matches!(got, Err(ExecError::WorkerLost { panics }) if panics >= 1),
                 "sched {sched:?}: {got:?}"
@@ -1755,12 +1471,12 @@ mod tests {
             };
             for (what, msg) in [
                 (
-                    "exclusive_scan_by_sched",
-                    panic_message(|| exclusive_scan_by_sched(sched, &a, 0, explode)),
+                    "run",
+                    panic_message(|| Scan::by(0, explode).schedule(sched).run(&a).0),
                 ),
                 (
-                    "reduce_by_sched",
-                    panic_message(|| reduce_by_sched(sched, &a, 0, explode)),
+                    "total",
+                    panic_message(|| Scan::by(0, explode).schedule(sched).total(&a)),
                 ),
             ] {
                 let msg = msg.unwrap_or_else(|| panic!("sched {sched:?}: {what} did not panic"));
@@ -1770,12 +1486,14 @@ mod tests {
                 );
             }
         }
-        // Small inputs take the sequential path inside try_engine and
-        // must be contained there too.
+        // Small inputs take the sequential path inside the contained
+        // engine call and must be contained there too.
         let small: Vec<u64> = (0..100).collect();
-        let got = try_exclusive_scan_by(&small, 0, |_, _| -> u64 { panic!("tiny boom") });
+        let got = Scan::by(0, |_, _| -> u64 { panic!("tiny boom") })
+            .try_run(&small)
+            .map(|r| r.0);
         assert!(matches!(got, Err(ExecError::WorkerLost { .. })));
-        let got = try_reduce_by(&small, 0, |_, _| -> u64 { panic!("tiny boom") });
+        let got = Scan::by(0, |_, _| -> u64 { panic!("tiny boom") }).try_total(&small);
         assert!(matches!(got, Err(ExecError::WorkerLost { .. })));
     }
 

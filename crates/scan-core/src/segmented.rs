@@ -11,6 +11,12 @@
 //! always starts a segment, whether or not its flag is set (the paper's
 //! figures always set it).
 //!
+//! A segmented scan is the plain scan over the `(value, flag)` pair
+//! operator [`seg_combine`], so every scan here is one [`Scan`] with
+//! [`Scan::segments`] set; a range of a longer input sets
+//! [`Scan::heads`] instead, whose first element is a head only if
+//! flagged, and threads the pair carry between ranges.
+//!
 //! ```
 //! use scan_core::{seg_scan, Segments, op::{Sum, Max}};
 //! // Figure 4:
@@ -24,6 +30,7 @@
 use crate::element::ScanElem;
 use crate::op::ScanOp;
 use crate::parallel;
+use crate::scan::Scan;
 
 /// A segmentation of a vector: head flags plus derived bookkeeping.
 ///
@@ -200,14 +207,6 @@ pub fn seg_combine<O: ScanOp<T>, T: ScanElem>(a: (T, bool), b: (T, bool)) -> (T,
     }
 }
 
-/// Is element `i` the **last** element of its segment? (The backward
-/// scans restart here, mirroring how the forward scans restart at
-/// heads.)
-#[inline]
-fn is_tail(segs: &Segments, i: usize) -> bool {
-    i + 1 == segs.len() || segs.is_head(i + 1)
-}
-
 /// Exclusive segmented scan: each segment head receives the identity;
 /// element `i` of a segment receives the combine of the segment's
 /// elements strictly before it.
@@ -219,48 +218,7 @@ fn is_tail(segs: &Segments, i: usize) -> bool {
 /// # Panics
 /// If `a.len() != segs.len()`.
 pub fn seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
-    assert_eq!(a.len(), segs.len(), "seg_scan length mismatch");
-    // The engine's exclusive state at `i` is the inclusive pair state
-    // at `i - 1`, so emitting `identity` at heads and the carried value
-    // elsewhere is exactly the per-segment right-shift.
-    let Ok((out, _)) = parallel::engine(
-        parallel::default_schedule(),
-        a.len(),
-        |i| (a[i], segs.is_head(i)),
-        (O::identity(), false),
-        seg_combine::<O, T>,
-        |i, s: (T, bool)| if segs.is_head(i) { O::identity() } else { s.0 },
-        parallel::Mode::ExclusiveFwd,
-        O::simd_seg_tile(),
-        parallel::NoDeadline,
-    );
-    out
-}
-
-/// Fallible [`seg_scan`]: checks the length precondition instead of
-/// panicking, honors the ambient [`crate::deadline`] scope, and
-/// contains operator panics — failures surface as
-/// [`crate::Error`] (`LengthMismatch` or `Exec`).
-pub fn try_seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> crate::Result<Vec<T>> {
-    if a.len() != segs.len() {
-        return Err(crate::Error::LengthMismatch {
-            expected: a.len(),
-            actual: segs.len(),
-        });
-    }
-    let d = crate::deadline::current();
-    let (out, _) = parallel::try_engine(
-        parallel::default_schedule(),
-        a.len(),
-        |i| (a[i], segs.is_head(i)),
-        (O::identity(), false),
-        seg_combine::<O, T>,
-        |i, s: (T, bool)| if segs.is_head(i) { O::identity() } else { s.0 },
-        parallel::Mode::ExclusiveFwd,
-        O::simd_seg_tile(),
-        d.as_ref(),
-    )?;
-    Ok(out)
+    Scan::op::<O, T>().segments(segs).run(a).0
 }
 
 /// Inclusive segmented scan.
@@ -268,19 +226,7 @@ pub fn try_seg_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> crat
 /// # Panics
 /// If `a.len() != segs.len()`.
 pub fn seg_inclusive_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
-    assert_eq!(a.len(), segs.len(), "seg_inclusive_scan length mismatch");
-    let Ok((out, _)) = parallel::engine(
-        parallel::default_schedule(),
-        a.len(),
-        |i| (a[i], segs.is_head(i)),
-        (O::identity(), false),
-        seg_combine::<O, T>,
-        |_, s: (T, bool)| s.0,
-        parallel::Mode::InclusiveFwd,
-        O::simd_seg_tile(),
-        parallel::NoDeadline,
-    );
-    out
+    Scan::op::<O, T>().segments(segs).inclusive().run(a).0
 }
 
 /// Exclusive *backward* segmented scan: within each segment, element `i`
@@ -295,19 +241,7 @@ pub fn seg_inclusive_scan<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -
 /// # Panics
 /// If `a.len() != segs.len()`.
 pub fn seg_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
-    assert_eq!(a.len(), segs.len(), "seg_scan_backward length mismatch");
-    let Ok((out, _)) = parallel::engine(
-        parallel::default_schedule(),
-        a.len(),
-        |i| (a[i], is_tail(segs, i)),
-        (O::identity(), false),
-        seg_combine::<O, T>,
-        |i, s: (T, bool)| if is_tail(segs, i) { O::identity() } else { s.0 },
-        parallel::Mode::ExclusiveBwd,
-        O::simd_seg_tile(),
-        parallel::NoDeadline,
-    );
-    out
+    Scan::op::<O, T>().segments(segs).backward().run(a).0
 }
 
 /// Inclusive backward segmented scan.
@@ -315,23 +249,12 @@ pub fn seg_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) ->
 /// # Panics
 /// If `a.len() != segs.len()`.
 pub fn seg_inclusive_scan_backward<O: ScanOp<T>, T: ScanElem>(a: &[T], segs: &Segments) -> Vec<T> {
-    assert_eq!(
-        a.len(),
-        segs.len(),
-        "seg_inclusive_scan_backward length mismatch"
-    );
-    let Ok((out, _)) = parallel::engine(
-        parallel::default_schedule(),
-        a.len(),
-        |i| (a[i], is_tail(segs, i)),
-        (O::identity(), false),
-        seg_combine::<O, T>,
-        |_, s: (T, bool)| s.0,
-        parallel::Mode::InclusiveBwd,
-        O::simd_seg_tile(),
-        parallel::NoDeadline,
-    );
-    out
+    Scan::op::<O, T>()
+        .segments(segs)
+        .backward()
+        .inclusive()
+        .run(a)
+        .0
 }
 
 #[cfg(test)]
@@ -476,18 +399,30 @@ mod tests {
         let flags: Vec<bool> = (0..n).map(|i| i % 53 == 0).collect();
         let segs = Segments::from_flags(flags);
         assert_eq!(
-            try_seg_scan::<Sum, _>(&a, &segs).unwrap(),
+            Scan::op::<Sum, _>()
+                .segments(&segs)
+                .try_run(&a)
+                .map(|r| r.0)
+                .unwrap(),
             seg_scan::<Sum, _>(&a, &segs)
         );
         // Precondition violation is a typed error, not a panic.
         let short = Segments::single(3);
         assert!(matches!(
-            try_seg_scan::<Sum, _>(&a, &short),
+            Scan::op::<Sum, _>()
+                .segments(&short)
+                .try_run(&a)
+                .map(|r| r.0),
             Err(Error::LengthMismatch { .. })
         ));
         // An expired ambient deadline is honored.
         let d = ScanDeadline::at(std::time::Instant::now());
-        let got = deadline::with_deadline(&d, || try_seg_scan::<Sum, _>(&a, &segs));
+        let got = deadline::with_deadline(&d, || {
+            Scan::op::<Sum, _>()
+                .segments(&segs)
+                .try_run(&a)
+                .map(|r| r.0)
+        });
         assert_eq!(got, Err(Error::Exec(ExecError::DeadlineExceeded)));
     }
 }

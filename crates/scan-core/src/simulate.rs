@@ -25,7 +25,7 @@
 use crate::error::{Error, Result};
 use crate::op::{Max, Sum};
 use crate::parallel;
-use crate::scan::scan;
+use crate::scan::{scan, Scan};
 use crate::segmented::Segments;
 
 /// The two primitive scans of the paper's hardware: exclusive `+-scan`
@@ -108,10 +108,10 @@ impl PrimitiveScans for SoftwareScans {
         scan::<Max, _>(a)
     }
     fn back_plus_scan(&self, a: &[u64]) -> Vec<u64> {
-        parallel::exclusive_scan_backward_by(a, 0u64, |x, y| x.wrapping_add(y))
+        Scan::by(0u64, |x, y| x.wrapping_add(y)).backward().run(a).0
     }
     fn back_max_scan(&self, a: &[u64]) -> Vec<u64> {
-        parallel::exclusive_scan_backward_by(a, 0u64, u64::max)
+        Scan::by(0u64, u64::max).backward().run(a).0
     }
 }
 

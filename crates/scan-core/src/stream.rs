@@ -50,8 +50,7 @@ use crate::deadline;
 use crate::element::ScanElem;
 use crate::error::{Error, Result};
 use crate::op::ScanOp;
-use crate::parallel::{self, Mode};
-use crate::scan;
+use crate::scan::{Scan, Typed};
 
 /// Domain separator for checkpoint digests, so a checkpoint can never
 /// verify against a jitter draw or any other `mix` stream.
@@ -249,7 +248,7 @@ impl<T: Copy + CarryDigest> CarryCheckpoint<T> {
 /// docs for the restart and direction protocols.
 pub struct ScanStream<O, T, C> {
     source: C,
-    mode: Mode,
+    scan: Scan<'static, Typed<O>, T>,
     buf: Vec<T>,
     out: Vec<T>,
     carry: T,
@@ -259,7 +258,6 @@ pub struct ScanStream<O, T, C> {
     pulled: bool,
     done: bool,
     pulls: u64,
-    _op: PhantomData<O>,
 }
 
 impl<O, T, C> ScanStream<O, T, C>
@@ -268,10 +266,10 @@ where
     T: ScanElem,
     C: ChunkSource<T>,
 {
-    fn with_mode(source: C, mode: Mode) -> Self {
+    fn with(source: C, scan: Scan<'static, Typed<O>, T>) -> Self {
         ScanStream {
             source,
-            mode,
+            scan,
             buf: Vec::new(),
             out: Vec::new(),
             carry: O::identity(),
@@ -279,30 +277,29 @@ where
             pulled: false,
             done: false,
             pulls: 0,
-            _op: PhantomData,
         }
     }
 
     /// Streaming exclusive forward scan (the paper's scan).
     pub fn exclusive(source: C) -> Self {
-        Self::with_mode(source, Mode::ExclusiveFwd)
+        Self::with(source, Scan::op())
     }
 
     /// Streaming inclusive forward scan.
     pub fn inclusive(source: C) -> Self {
-        Self::with_mode(source, Mode::InclusiveFwd)
+        Self::with(source, Scan::op().inclusive())
     }
 
     /// Streaming exclusive backward scan. The source must yield chunks
     /// in reverse logical order (see the module docs).
     pub fn exclusive_backward(source: C) -> Self {
-        Self::with_mode(source, Mode::ExclusiveBwd)
+        Self::with(source, Scan::op().backward())
     }
 
     /// Streaming inclusive backward scan; reverse chunk order as for
     /// [`exclusive_backward`](Self::exclusive_backward).
     pub fn inclusive_backward(source: C) -> Self {
-        Self::with_mode(source, Mode::InclusiveBwd)
+        Self::with(source, Scan::op().backward().inclusive())
     }
 
     /// Scan the next chunk and return its output slice, or `Ok(None)`
@@ -332,16 +329,7 @@ where
             self.pulls += 1;
         }
 
-        let d = deadline::current();
-        let buf = &self.buf;
-        let (out, carry) = scan::try_carry_scan::<O, T, _>(
-            parallel::default_schedule(),
-            buf.len(),
-            |i| buf[i],
-            self.carry,
-            self.mode,
-            d.as_ref(),
-        )?;
+        let (out, carry) = self.scan.carry(self.carry).try_run(&self.buf)?;
 
         // Commit: the chunk is now folded into the stream state.
         self.carry = carry;
@@ -478,20 +466,13 @@ where
         }
 
         let first_chunk = self.chunk == 0;
-        let d = deadline::current();
         let buf = &self.buf;
-        // Pair load: the global first element is forced to be a head.
-        let load = move |i: usize| {
-            let (v, f) = buf[i];
-            (v, f || (first_chunk && i == 0))
-        };
-        let (out, carry) = scan::try_seg_carry_scan::<O, T, _>(
-            parallel::default_schedule(),
-            buf.len(),
-            load,
-            self.carry,
-            d.as_ref(),
-        )?;
+        // The global first element is forced to be a head.
+        let restart = move |i: usize| buf[i].1 || (first_chunk && i == 0);
+        let scan = Scan::op::<O, T>();
+        let (out, carry) = scan.contained(|d| {
+            scan.pairs(buf.len(), move |i| buf[i].0, restart, Some(self.carry), d)
+        })?;
 
         self.carry = carry;
         self.chunk += 1;

@@ -19,7 +19,7 @@ use scan_core::parallel::{self, Schedule, PAR_THRESHOLD};
 use scan_core::segmented::{
     seg_inclusive_scan, seg_inclusive_scan_backward, seg_scan, seg_scan_backward, Segments,
 };
-use scan_core::{Max, ScanOp, Sum};
+use scan_core::{Max, Scan, ScanOp, Sum};
 use std::sync::{Mutex, Once};
 
 static INIT: Once = Once::new();
@@ -131,39 +131,39 @@ proptest! {
             let fadd = |x: f64, y: f64| x + y;
             for sched in PAR_SCHEDULES {
                 prop_assert_eq!(
-                    parallel::exclusive_scan_by_sched(sched, &a, 0u64, wadd),
+                    Scan::by(0u64, wadd).schedule(sched).run(&a).0,
                     ex.clone(),
                     "exclusive fwd n={} sched={:?}", n, sched
                 );
                 prop_assert_eq!(
-                    parallel::inclusive_scan_by_sched(sched, &a, 0u64, wadd),
+                    Scan::by(0u64, wadd).schedule(sched).inclusive().run(&a).0,
                     inc.clone(),
                     "inclusive fwd n={} sched={:?}", n, sched
                 );
                 prop_assert_eq!(
-                    parallel::try_exclusive_scan_by_sched(sched, &a, 0u64, wadd),
+                    Scan::by(0u64, wadd).schedule(sched).try_run(&a).map(|r| r.0),
                     Ok(ex.clone()),
                     "try exclusive fwd n={} sched={:?}", n, sched
                 );
                 let try_inc = with_default_schedule(sched, || {
-                    parallel::try_inclusive_scan_by(&a, 0u64, wadd)
+                    Scan::by(0u64, wadd).inclusive().try_run(&a).map(|r| r.0)
                 });
                 prop_assert_eq!(try_inc, Ok(inc.clone()), "try inclusive fwd n={} sched={:?}", n, sched);
 
                 if sched == Schedule::Lookback {
                     continue;
                 }
-                let f_ex = parallel::exclusive_scan_by_sched(sched, &af, 0.0, fadd);
-                let f_try_ex = parallel::try_exclusive_scan_by_sched(sched, &af, 0.0, fadd);
+                let f_ex = Scan::by(0.0, fadd).schedule(sched).run(&af).0;
+                let f_try_ex = Scan::by(0.0, fadd).schedule(sched).try_run(&af).map(|r| r.0);
                 prop_assert!(f_try_ex.is_ok(), "try f64 exclusive n={} sched={:?}", n, sched);
                 prop_assert_eq!(
                     bits(&f_try_ex.unwrap_or_default()),
                     bits(&f_ex),
                     "try f64 exclusive bits n={} sched={:?}", n, sched
                 );
-                let f_inc = parallel::inclusive_scan_by_sched(sched, &af, 0.0, fadd);
+                let f_inc = Scan::by(0.0, fadd).schedule(sched).inclusive().run(&af).0;
                 let f_try_inc = with_default_schedule(sched, || {
-                    parallel::try_inclusive_scan_by(&af, 0.0, fadd)
+                    Scan::by(0.0, fadd).inclusive().try_run(&af).map(|r| r.0)
                 });
                 prop_assert!(f_try_inc.is_ok(), "try f64 inclusive n={} sched={:?}", n, sched);
                 prop_assert_eq!(
@@ -187,19 +187,19 @@ proptest! {
             inc.reverse();
             for sched in PAR_SCHEDULES {
                 prop_assert_eq!(
-                    parallel::exclusive_scan_backward_by_sched(sched, &a, 0u64, u64::max),
+                    Scan::by(0u64, u64::max).schedule(sched).backward().run(&a).0,
                     ex.clone(),
                     "exclusive bwd n={} sched={:?}", n, sched
                 );
                 prop_assert_eq!(
-                    parallel::inclusive_scan_backward_by_sched(sched, &a, 0u64, u64::max),
+                    Scan::by(0u64, u64::max).schedule(sched).backward().inclusive().run(&a).0,
                     inc.clone(),
                     "inclusive bwd n={} sched={:?}", n, sched
                 );
                 let (try_ex, try_inc) = with_default_schedule(sched, || {
                     (
-                        parallel::try_exclusive_scan_backward_by(&a, 0u64, u64::max),
-                        parallel::try_inclusive_scan_backward_by(&a, 0u64, u64::max),
+                        Scan::by(0u64, u64::max).backward().try_run(&a).map(|r| r.0),
+                        Scan::by(0u64, u64::max).backward().inclusive().try_run(&a).map(|r| r.0),
                     )
                 });
                 prop_assert_eq!(try_ex, Ok(ex.clone()), "try exclusive bwd n={} sched={:?}", n, sched);
@@ -217,44 +217,14 @@ proptest! {
             let total = parallel::seq_reduce_by(&a, 0u64, wadd);
             for sched in PAR_SCHEDULES {
                 let (got, got_total) = with_default_schedule(sched, || {
-                    parallel::scan_with_total_by(&a, 0u64, wadd)
+                    Scan::by(0u64, wadd).run(&a)
                 });
                 prop_assert_eq!(got, ex.clone(), "with_total scan n={}", n);
                 prop_assert_eq!(got_total, total, "with_total total n={}", n);
                 let try_got = with_default_schedule(sched, || {
-                    parallel::try_scan_with_total_by(&a, 0u64, wadd)
+                    Scan::by(0u64, wadd).try_run(&a)
                 });
                 prop_assert_eq!(try_got, Ok((ex.clone(), total)), "try with_total n={} sched={:?}", n, sched);
-            }
-        }
-    }
-
-    #[test]
-    fn fused_map_scans_match_unfused(seed in any::<u64>()) {
-        setup();
-        let g = |x: u64| (x % 17) as u32;
-        for n in sizes() {
-            let a = data(seed, n);
-            let mapped: Vec<u32> = a.iter().map(|&x| g(x)).collect();
-            let ex = parallel::seq_exclusive_scan_by(&mapped, 0u32, u32::wrapping_add);
-            let rev: Vec<u32> = mapped.iter().rev().copied().collect();
-            let mut bex = parallel::seq_exclusive_scan_by(&rev, 0u32, u32::wrapping_add);
-            bex.reverse();
-            let total = parallel::seq_reduce_by(&mapped, 0u32, u32::wrapping_add);
-            for sched in PAR_SCHEDULES {
-                let (f_scan, f_back, (f_wt, f_total), f_red) = with_default_schedule(sched, || {
-                    (
-                        parallel::scan_map_by(&a, g, 0u32, u32::wrapping_add),
-                        parallel::scan_map_backward_by(&a, g, 0u32, u32::wrapping_add),
-                        parallel::scan_map_with_total_by(&a, g, 0u32, u32::wrapping_add),
-                        parallel::reduce_map_by(&a, g, 0u32, u32::wrapping_add),
-                    )
-                });
-                prop_assert_eq!(f_scan, ex.clone(), "scan_map n={} sched={:?}", n, sched);
-                prop_assert_eq!(f_back, bex.clone(), "scan_map_backward n={}", n);
-                prop_assert_eq!(f_wt, ex.clone(), "scan_map_with_total scan n={}", n);
-                prop_assert_eq!(f_total, total, "scan_map_with_total total n={}", n);
-                prop_assert_eq!(f_red, total, "reduce_map n={}", n);
             }
         }
     }
@@ -271,12 +241,12 @@ proptest! {
             let zip_ref: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x.wrapping_add(y)).collect();
             for sched in PAR_SCHEDULES {
                 prop_assert_eq!(
-                    parallel::reduce_by_sched(sched, &a, 0u64, u64::max),
+                    Scan::by(0u64, u64::max).schedule(sched).total(&a),
                     red_ref,
                     "reduce n={} sched={:?}", n, sched
                 );
                 prop_assert_eq!(
-                    parallel::try_reduce_by_sched(sched, &a, 0u64, u64::max),
+                    Scan::by(0u64, u64::max).schedule(sched).try_total(&a),
                     Ok(red_ref),
                     "try reduce n={} sched={:?}", n, sched
                 );
@@ -341,7 +311,7 @@ proptest! {
                 prop_assert_eq!(g_bex, bex.clone(), "seg excl bwd n={}", n);
                 prop_assert_eq!(g_binc, binc.clone(), "seg incl bwd n={}", n);
                 let try_ex = with_default_schedule(sched, || {
-                    scan_core::try_seg_scan::<Sum, _>(&a, &segs)
+                    Scan::op::<Sum, _>().segments(&segs).try_run(&a).map(|r| r.0)
                 });
                 prop_assert_eq!(try_ex, Ok(ex.clone()), "try seg excl fwd n={} sched={:?}", n, sched);
 
@@ -349,22 +319,21 @@ proptest! {
                 // classic (value, flag) associative combine.
                 let pairs: Vec<(u64, bool)> =
                     (0..n).map(|i| (a[i], segs.is_head(i))).collect();
-                let combined = parallel::inclusive_scan_by_sched(
-                    sched,
-                    &pairs,
-                    (0u64, false),
-                    |(v1, f1), (v2, f2)| {
-                        if f2 {
-                            (v2, true)
-                        } else {
-                            (v1.wrapping_add(v2), f1)
-                        }
-                    },
-                );
+                let combined = Scan::by((0u64, false), |(v1, f1), (v2, f2)| {
+                    if f2 {
+                        (v2, true)
+                    } else {
+                        (v1.wrapping_add(v2), f1)
+                    }
+                })
+                .schedule(sched)
+                .inclusive()
+                .run(&pairs)
+                .0;
                 let got: Vec<u64> = combined.iter().map(|&(v, _)| v).collect();
                 prop_assert_eq!(got, inc.clone(), "pair-op seg scan n={} sched={:?}", n, sched);
                 let try_combined = with_default_schedule(sched, || {
-                    parallel::try_inclusive_scan_by(&pairs, (0u64, false), seg_wadd)
+                    Scan::by((0u64, false), seg_wadd).inclusive().try_run(&pairs).map(|r| r.0)
                 });
                 prop_assert_eq!(try_combined, Ok(combined), "try pair-op seg scan n={} sched={:?}", n, sched);
             }
@@ -388,8 +357,10 @@ proptest! {
             for sched in PAR_SCHEDULES {
                 let got = with_default_schedule(sched, || scan_core::scan::<Max, _>(&a));
                 prop_assert_eq!(got, ex.clone(), "scan::<Max> n={} sched={:?}", n, sched);
-                let try_got = with_default_schedule(sched, || scan_core::try_scan::<Max, _>(&a));
-                prop_assert_eq!(try_got, Ok(ex.clone()), "try_scan::<Max> n={} sched={:?}", n, sched);
+                let try_got = with_default_schedule(sched, || {
+                    Scan::op::<Max, _>().try_run(&a).map(|r| r.0)
+                });
+                prop_assert_eq!(try_got, Ok(ex.clone()), "try_run::<Max> n={} sched={:?}", n, sched);
             }
         }
     }

@@ -23,13 +23,11 @@
 //! directly.
 
 use scan_core::parallel::{
-    self, exclusive_scan_backward_by_sched, exclusive_scan_by_sched, inclusive_scan_by_sched,
-    map_by_sched, reduce_by_sched, seq_exclusive_scan_by, seq_inclusive_scan_by, seq_reduce_by,
-    Schedule,
+    self, map_by_sched, seq_exclusive_scan_by, seq_inclusive_scan_by, seq_reduce_by, Schedule,
 };
 use scan_core::pool::WorkerPool;
 use scan_core::sync::atomic::{AtomicUsize, Ordering};
-use scan_core::{multi_split, ops, ExecError, ScanDeadline};
+use scan_core::{multi_split, ops, ExecError, Scan, ScanDeadline};
 
 /// Parallel cutoff while these tests run: small enough that Miri can
 /// interpret the blocked path, large enough that the plan still
@@ -76,15 +74,19 @@ fn scan_kernels_are_sound_at_miri_size() {
     let mut exc_bwd = seq_exclusive_scan_by(&rev, 0, f);
     exc_bwd.reverse();
     for sched in SCHEDS {
-        assert_eq!(exclusive_scan_by_sched(sched, &a, 0, f), exc, "{sched:?}");
-        assert_eq!(inclusive_scan_by_sched(sched, &a, 0, f), inc, "{sched:?}");
+        assert_eq!(Scan::by(0, f).schedule(sched).run(&a).0, exc, "{sched:?}");
         assert_eq!(
-            exclusive_scan_backward_by_sched(sched, &a, 0, f),
+            Scan::by(0, f).schedule(sched).inclusive().run(&a).0,
+            inc,
+            "{sched:?}"
+        );
+        assert_eq!(
+            Scan::by(0, f).schedule(sched).backward().run(&a).0,
             exc_bwd,
             "{sched:?}"
         );
         assert_eq!(
-            reduce_by_sched(sched, &a, 0, f),
+            Scan::by(0, f).schedule(sched).total(&a),
             seq_reduce_by(&a, 0, f),
             "{sched:?}"
         );

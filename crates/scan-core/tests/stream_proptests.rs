@@ -13,8 +13,8 @@ use scan_core::deadline::{self, ScanDeadline};
 use scan_core::parallel::{Schedule, PAR_THRESHOLD};
 use scan_core::segmented::seg_combine;
 use scan_core::{
-    try_reduce_range, try_scan_range, CarryCheckpoint, ChunkSource, Error, ExecError, Max, ScanOp,
-    ScanStream, SegScanStream, Segments, SliceSource, Sum,
+    CarryCheckpoint, ChunkSource, Error, ExecError, Max, Scan, ScanOp, ScanStream, SegScanStream,
+    Segments, SliceSource, Sum,
 };
 
 /// A source delivering chunks of varying lengths (cycling `lens`),
@@ -121,8 +121,19 @@ fn check_range_cuts<O: ScanOp<u64>>(data: &[u64], flags: &[bool], cuts: &[usize]
         let split = |heads: Option<&[bool]>, cut: usize| {
             let prefix = (&data[..cut], heads.map(|h| &h[..cut]));
             let suffix = (&data[cut..], heads.map(|h| &h[cut..]));
-            let carry = try_reduce_range::<O, u64>(sched, prefix.0, prefix.1, None).unwrap();
-            try_scan_range::<O, u64>(sched, suffix.0, suffix.1, carry, None).unwrap()
+            let carry = Scan::op::<O, u64>()
+                .schedule(sched)
+                .heads(prefix.1)
+                .deadline(None)
+                .try_total(prefix.0)
+                .unwrap();
+            Scan::op::<O, u64>()
+                .schedule(sched)
+                .heads(suffix.1)
+                .carry(carry)
+                .deadline(None)
+                .try_run(suffix.0)
+                .unwrap()
         };
         let flat_want = scan_core::scan::<O, _>(data);
         let flat_total = (scan_core::reduce::<O, _>(data), false);
@@ -340,9 +351,18 @@ fn range_kernels_report_typed_errors() {
     let cancelled = Error::Exec(ExecError::Cancelled);
     for sched in [Schedule::Sequential, Schedule::Pooled] {
         for h in [None, Some(&heads[..])] {
-            let got = try_scan_range::<Sum, u64>(sched, &data, h, (0, false), Some(&d));
+            let got = Scan::op::<Sum, u64>()
+                .schedule(sched)
+                .heads(h)
+                .carry((0, false))
+                .deadline(Some(&d))
+                .try_run(&data);
             assert_eq!(got.unwrap_err(), cancelled);
-            let got = try_reduce_range::<Max, u64>(sched, &data, h, Some(&d));
+            let got = Scan::op::<Max, u64>()
+                .schedule(sched)
+                .heads(h)
+                .deadline(Some(&d))
+                .try_total(&data);
             assert_eq!(got.unwrap_err(), cancelled);
         }
     }
@@ -351,9 +371,18 @@ fn range_kernels_report_typed_errors() {
         expected: 100,
         actual: 99,
     };
-    let got = try_scan_range::<Sum, u64>(seq, &data, short, (0, false), None);
+    let got = Scan::op::<Sum, u64>()
+        .schedule(seq)
+        .heads(short)
+        .carry((0, false))
+        .deadline(None)
+        .try_run(&data);
     assert_eq!(got.unwrap_err(), mismatch);
-    let got = try_reduce_range::<Sum, u64>(seq, &data, short, None);
+    let got = Scan::op::<Sum, u64>()
+        .schedule(seq)
+        .heads(short)
+        .deadline(None)
+        .try_total(&data);
     assert_eq!(got.unwrap_err(), mismatch);
 }
 

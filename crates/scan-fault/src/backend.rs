@@ -1,5 +1,5 @@
 //! A deliberately faulty scan backend: the cycle-accurate tree circuit
-//! with a [`FaultPlan`](crate::FaultPlan) injecting transient bit
+//! with a [`FaultPlan`] injecting transient bit
 //! flips while it runs.
 //!
 //! The backend honours the `PrimitiveScans` contract *interface* but

@@ -12,9 +12,9 @@ use std::sync::Once;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use scan_core::parallel::{self, Schedule};
+use scan_core::parallel::Schedule;
 use scan_core::simulate::{PrimitiveScans, SoftwareScans};
-use scan_core::{ExecError, ScanDeadline};
+use scan_core::{ExecError, Scan, ScanDeadline};
 use scan_fault::{chaos_op, ChaosBackend, ChaosPlan, CheckedExecutor, FaultError};
 
 static INIT: Once = Once::new();
@@ -95,23 +95,17 @@ proptest! {
             let a: Vec<u64> = (0..n as u64).map(|x| x.wrapping_mul(0x9E37) % 1013).collect();
             let plan = plan_from(seed, panic_every, delay_every, 0);
             let body = move || {
-                let scan = parallel::try_exclusive_scan_by_sched(
-                    sched,
-                    &a,
-                    0u64,
-                    chaos_op(plan, |x: u64, y| x.wrapping_add(y)),
-                );
-                let reduce = parallel::try_reduce_by_sched(
-                    sched,
-                    &a,
-                    0u64,
-                    chaos_op(plan, |x: u64, y| x.wrapping_add(y)),
-                );
-                let incl = parallel::try_inclusive_scan_by(
-                    &a,
-                    0u64,
-                    chaos_op(plan, |x: u64, y| x.wrapping_add(y)),
-                );
+                let scan = Scan::by(0u64, chaos_op(plan, |x: u64, y| x.wrapping_add(y)))
+                    .schedule(sched)
+                    .try_run(&a)
+                    .map(|r| r.0);
+                let reduce = Scan::by(0u64, chaos_op(plan, |x: u64, y| x.wrapping_add(y)))
+                    .schedule(sched)
+                    .try_total(&a);
+                let incl = Scan::by(0u64, chaos_op(plan, |x: u64, y| x.wrapping_add(y)))
+                    .inclusive()
+                    .try_run(&a)
+                    .map(|r| r.0);
                 (scan, reduce, incl, a.clone())
             };
             let out = if deadline_ms > 0 {
@@ -123,12 +117,10 @@ proptest! {
             // The pool must be reusable after whatever the case did to
             // it — still inside the watchdog, so a wedged pool fails
             // the case rather than the suite.
-            let clean = parallel::try_exclusive_scan_by_sched(
-                sched,
-                &[1u64, 2, 3, 4],
-                0,
-                |x: u64, y| x + y,
-            );
+            let clean = Scan::by(0, |x: u64, y| x + y)
+                .schedule(sched)
+                .try_run(&[1u64, 2, 3, 4])
+                .map(|r| r.0);
             ((out.0, out.1, out.2), out.3, clean)
         });
         let expect = reference_plus_scan(&reference);

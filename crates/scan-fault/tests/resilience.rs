@@ -11,8 +11,8 @@ use std::sync::mpsc;
 use std::sync::Once;
 use std::time::Duration;
 
-use scan_core::parallel::{self, Schedule, PAR_THRESHOLD};
-use scan_core::{ExecError, ScanDeadline};
+use scan_core::parallel::{Schedule, PAR_THRESHOLD};
+use scan_core::{ExecError, Scan, ScanDeadline};
 use scan_fault::{chaos_op, BreakerConfig, ChaosBackend, ChaosPlan, CheckedExecutor};
 
 static INIT: Once = Once::new();
@@ -74,16 +74,16 @@ fn induced_worker_panic_is_typed_and_pool_recovers() {
                 ..ChaosPlan::quiet(3)
             };
             let op = chaos_op(plan, |x: u64, y: u64| x.wrapping_add(y));
-            let got = parallel::try_exclusive_scan_by_sched(sched, &a, 0u64, op);
+            let got = Scan::by(0u64, op).schedule(sched).try_run(&a).map(|r| r.0);
             assert!(
                 matches!(got, Err(ExecError::WorkerLost { panics }) if panics >= 1),
                 "{sched:?}: expected WorkerLost, got {got:?}"
             );
             // Clean resubmission on the recovered pool.
-            let clean =
-                parallel::try_exclusive_scan_by_sched(sched, &a, 0u64, |x: u64, y| {
-                    x.wrapping_add(y)
-                });
+            let clean = Scan::by(0u64, |x: u64, y| x.wrapping_add(y))
+                .schedule(sched)
+                .try_run(&a)
+                .map(|r| r.0);
             assert_eq!(clean.as_deref(), Ok(&reference_plus_scan(&a)[..]), "{sched:?}");
         }
     });
@@ -107,7 +107,7 @@ fn delay_past_deadline_is_typed() {
             let op = chaos_op(plan, |x: u64, y: u64| x.wrapping_add(y));
             let d = ScanDeadline::after(Duration::from_millis(2));
             let got = scan_core::deadline::with_deadline(&d, || {
-                parallel::try_exclusive_scan_by_sched(sched, &a, 0u64, op)
+                Scan::by(0u64, op).schedule(sched).try_run(&a).map(|r| r.0)
             });
             assert_eq!(
                 got.unwrap_err(),

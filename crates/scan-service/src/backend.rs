@@ -8,8 +8,8 @@
 //! exercise the failure envelope — which is why the trait is
 //! deliberately tiny and object-safe.
 
-use scan_core::segmented::{try_seg_scan, Segments};
-use scan_core::{deadline, Max, ScanDeadline, Sum};
+use scan_core::segmented::Segments;
+use scan_core::{deadline, Error, Max, Scan, ScanDeadline, Sum};
 
 /// The primitive scan family a request group executes under — the
 /// sharded executor's, so a request's kind needs no translation on its
@@ -63,8 +63,14 @@ impl BatchBackend for PoolBackend {
         deadline: Option<&ScanDeadline>,
     ) -> scan_core::Result<Vec<u64>> {
         scoped(deadline, || match kind {
-            ScanKind::Sum => try_seg_scan::<Sum, u64>(values, segs),
-            ScanKind::Max => try_seg_scan::<Max, u64>(values, segs),
+            ScanKind::Sum => Scan::op::<Sum, u64>()
+                .segments(segs)
+                .try_run(values)
+                .map(|r| r.0),
+            ScanKind::Max => Scan::op::<Max, u64>()
+                .segments(segs)
+                .try_run(values)
+                .map(|r| r.0),
         })
     }
 
@@ -75,9 +81,10 @@ impl BatchBackend for PoolBackend {
         deadline: Option<&ScanDeadline>,
     ) -> scan_core::Result<Vec<u64>> {
         scoped(deadline, || match kind {
-            ScanKind::Sum => scan_core::try_scan::<Sum, u64>(values),
-            ScanKind::Max => scan_core::try_scan::<Max, u64>(values),
+            ScanKind::Sum => Scan::op::<Sum, u64>().try_run(values).map(|r| r.0),
+            ScanKind::Max => Scan::op::<Max, u64>().try_run(values).map(|r| r.0),
         })
+        .map_err(Error::from)
     }
 }
 

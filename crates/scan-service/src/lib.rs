@@ -9,8 +9,8 @@
 //! one scan pass serve arbitrarily many independent scans. This crate
 //! is that observation turned into a serving discipline: small
 //! requests individually too cheap to amortize a kernel launch are
-//! held for a microsecond-scale window, packed into a single
-//! [`scan_core::segmented::try_seg_scan`] call, and demultiplexed back
+//! held for a microsecond-scale window, packed into a single fallible
+//! segmented [`scan_core::Scan`] call, and demultiplexed back
 //! to their submitters — giving each tenant small-request latency with
 //! big-batch throughput (`BENCH_service.json` quantifies the ratio).
 //!

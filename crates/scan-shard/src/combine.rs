@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use scan_core::parallel::Schedule;
-use scan_core::{try_reduce_range, try_scan_range, ExecError, ScanDeadline, ScanOp};
+use scan_core::{ExecError, Scan, ScanDeadline, ScanOp};
 
 use crate::pool::{Output, Phase};
 
@@ -46,7 +46,12 @@ pub(crate) fn range_total<O: ScanOp<u64>>(
     deadline: Option<&ScanDeadline>,
 ) -> Result<(u64, bool), ExecError> {
     let heads = heads.map(|h| &h[range.clone()]);
-    try_reduce_range::<O, u64>(Schedule::Sequential, &data[range], heads, deadline).map_err(exec)
+    Scan::op::<O, u64>()
+        .schedule(Schedule::Sequential)
+        .heads(heads)
+        .deadline(deadline)
+        .try_total(&data[range])
+        .map_err(exec)
 }
 
 /// The exclusive scan of `data[range]` seeded with the pair `carry` (a
@@ -60,7 +65,12 @@ pub(crate) fn range_scan<O: ScanOp<u64>>(
     deadline: Option<&ScanDeadline>,
 ) -> Result<Vec<u64>, ExecError> {
     let heads = heads.map(|h| &h[range.clone()]);
-    try_scan_range::<O, u64>(Schedule::Sequential, &data[range], heads, carry, deadline)
+    Scan::op::<O, u64>()
+        .schedule(Schedule::Sequential)
+        .heads(heads)
+        .carry(carry)
+        .deadline(deadline)
+        .try_run(&data[range])
         .map(|(out, _)| out)
         .map_err(exec)
 }

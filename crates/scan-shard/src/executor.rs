@@ -1,8 +1,8 @@
 //! The sharded scan executor.
 //!
 //! A scan is split into contiguous ranges, one per admitted shard
-//! (each shard being an independent supervisor thread running
-//! scan-core's sequential range kernels, [`crate::pool`]), and runs in
+//! (each shard being an independent supervisor thread running a
+//! sequential [`scan_core::Scan`] over its range, `crate::pool`), and runs in
 //! two rounds mirroring the paper's two-pass schedule lifted one level
 //! up:
 //!
@@ -47,9 +47,8 @@ use std::thread;
 use std::time::Duration;
 
 use scan_core::backoff::Backoff;
-use scan_core::parallel::default_schedule;
 use scan_core::segmented::seg_combine;
-use scan_core::{try_scan_range, ExecError, Max, ScanDeadline, ScanOp, Sum};
+use scan_core::{ExecError, Max, Scan, ScanDeadline, ScanOp, Sum};
 use scan_fault::{Breaker, BreakerConfig, ChaosEvent, ChaosPlan, Gate};
 
 use crate::assemble::assemble;
@@ -331,15 +330,13 @@ impl ShardedExecutor {
             }
             // Single-pool degradation: the whole input as one range on
             // the ordinary scan-core schedule.
-            return try_scan_range::<O, u64>(
-                default_schedule(),
-                data,
-                head_flags,
-                identity,
-                deadline.as_ref(),
-            )
-            .map(|(out, _)| out)
-            .map_err(ShardError::from_core);
+            return Scan::op::<O, u64>()
+                .heads(head_flags)
+                .carry(identity)
+                .deadline(deadline.as_ref())
+                .try_run(data)
+                .map(|(out, _)| out)
+                .map_err(ShardError::from_core);
         }
 
         // Partition into one contiguous range per working shard.

@@ -22,8 +22,8 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 
-use scan_core::parallel::{try_exclusive_scan_by_sched, Schedule};
-use scan_core::{ExecError, Max, ScanDeadline, Sum};
+use scan_core::parallel::Schedule;
+use scan_core::{ExecError, Max, Scan, ScanDeadline, Sum};
 use scan_fault::ChaosEvent;
 
 use crate::combine::compute;
@@ -150,11 +150,11 @@ fn shard_loop(rx: Receiver<Job>) {
             ChaosEvent::Panic => {
                 // A kernel panic inside the job: the engine's fallible
                 // path contains it and reports a typed WorkerLost.
-                let err = try_exclusive_scan_by_sched(Schedule::Sequential, &[0u64], 0, |_, _| {
-                    panic!("chaos: injected shard task panic")
-                })
-                .err()
-                .unwrap_or(ExecError::WorkerLost { panics: 1 });
+                let err = Scan::by(0, |_, _| panic!("chaos: injected shard task panic"))
+                    .schedule(Schedule::Sequential)
+                    .try_run(&[0u64])
+                    .err()
+                    .unwrap_or(ExecError::WorkerLost { panics: 1 });
                 let _ = job.reply.send(Reply { result: Err(err) });
                 continue;
             }

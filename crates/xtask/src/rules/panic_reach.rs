@@ -163,4 +163,70 @@ mod tests {
         );
         assert_eq!(t.lint(), vec![]);
     }
+
+    /// A builder-style descriptor: `pub fn try_*` methods of a pub
+    /// struct, reached from a free function through a constructor and
+    /// setter chain.
+    const DESCRIPTOR: &str = "pub struct Desc { k: usize }\nimpl Desc {\n    pub fn start() -> Desc { Desc { k: 0 } }\n    pub fn skip(self, k: usize) -> Desc { Desc { k: self.k + k } }\n    pub fn try_first(&self, v: &[u64]) -> u64 { v[self.k] }\n}\n";
+
+    #[test]
+    fn try_method_of_a_pub_struct_is_an_entry() {
+        let t = Tree::new();
+        t.write("crates/demo/src/lib.rs", "#![forbid(unsafe_code)]\n");
+        t.write("crates/demo/src/desc.rs", DESCRIPTOR);
+        let vs = t.lint();
+        assert_eq!(rules(&vs), vec!["panic-reachability"]);
+        assert_eq!(vs[0].path, "crates/demo/src/desc.rs");
+        assert!(vs[0].msg.contains("slice index `v[..]`"));
+        assert!(vs[0].msg.contains("pub `try_first`"), "msg: {}", vs[0].msg);
+    }
+
+    #[test]
+    fn builder_chain_reaches_the_try_method_from_another_file() {
+        // `a.rs` sorts before `desc.rs`, so its free entry is the first
+        // to reach the method's index site and is the one reported.
+        let t = Tree::new();
+        t.write("crates/demo/src/lib.rs", "#![forbid(unsafe_code)]\n");
+        t.write(
+            "crates/demo/src/a.rs",
+            "pub fn try_second(v: &[u64]) -> u64 { Desc::start().skip(1).try_first(v) }\n",
+        );
+        t.write("crates/demo/src/desc.rs", DESCRIPTOR);
+        let vs = t.lint();
+        assert_eq!(rules(&vs), vec!["panic-reachability"]);
+        assert_eq!(vs[0].path, "crates/demo/src/desc.rs");
+        assert!(vs[0].msg.contains("slice index `v[..]`"));
+        assert!(vs[0].msg.contains("pub `try_second`"), "msg: {}", vs[0].msg);
+        assert!(
+            vs[0].notes[0].contains("try_second -> try_first"),
+            "notes: {:?}",
+            vs[0].notes
+        );
+    }
+
+    /// The resolver never follows a call to a std adapter name across
+    /// files, so a scan descriptor method named like one would lose its
+    /// callers in other files.
+    #[test]
+    fn scan_descriptor_methods_avoid_std_adapter_names() {
+        let ws = crate::model::Workspace::load(&crate::workspace_root());
+        let file = ws
+            .files
+            .iter()
+            .find(|f| f.rel == "crates/scan-core/src/scan.rs")
+            .expect("scan-core's scan.rs is in the workspace");
+        let methods: Vec<&str> = file
+            .fns
+            .iter()
+            .filter(|f| f.self_ty.as_deref() == Some("Scan") && !f.is_test)
+            .map(|f| f.name.as_str())
+            .collect();
+        assert!(methods.contains(&"try_run"), "methods: {methods:?}");
+        for name in methods {
+            assert!(
+                !crate::graph::STD_METHOD_NAMES.contains(&name),
+                "`Scan::{name}` shares a std adapter name"
+            );
+        }
+    }
 }

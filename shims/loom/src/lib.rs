@@ -8,7 +8,7 @@
 //! permit, and panics on the first schedule where an assertion fails,
 //! a deadlock occurs, or the closure panics.
 //!
-//! See [`rt`](crate::rt) (private) for the exploration algorithm and
+//! See the private `rt` module for the exploration algorithm and
 //! its bounds, and for the deliberate modeling differences from the
 //! real loom (sequential consistency, quiescence-gated timeouts).
 //!
