@@ -1,10 +1,11 @@
 //! Small-n parity micro for the scan entry points.
 //!
 //! Prints the median ns per call of the paper's scans and reductions,
-//! `ops::enumerate` and the service backend's fallible flat and
-//! segmented scans, at sizes below the parallel threshold. There every
-//! call runs the sequential kernel, so any per-call overhead an entry
-//! point adds over the engine shows in these figures first.
+//! `ops::enumerate`, `ops::pack` and the service backend's fallible
+//! flat and segmented scans, at sizes below the parallel threshold.
+//! There every call runs the sequential kernel, so any per-call
+//! overhead an entry point adds over the engine shows in these figures
+//! first.
 //!
 //! ```text
 //! cargo run --release -p scan-bench --bin bench_small
@@ -80,6 +81,7 @@ fn main() {
         let a64 = random_keys(n, 32, 0x5CA1 + n as u64);
         let a32: Vec<u32> = a64.iter().map(|&k| k as u32).collect();
         let flags: Vec<bool> = a64.iter().map(|&k| k % 16 == 0).collect();
+        let odd: Vec<bool> = a64.iter().map(|&k| k & 1 == 1).collect();
         let segs = Segments::from_flags(flags.clone());
 
         let mut cells: Vec<Cell> = Vec::new();
@@ -90,6 +92,14 @@ fn main() {
         cells.push((
             "enumerate".into(),
             Box::new(|| drop(black_box(ops::enumerate(black_box(&flags))))),
+        ));
+        cells.push((
+            "pack k & 1".into(),
+            Box::new(|| drop(black_box(ops::pack(black_box(&a64), black_box(&odd))))),
+        ));
+        cells.push((
+            "pack 1/16".into(),
+            Box::new(|| drop(black_box(ops::pack(black_box(&a64), black_box(&flags))))),
         ));
         cells.push((
             "service scan_one Sum<u64>".into(),

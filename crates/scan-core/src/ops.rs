@@ -362,32 +362,24 @@ pub fn split3_index(buckets: &[Bucket]) -> Vec<usize> {
 /// The `pack` operation (§2.5, Figure 11): keep only the elements whose
 /// flag is `true`, preserving order, in a vector of exactly that length.
 ///
-/// Implemented with an `enumerate` and a permute into the shorter
-/// vector, as the paper's load balancing does.
+/// The paper's enumerate and permute into the shorter vector, fused
+/// into one blocked pass: each block counts its kept flags, a scan of
+/// the counts gives each block its output offset, and each block then
+/// writes its kept elements straight into the result, using every
+/// enumerate value in the loop that computes it. No index vector is
+/// built and no pass is serial.
+///
+/// ```
+/// use scan_core::ops::pack;
+/// // Figure 11: F = [T F F F T T F T]
+/// let f = [true, false, false, false, true, true, false, true];
+/// assert_eq!(pack(&[0u32, 1, 2, 3, 4, 5, 6, 7], &f), vec![0, 4, 5, 7]);
+/// ```
 ///
 /// # Panics
 /// If lengths differ. See [`try_pack`] for the checked form.
 pub fn pack<T: ScanElem>(a: &[T], keep: &[bool]) -> Vec<T> {
-    assert_eq!(a.len(), keep.len(), "pack length mismatch");
-    // Fused enumerate-with-total: one pass, no 0/1 vector.
-    let (dest, total) = index_sum_scan(
-        keep.len(),
-        |i| usize::from(keep[i]),
-        parallel::Mode::ExclusiveFwd,
-    );
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    // SAFETY: `enumerate` assigns the kept elements the distinct indices
-    // 0..total in order, so every slot is written exactly once.
-    unsafe {
-        let p = out.as_mut_ptr();
-        for i in 0..a.len() {
-            if keep[i] {
-                p.add(dest[i]).write(a[i]);
-            }
-        }
-        out.set_len(total);
-    }
-    out
+    parallel::pack_engine(parallel::default_schedule(), a, keep, |_, x| x)
 }
 
 /// Checked [`pack`]: `Err(Error::LengthMismatch)` instead of panicking.
@@ -402,10 +394,12 @@ pub fn try_pack<T: ScanElem>(a: &[T], keep: &[bool]) -> Result<Vec<T>> {
     Ok(pack(a, keep))
 }
 
-/// Indices (into the original vector) of the kept elements, in order.
+/// Indices (into the original vector) of the kept elements, in order:
+/// [`pack`]'s kernel with each kept index as the element.
 pub fn pack_indices(keep: &[bool]) -> Vec<usize> {
-    let idx: Vec<usize> = (0..keep.len()).collect();
-    pack(&idx, keep)
+    // No source vector: the flags stand in for it, and `item` drops
+    // the element for its index.
+    parallel::pack_engine(parallel::default_schedule(), keep, keep, |i, _| i)
 }
 
 /// Merge two vectors under the direction of a *merge-flag vector*
@@ -495,8 +489,11 @@ fn select_impl<T: ScanElem>(flags: &[bool], t: &[T], e: &[T]) -> Result<Vec<T>> 
             actual: e.len(),
         });
     }
-    Ok((0..flags.len())
-        .map(|i| if flags[i] { t[i] } else { e[i] })
+    Ok(flags
+        .iter()
+        .zip(t)
+        .zip(e)
+        .map(|((&f, &t), &e)| if f { t } else { e })
         .collect())
 }
 

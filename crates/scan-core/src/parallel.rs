@@ -57,8 +57,8 @@
 //! [`crate::Scan`]: a closure operator is [`crate::Scan::by`], and
 //! [`crate::Scan::schedule`] picks a [`Schedule`] for one call. This
 //! module keeps the engines, the schedule switch, the sequential
-//! reference loops (`seq_*_by`) and the elementwise kernels (`map_by`,
-//! `tabulate_by`, `zip_by`).
+//! reference loops (`seq_*_by`), the elementwise kernels (`map_by`,
+//! `tabulate_by`, `zip_by`) and the compaction behind `ops::pack`.
 
 use crate::deadline::ScanDeadline;
 use crate::error::ExecError;
@@ -506,6 +506,12 @@ pub(crate) fn block_range(n: usize, nblocks: usize, b: usize) -> core::ops::Rang
     let rem = n % nblocks;
     let start = b * base + b.min(rem);
     start..start + base + usize::from(b < rem)
+}
+
+/// Block `r` of `s`, cut with `split_at`: `r` comes from
+/// [`block_range`] over `s.len()` elements.
+fn cut<T>(s: &[T], r: core::ops::Range<usize>) -> &[T] {
+    s.split_at(r.end).0.split_at(r.start).1
 }
 
 /// One contiguous span of a scan, in traversal order, optionally
@@ -966,6 +972,89 @@ where
     }
     // SAFETY: every index in `0..n` was initialized by exactly one block.
     unsafe { out.set_len(n) };
+    out
+}
+
+/// Blocked compaction, the paper's `pack` (§2.5): `item(i, src[i])` for
+/// each `i` with `keep[i]`, in order, in a vector of exactly that
+/// length. It runs on the scans' block plan, as one block wherever
+/// [`go_parallel`] declines: below the threshold, under
+/// [`Schedule::Sequential`], or `Pooled` on a one-lane pool.
+///
+/// Pass 1 counts each block's kept flags; an exclusive scan of the
+/// counts gives block `b` its output range `bounds[b]..bounds[b + 1]`
+/// and the total. Pass 2 is the enumerate and the permute in one
+/// loop: each block stores every element at its cursor and advances
+/// the cursor by the element's flag, so the next element overwrites a
+/// dropped one, with no branch on the flag. It stops once the cursor
+/// reaches the block's end, so no store leaves the block's range.
+///
+/// # Panics
+/// If `src` and `keep` differ in length.
+pub(crate) fn pack_engine<T, U, F>(sched: Schedule, src: &[T], keep: &[bool], item: F) -> Vec<U>
+where
+    T: Copy + Sync,
+    U: Copy + Send + Sync,
+    F: Fn(usize, T) -> U + Sync,
+{
+    assert_eq!(src.len(), keep.len(), "pack length mismatch");
+    let n = keep.len();
+    let (sched, nblocks) = if go_parallel(sched, n) {
+        (sched, plan_blocks(n, engine_width(sched)))
+    } else {
+        (Schedule::Sequential, 1)
+    };
+
+    // Pass 1: block `b`'s kept count lands in `bounds[b + 1]`.
+    let mut bounds = vec![0usize; nblocks + 1];
+    {
+        let c = SendPtr(bounds.as_mut_ptr());
+        let Ok(()) = NoDeadline.run_blocks(sched, nblocks, move |b| {
+            let kept = cut(keep, block_range(n, nblocks, b))
+                .iter()
+                .filter(|&&k| k)
+                .count();
+            // SAFETY: task `b` writes only index `b + 1 <= nblocks`.
+            unsafe { c.get().add(b + 1).write(kept) };
+        });
+    }
+    let mut total = 0;
+    for x in bounds.iter_mut() {
+        total += *x;
+        *x = total;
+    }
+
+    // Pass 2: each block fills exactly `bounds[b]..bounds[b + 1]`.
+    let mut out: Vec<U> = Vec::with_capacity(total);
+    {
+        let o = SendPtr(out.as_mut_ptr());
+        let (bounds, item) = (&bounds, &item);
+        let Ok(()) = NoDeadline.run_blocks(sched, nblocks, move |b| {
+            let Some(&[start, end]) = bounds.get(b..b + 2) else {
+                return;
+            };
+            let r = block_range(n, nblocks, b);
+            let base = r.start;
+            let (src, keep) = (cut(src, r.clone()), cut(keep, r));
+            let mut at = start;
+            for (j, (&x, &k)) in src.iter().zip(keep).enumerate() {
+                if at == end {
+                    break;
+                }
+                // SAFETY: `start <= at < end <= total`, and only this
+                // block writes `start..end`. A dropped element's store
+                // is overwritten by the next one's; the cursor passes a
+                // slot only after a kept element's store to it.
+                unsafe { o.get().add(at).write(item(base + j, x)) };
+                at += usize::from(k);
+            }
+        });
+    }
+    // SAFETY: every block ran (tasks `0..nblocks`, `bounds` has
+    // `nblocks + 1` entries) and passed all of its kept elements, as
+    // many as pass 1 counted, so each slot of `0..total` holds the kept
+    // element its block's cursor last stored there.
+    unsafe { out.set_len(total) };
     out
 }
 

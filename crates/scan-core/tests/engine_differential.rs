@@ -4,7 +4,9 @@
 //! and all four scan directions, must agree with the sequential
 //! reference at sizes straddling `PAR_THRESHOLD`, and every entry
 //! point's `try_*` twin must return `Ok` with the infallible call's
-//! output, bit for bit.
+//! output, bit for bit. `pack` and `pack_indices` must agree with an
+//! iterator filter at keep densities from none to all, under the same
+//! schedules and `Sequential`.
 //!
 //! The container running CI may expose a single core, which would give
 //! the lazy global pool width 1 and silently skip the parallel paths.
@@ -19,7 +21,7 @@ use scan_core::parallel::{self, Schedule, PAR_THRESHOLD};
 use scan_core::segmented::{
     seg_inclusive_scan, seg_inclusive_scan_backward, seg_scan, seg_scan_backward, Segments,
 };
-use scan_core::{Max, Scan, ScanOp, Sum};
+use scan_core::{ops, Max, Scan, ScanOp, Sum};
 use std::sync::{Mutex, Once};
 
 static INIT: Once = Once::new();
@@ -336,6 +338,29 @@ proptest! {
                     Scan::by((0u64, false), seg_wadd).inclusive().try_run(&pairs).map(|r| r.0)
                 });
                 prop_assert_eq!(try_combined, Ok(combined), "try pair-op seg scan n={} sched={:?}", n, sched);
+            }
+        }
+    }
+
+    #[test]
+    fn pack_and_pack_indices_match_filter(seed in any::<u64>()) {
+        setup();
+        for n in sizes() {
+            let a = data(seed, n);
+            let r = data(seed ^ 0x9ac4, n);
+            // Keep densities 0, 1/64, 1/2, 63/64 and 1.
+            for kept_of_64 in [0u64, 1, 32, 63, 64] {
+                let keep: Vec<bool> = r.iter().map(|&x| x % 64 < kept_of_64).collect();
+                let want: Vec<u64> = a.iter().zip(&keep).filter(|(_, &k)| k).map(|(&x, _)| x).collect();
+                let want_idx: Vec<usize> = (0..n).filter(|&i| keep[i]).collect();
+                for sched in PAR_SCHEDULES.into_iter().chain([Schedule::Sequential]) {
+                    let (got, got_idx, got_try) = with_default_schedule(sched, || {
+                        (ops::pack(&a, &keep), ops::pack_indices(&keep), ops::try_pack(&a, &keep))
+                    });
+                    prop_assert_eq!(&got, &want, "pack n={} keep={}/64 sched={:?}", n, kept_of_64, sched);
+                    prop_assert_eq!(&got_idx, &want_idx, "pack_indices n={} keep={}/64 sched={:?}", n, kept_of_64, sched);
+                    prop_assert_eq!(got_try, Ok(want.clone()), "try_pack n={} keep={}/64 sched={:?}", n, kept_of_64, sched);
+                }
             }
         }
     }

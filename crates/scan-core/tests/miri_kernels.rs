@@ -175,15 +175,35 @@ fn staged_scatter_is_sound_at_miri_size() {
 
 #[test]
 fn pack_kernel_is_sound_at_miri_size() {
+    // Each block stores every element at its cursor and must stop once
+    // the cursor reaches its end: one more store would race with the
+    // next block's first slot, or land past the last block's capacity.
+    // The prefix pattern ends a block on dropped elements after its
+    // last kept one, and leaves the blocks after it with none.
+    // `ops::pack` takes the default schedule; no other test here
+    // reads it.
     shrink_threshold();
     let a = input(n());
-    let keep: Vec<bool> = a.iter().map(|&x| x % 3 == 0).collect();
-    let expect: Vec<u64> = a
-        .iter()
-        .zip(&keep)
-        .filter_map(|(&x, &k)| k.then_some(x))
-        .collect();
-    assert_eq!(ops::pack(&a, &keep), expect);
+    let keeps: [Vec<bool>; 4] = [
+        a.iter().map(|&x| x % 3 == 0).collect(),
+        vec![false; a.len()],
+        vec![true; a.len()],
+        (0..a.len()).map(|i| i < a.len() / 3).collect(),
+    ];
+    for sched in SCHEDS {
+        parallel::set_default_schedule(sched);
+        for keep in &keeps {
+            let expect: Vec<u64> = a
+                .iter()
+                .zip(keep)
+                .filter_map(|(&x, &k)| k.then_some(x))
+                .collect();
+            let expect_idx: Vec<usize> = (0..a.len()).filter(|&i| keep[i]).collect();
+            assert_eq!(ops::pack(&a, keep), expect, "{sched:?}");
+            assert_eq!(ops::pack_indices(keep), expect_idx, "{sched:?}");
+        }
+    }
+    parallel::set_default_schedule(Schedule::Pooled);
 }
 
 #[test]

@@ -25,11 +25,10 @@ use crate::diag::Report;
 use crate::model::Workspace;
 
 /// Files allowed to contain `unsafe` (the audited kernel modules).
-pub const UNSAFE_ALLOWLIST: [&str; 6] = [
+pub const UNSAFE_ALLOWLIST: [&str; 5] = [
     "crates/scan-core/src/parallel.rs",
     "crates/scan-core/src/pool.rs",
     "crates/scan-core/src/multi_split.rs",
-    "crates/scan-core/src/ops.rs",
     "crates/scan-core/src/simd.rs",
     "crates/scan-core/src/lookback.rs",
 ];

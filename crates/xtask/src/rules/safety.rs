@@ -167,7 +167,7 @@ mod tests {
     fn multi_line_safety_block_satisfies_r1() {
         let t = Tree::new();
         t.write(
-            "crates/scan-core/src/ops.rs",
+            "crates/scan-core/src/multi_split.rs",
             "// SAFETY: blocks are disjoint and cover 0..n, so each\n// write hits a unique index.\nfn f(p: *mut u8) { unsafe { p.write(0) } }\n",
         );
         assert_eq!(t.lint(), vec![]);
@@ -226,6 +226,19 @@ mod tests {
         t.write(
             "crates/demo/src/lib.rs",
             "#![forbid(unsafe_code)]\n// SAFETY: not actually fine — wrong module.\nfn f(p: *mut u8) { unsafe { p.write(0) } }\n",
+        );
+        assert_eq!(rules(&t.lint()), vec!["unsafe-allowlist"]);
+    }
+
+    // `ops.rs` is off the allowlist (its kernels live in
+    // `parallel.rs`), and a SAFETY comment does not admit `unsafe`
+    // there.
+    #[test]
+    fn unsafe_in_ops_is_flagged() {
+        let t = Tree::new();
+        t.write(
+            "crates/scan-core/src/ops.rs",
+            "// SAFETY: p is valid for writes.\nfn f(p: *mut u8) { unsafe { p.write(0) } }\n",
         );
         assert_eq!(rules(&t.lint()), vec!["unsafe-allowlist"]);
     }
