@@ -1,7 +1,7 @@
 //! Shared workload generators and table formatting for the
 //! reproduction harness. Each `table*` binary regenerates one table of
-//! the paper; the Criterion benches measure wall clock on the rayon
-//! kernels.
+//! the paper; the Criterion benches measure wall clock on the pooled
+//! parallel kernels (`scan_core::parallel`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

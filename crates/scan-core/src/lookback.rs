@@ -52,7 +52,7 @@
 //! unwind already ran the guard.
 
 use crate::deadline::ScanDeadline;
-use crate::parallel::{budget_scan_span, Budget, Mode, Schedule, SendPtr};
+use crate::parallel::{advise_huge_pages, budget_scan_span, Budget, Mode, Schedule, SendPtr};
 use crate::simd::SimdTile;
 use crate::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::cell::UnsafeCell;
@@ -301,6 +301,7 @@ where
     let nblocks = n.div_ceil(block);
     let table = DescTable::new(nblocks);
     let mut out: Vec<U> = Vec::with_capacity(n);
+    advise_huge_pages(&mut out);
     {
         let o = SendPtr::new(out.as_mut_ptr());
         let table = &table;

@@ -58,7 +58,9 @@
 //! [`crate::Scan::schedule`] picks a [`Schedule`] for one call. This
 //! module keeps the engines, the schedule switch, the sequential
 //! reference loops (`seq_*_by`), the elementwise kernels (`map_by`,
-//! `tabulate_by`, `zip_by`) and the compaction behind `ops::pack`.
+//! `tabulate_by`, `zip_by`), the compaction behind `ops::pack`, and
+//! the transparent-huge-page hint that every fresh engine output takes
+//! before its first write ([`advise_huge_pages`]).
 
 use crate::deadline::ScanDeadline;
 use crate::error::ExecError;
@@ -737,6 +739,62 @@ where
     Ok(acc)
 }
 
+/// Bytes in one transparent huge page (a PMD-mapped page on x86_64).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// Ask Linux to back the whole 2 MiB-aligned pages inside `v`'s
+/// capacity with transparent huge pages (`madvise(MADV_HUGEPAGE)`), so
+/// that first touch of a fresh output faults once per 2 MiB instead of
+/// once per 4 KiB. Call it on a fresh allocation, before its first
+/// write, and only on one that will be written up to its capacity: a
+/// huge page is backed in full on first touch.
+///
+/// The advice changes how the pages are backed, never what they hold,
+/// so the syscall's result is ignored. Nothing happens when no whole
+/// aligned page fits in the capacity (so no output under 2 MiB reaches
+/// the syscall), on targets other than Linux on x86_64, or under Miri,
+/// and the kernel ignores the advice when its THP mode is `never`.
+#[inline]
+pub fn advise_huge_pages<T>(v: &mut Vec<T>) {
+    if let Some(r) = huge_interior(v.as_ptr().addr(), v.capacity(), size_of::<T>()) {
+        madvise_huge(r);
+    }
+}
+
+/// The whole [`HUGE_PAGE`]-aligned pages inside `len` elements of
+/// `size` bytes from address `addr`, as an address range; `None` when
+/// none fits, or when the byte count or the end would overflow.
+fn huge_interior(addr: usize, len: usize, size: usize) -> Option<core::ops::Range<usize>> {
+    let end = addr.checked_add(len.checked_mul(size)?)?;
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = end - end % HUGE_PAGE;
+    (start < end).then_some(start..end)
+}
+
+/// `madvise(MADV_HUGEPAGE)` over `r`, whole huge pages inside an
+/// allocation the caller owns.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+fn madvise_huge(r: core::ops::Range<usize>) {
+    use core::ffi::{c_int, c_void};
+    use core::ptr::without_provenance_mut;
+    // The C library `std` already links on this target.
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    // Linux's `asm-generic/mman-common.h`.
+    const MADV_HUGEPAGE: c_int = 14;
+    // SAFETY: `madvise` reads and writes no memory of this process. `r`
+    // is page-aligned and lies inside one live allocation, and
+    // `MADV_HUGEPAGE` changes only how its pages are backed, never what
+    // they hold. Any failure (e.g. `EINVAL` from a kernel built without
+    // THP) leaves the default 4 KiB backing, so the result is ignored.
+    let _ = unsafe { madvise(without_provenance_mut(r.start), r.len(), MADV_HUGEPAGE) };
+}
+
+/// Elsewhere the hint has no system call to make.
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
+fn madvise_huge(_: core::ops::Range<usize>) {}
+
 /// The scan engine. Returns the emitted output vector and the total
 /// reduction of all loaded values (in traversal order). Small inputs,
 /// [`Schedule::Sequential`] and one-block plans run [`seq_scan`];
@@ -811,6 +869,7 @@ where
     E: Fn(usize, S) -> U,
 {
     let mut out: Vec<U> = Vec::with_capacity(n);
+    advise_huge_pages(&mut out);
     let o = out.as_mut_ptr();
     // SAFETY: single-threaded; the span writes each index in `0..n`
     // once, and `set_len` runs only if it ran to the end (on `Err` the
@@ -886,6 +945,7 @@ where
     // On an error the output is dropped at length 0, so its partially
     // initialized prefix is never exposed (`U: Copy`, nothing to drop).
     let mut out: Vec<U> = Vec::with_capacity(n);
+    advise_huge_pages(&mut out);
     {
         let o = SendPtr(out.as_mut_ptr());
         let offsets = &offsets;
@@ -955,11 +1015,13 @@ where
     U: Copy + Send + Sync,
     G: Fn(usize) -> U + Sync,
 {
+    let mut out: Vec<U> = Vec::with_capacity(n);
+    advise_huge_pages(&mut out);
     if !go_parallel(sched, n) {
-        return (0..n).map(g).collect();
+        out.extend((0..n).map(g));
+        return out;
     }
     let nblocks = plan_blocks(n, engine_width(sched));
-    let mut out: Vec<U> = Vec::with_capacity(n);
     {
         let o = SendPtr(out.as_mut_ptr());
         let g = &g;
@@ -1026,6 +1088,7 @@ where
 
     // Pass 2: each block fills exactly `bounds[b]..bounds[b + 1]`.
     let mut out: Vec<U> = Vec::with_capacity(total);
+    advise_huge_pages(&mut out);
     {
         let o = SendPtr(out.as_mut_ptr());
         let (bounds, item) = (&bounds, &item);
@@ -1584,6 +1647,32 @@ mod tests {
         assert!(matches!(got, Err(ExecError::WorkerLost { .. })));
         let got = Scan::by(0, |_, _| -> u64 { panic!("tiny boom") }).try_total(&small);
         assert!(matches!(got, Err(ExecError::WorkerLost { .. })));
+    }
+
+    #[test]
+    fn huge_interior_holds_only_whole_aligned_pages() {
+        const H: usize = HUGE_PAGE;
+        // Under 2 MiB: none, aligned or not.
+        assert_eq!(huge_interior(4 * H, H - 1, 1), None);
+        assert_eq!(huge_interior(4 * H + 16, H, 1), None);
+        // Exactly one aligned page, in bytes or in `u64`s.
+        assert_eq!(huge_interior(4 * H, H, 1), Some(4 * H..5 * H));
+        assert_eq!(huge_interior(4 * H, H / 8, 8), Some(4 * H..5 * H));
+        // 4 MiB from an unaligned start: the one page inside.
+        assert_eq!(huge_interior(4 * H + 4096, 2 * H, 1), Some(5 * H..6 * H));
+        // 32 MiB of `u64` behind the C allocator's 16-byte header: 15
+        // of its 16 pages.
+        assert_eq!(huge_interior(7 * H + 16, 1 << 22, 8), Some(8 * H..23 * H));
+        // A zero-sized `T`: capacity `usize::MAX`, no bytes.
+        let mut v: Vec<()> = Vec::with_capacity(1);
+        assert_eq!(v.capacity(), usize::MAX);
+        assert_eq!(huge_interior(v.as_ptr().addr(), v.capacity(), 0), None);
+        advise_huge_pages(&mut v);
+        // Overflow is none, never a panic: the byte count, the end, and
+        // the first boundary past the start.
+        assert_eq!(huge_interior(H, usize::MAX, 8), None);
+        assert_eq!(huge_interior(usize::MAX - H, 2 * H, 1), None);
+        assert_eq!(huge_interior(usize::MAX - 16, 0, 1), None);
     }
 
     /// The message of the panic `f` raises, or `None` if it returns.

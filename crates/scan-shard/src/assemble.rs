@@ -26,6 +26,7 @@
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
+use scan_core::parallel::advise_huge_pages;
 use scan_core::segmented::seg_combine;
 use scan_core::{ExecError, ScanOp};
 
@@ -62,8 +63,10 @@ pub(crate) fn assemble<O: ScanOp<u64>>(
     carries: &[(u64, bool)],
 ) -> Result<(Vec<u64>, Vec<Verdict>), ExecError> {
     let identity = (O::identity(), false);
-    // Zeroed, not written: each task faults in its own slice's pages.
+    // Zeroed, not written: each task faults in its own slice's pages,
+    // whole 2 MiB pages where the advice took.
     let mut out = vec![0; data.len()];
+    advise_huge_pages(&mut out);
     // Per range: its own slice of the output, then whether its piece
     // held the recurrence, and its true pair total.
     let mut lanes = Vec::with_capacity(ranges.len());
