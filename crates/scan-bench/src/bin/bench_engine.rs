@@ -515,9 +515,9 @@ fn main() {
     }
 
     // `multi_split` stages and streams its scatter's output lines only
-    // from a 16 MiB destination on, and only with the vector path on:
-    // one sort that large, which CI runs under both SIMD pins (streamed
-    // lines, or the direct scatter).
+    // from a 16 MiB destination on, and only when the dispatcher picks
+    // AVX2: one sort that large, which CI runs under both SIMD pins
+    // (streamed lines, or the direct scatter).
     if smoke {
         let keys = random_keys(1 << 21, 32, 0x5027);
         let mut expect = keys.clone();
@@ -556,16 +556,21 @@ fn main() {
         s.process(|c| got.extend_from_slice(c))
             .expect("stream failed");
         assert_eq!(got, want, "streamed scan disagrees with in-RAM");
-        drop(got);
 
+        // Timed: every chunk is copied into `got`, a caller-owned
+        // buffer, so the stream writes its whole output as the in-RAM
+        // baseline does.
         let stream_ns = time_median(w, k, || {
-            let mut s =
-                ScanStream::<Sum, u64, _>::exclusive(SliceSource::new(&data, chunk_len));
+            let mut s = ScanStream::<Sum, u64, _>::exclusive(SliceSource::new(&data, chunk_len));
+            let mut pos = 0;
             s.process(|c| {
-                std::hint::black_box(c.len());
+                got[pos..pos + c.len()].copy_from_slice(c);
+                pos += c.len();
             })
             .expect("stream failed")
         });
+        assert_eq!(got, want, "timed stream wrote a wrong output");
+        drop(got);
         rows.push(Row {
             kernel: "+-scan(stream)",
             n: stream_n,

@@ -17,11 +17,10 @@
 //!   ([`segmented`], paper §2.3);
 //! - parallel execution kernels (blocked two-pass over a persistent
 //!   worker pool, [`parallel`] + [`pool`], plus a single-pass
-//!   decoupled-lookback schedule, [`lookback`]), with runtime-dispatched
-//!   SIMD tile kernels for the exact integer operators ([`simd`]),
-//!   falling back to sequential code below a threshold; set
-//!   `SCAN_CORE_THREADS` to pin the width and `SCAN_CORE_SIMD=0` to
-//!   pin the scalar kernels;
+//!   decoupled-lookback schedule, [`lookback`]), falling back to
+//!   sequential code below a threshold; set `SCAN_CORE_THREADS` to pin
+//!   the width and `SCAN_CORE_SIMD=0` to keep the radix scatter's
+//!   stores plain, not streamed ([`simd`]);
 //! - the derived "simple operations" of §2.2 — `enumerate`, `copy`,
 //!   `+-distribute`, `permute`, `split`, `pack` ([`ops`]) — and their
 //!   segmented counterparts ([`segops`], §2.3);

@@ -53,7 +53,6 @@
 
 use crate::deadline::ScanDeadline;
 use crate::parallel::{advise_huge_pages, budget_scan_span, Budget, Mode, Schedule, SendPtr};
-use crate::simd::SimdTile;
 use crate::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -278,7 +277,6 @@ impl<S: Copy> Drop for Abandon<'_, S> {
 /// `identity` must be a two-sided identity — the slow path
 /// materializes identity-seeded local states and grafts the resolved
 /// seed on with one extra combine per element.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn engine<B, S, U, L, F, E>(
     n: usize,
     load: &L,
@@ -286,7 +284,6 @@ pub(crate) fn engine<B, S, U, L, F, E>(
     f: &F,
     emit: &E,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
     budget: B,
 ) -> Result<(Vec<U>, S), B::Err>
 where
@@ -333,8 +330,7 @@ where
                 // owns slice `r`, so each index is written at most once,
                 // and `set_len` below runs only if every block finished.
                 let mut write = |i: usize, s: S| unsafe { o.get().add(i).write(emit(i, s)) };
-                let Ok(incl) = budget_scan_span(r, load, seed, f, mode, tile, budget, &mut write)
-                else {
+                let Ok(incl) = budget_scan_span(r, load, seed, f, mode, budget, &mut write) else {
                     return;
                 };
                 table.publish_prefix(t, incl);
@@ -353,7 +349,7 @@ where
                 // span filled it.
                 let mut write = |i: usize, s: S| unsafe { sp.add(i - base).write(s) };
                 let Ok(agg) =
-                    budget_scan_span(r.clone(), load, identity, f, mode, tile, budget, &mut write)
+                    budget_scan_span(r.clone(), load, identity, f, mode, budget, &mut write)
                 else {
                     return;
                 };

@@ -232,17 +232,17 @@ where
     // Memory order is bucket-major then block-major, so the scanned
     // slot (k, b) is the stable output offset for that (bucket, block)
     // pair, and column heads are the bucket bases.
-    // In-place through `scan_span` so the count matrix rides the same
-    // `usize` sum tile as the scans: each tile's loads complete before
-    // its writes, and tiles never revisit an index, so reading through
-    // the write pointer is sound.
+    // In place through `scan_span`, the scans' own loop: it loads index
+    // `i` before it writes `i` and never visits `i` again, so reading
+    // through the write pointer is sound.
     let acc = {
         let m = scratch.counts.len();
         let ptr = SendPtr::new(scratch.counts.as_mut_ptr());
-        // SAFETY: single-threaded pass; `scan_span` loads every index
-        // before writing it (per tile), and indices are visited once.
+        // SAFETY: single-threaded pass; `scan_span` loads index `i`
+        // before it writes `i`, and never visits `i` again.
         let load = |i: usize| unsafe { *ptr.get().add(i) };
-        // SAFETY: as above — `i` was already loaded when this runs.
+        // SAFETY: as above — `i` was already loaded when this runs, and
+        // is not loaded again.
         let mut write = |i: usize, s: usize| unsafe { ptr.get().add(i).write(s) };
         scan_span(
             0..m,
@@ -250,7 +250,6 @@ where
             0usize,
             &|a: usize, b: usize| a.wrapping_add(b),
             Mode::ExclusiveFwd,
-            <crate::op::Sum as crate::op::ScanOp<usize>>::simd_tile(),
             &mut write,
         )
     };

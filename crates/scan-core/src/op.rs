@@ -7,7 +7,6 @@
 //! directly as zero-sized operator types implementing [`ScanOp`].
 
 use crate::element::ScanElem;
-use crate::simd::SimdTile;
 
 /// A binary associative operator with identity, usable in a scan.
 ///
@@ -28,20 +27,6 @@ pub trait ScanOp<T: ScanElem>: Send + Sync + 'static {
 
     /// Apply the operator: `a ⊕ b`.
     fn combine(a: T, b: T) -> T;
-
-    /// Vectorized tile kernels for this operator over `T`, if the
-    /// running CPU has them (see [`crate::simd`]). Only overridden
-    /// where reassociation is bit-exact — integer `+`/`max` at 64-bit
-    /// width; everything else keeps the scalar engine.
-    fn simd_tile() -> Option<&'static SimdTile<T>> {
-        None
-    }
-
-    /// Vectorized tile kernels for the segmented `(T, head-flag)`
-    /// pair operator derived from this operator (paper §2.3).
-    fn simd_seg_tile() -> Option<&'static SimdTile<(T, bool)>> {
-        None
-    }
 }
 
 /// Addition (the paper's `+-scan`). Wrapping for integers.
@@ -90,67 +75,7 @@ macro_rules! impl_int_ops {
     )*};
 }
 
-impl_int_ops!(u8, u16, u32, u128, i8, i16, i32, i128);
-
-// 64-bit integer widths additionally register the AVX2 tile kernels
-// for `+` and `max` (plain and segmented); `Prod`/`Min` keep the
-// defaults. Reassociating wrapping adds and lattice maxes is
-// bit-exact, so the vector path cannot change results.
-macro_rules! impl_int_ops_tiled {
-    ($($t:ty => ($sumt:path, $maxt:path, $segsumt:path, $segmaxt:path $(,)?)),* $(,)?) => {$(
-        impl ScanOp<$t> for Sum {
-            const NAME: &'static str = "+";
-            #[inline(always)]
-            fn identity() -> $t { 0 }
-            #[inline(always)]
-            fn combine(a: $t, b: $t) -> $t { a.wrapping_add(b) }
-            fn simd_tile() -> Option<&'static SimdTile<$t>> { $sumt() }
-            fn simd_seg_tile() -> Option<&'static SimdTile<($t, bool)>> { $segsumt() }
-        }
-        impl ScanOp<$t> for Prod {
-            const NAME: &'static str = "*";
-            #[inline(always)]
-            fn identity() -> $t { 1 }
-            #[inline(always)]
-            fn combine(a: $t, b: $t) -> $t { a.wrapping_mul(b) }
-        }
-        impl ScanOp<$t> for Max {
-            const NAME: &'static str = "max";
-            #[inline(always)]
-            fn identity() -> $t { <$t>::MIN }
-            #[inline(always)]
-            fn combine(a: $t, b: $t) -> $t { if a >= b { a } else { b } }
-            fn simd_tile() -> Option<&'static SimdTile<$t>> { $maxt() }
-            fn simd_seg_tile() -> Option<&'static SimdTile<($t, bool)>> { $segmaxt() }
-        }
-        impl ScanOp<$t> for Min {
-            const NAME: &'static str = "min";
-            #[inline(always)]
-            fn identity() -> $t { <$t>::MAX }
-            #[inline(always)]
-            fn combine(a: $t, b: $t) -> $t { if a <= b { a } else { b } }
-        }
-    )*};
-}
-
-impl_int_ops_tiled!(
-    u64 => (
-        crate::simd::sum_u64_tile, crate::simd::max_u64_tile,
-        crate::simd::seg_sum_u64_tile, crate::simd::seg_max_u64_tile,
-    ),
-    usize => (
-        crate::simd::sum_usize_tile, crate::simd::max_usize_tile,
-        crate::simd::seg_sum_usize_tile, crate::simd::seg_max_usize_tile,
-    ),
-    i64 => (
-        crate::simd::sum_i64_tile, crate::simd::max_i64_tile,
-        crate::simd::seg_sum_i64_tile, crate::simd::seg_max_i64_tile,
-    ),
-    isize => (
-        crate::simd::sum_isize_tile, crate::simd::max_isize_tile,
-        crate::simd::seg_sum_isize_tile, crate::simd::seg_max_isize_tile,
-    ),
-);
+impl_int_ops!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize);
 
 macro_rules! impl_bitwise_ops {
     ($($t:ty),*) => {$(

@@ -51,15 +51,13 @@ pub fn count(flags: &[bool]) -> usize {
         |i| usize::from(flags[i]),
         0usize,
         |a, b| a.wrapping_add(b),
-        <crate::op::Sum as ScanOp<usize>>::simd_tile(),
         parallel::NoDeadline,
     );
     total
 }
 
 /// The funnel for every §2.2 flag-counting step: a fused 0/1 `+`-scan
-/// by index with the `usize` sum tile attached (integer index counts
-/// reassociate exactly, so the vector path cannot change a result).
+/// by index.
 fn index_sum_scan<G>(n: usize, g: G, mode: parallel::Mode) -> (Vec<usize>, usize)
 where
     G: Fn(usize) -> usize + Sync,
@@ -72,7 +70,6 @@ where
         |a, b| a.wrapping_add(b),
         |_, s| s,
         mode,
-        <crate::op::Sum as ScanOp<usize>>::simd_tile(),
         parallel::NoDeadline,
     );
     r

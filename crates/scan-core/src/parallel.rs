@@ -35,18 +35,16 @@
 //! they reassociate the operator identically and produce bit-identical
 //! results even for non-associative operators like float addition.
 //!
-//! Two orthogonal upgrades close the gap to the memcpy roofline:
+//! Every span — sequential, blocked down sweep, or lookback block —
+//! runs one fused loop: load element `i`, combine it into the running
+//! state, emit the state for `i`. Typed operators, closures and the
+//! segmented pair operator all take it, at every element width.
 //!
-//! - **SIMD tiles** ([`crate::simd`]): when the operator registers a
-//!   vectorized tile kernel (exact integer `+`/`max`, plain or
-//!   segmented pairs), every span — sequential, blocked, or lookback —
-//!   stages loads through an L1-resident buffer and scans it in
-//!   register instead of element-at-a-time.
-//! - **Single-pass lookback** ([`Schedule::Lookback`],
-//!   [`crate::lookback`]): replaces the two passes over the input with
-//!   one, chaining block offsets through a descriptor array instead of
-//!   a barriered offset scan. The two-pass engine stays as the
-//!   differential baseline, exactly like `Spawn`.
+//! **Single-pass lookback** ([`Schedule::Lookback`], [`crate::lookback`])
+//! replaces the two passes over the input with one, chaining block
+//! offsets through a descriptor array instead of a barriered offset
+//! scan. The two-pass engine stays as the differential baseline,
+//! exactly like `Spawn`.
 //!
 //! Each engine has one body for both kinds of entry point: the
 //! infallible ones run it with no deadline, and their `try_*`
@@ -65,7 +63,6 @@
 use crate::deadline::ScanDeadline;
 use crate::error::ExecError;
 use crate::pool;
-use crate::simd::SimdTile;
 use crate::sync::ConfigCell;
 use core::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -516,19 +513,18 @@ fn cut<T>(s: &[T], r: core::ops::Range<usize>) -> &[T] {
     s.split_at(r.end).0.split_at(r.start).1
 }
 
-/// One contiguous span of a scan, in traversal order, optionally
-/// staged through a SIMD tile kernel. `write(i, state)` receives each
-/// index's scan state (pre- or post-combine per `mode`); the return
-/// value is the carry-out — the inclusive fold of the span into
-/// `seed`. Every scan path (sequential, blocked down sweep, lookback
-/// block) funnels through this one loop.
+/// One contiguous span of a scan, in traversal order. `write(i,
+/// state)` receives each index's scan state (pre- or post-combine per
+/// `mode`); the return value is the carry-out — the inclusive fold of
+/// the span into `seed`. Every scan path (sequential, blocked down
+/// sweep, lookback block) funnels through this one loop, which loads
+/// index `i` before it writes `i` and never visits `i` again.
 pub(crate) fn scan_span<S, L, F, W>(
     r: core::ops::Range<usize>,
     load: &L,
     seed: S,
     f: &F,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
     write: &mut W,
 ) -> S
 where
@@ -537,63 +533,35 @@ where
     F: Fn(S, S) -> S,
     W: FnMut(usize, S),
 {
-    let Some(t) = tile else {
-        // Scalar reference loop — unchanged association and traversal.
-        let mut acc = seed;
-        if mode.backward() {
-            for i in r.rev() {
-                let x = load(i);
-                if mode.inclusive() {
-                    acc = f(acc, x);
-                    write(i, acc);
-                } else {
-                    write(i, acc);
-                    acc = f(acc, x);
-                }
-            }
-        } else {
+    let mut acc = seed;
+    // One loop per mode: with the mode tested inside a shared loop, the
+    // strided `try_*` spans ran up to 1.7× slower in `bench_small`.
+    match mode {
+        Mode::ExclusiveFwd => {
             for i in r {
                 let x = load(i);
-                if mode.inclusive() {
-                    acc = f(acc, x);
-                    write(i, acc);
-                } else {
-                    write(i, acc);
-                    acc = f(acc, x);
-                }
+                write(i, acc);
+                acc = f(acc, x);
             }
         }
-        return acc;
-    };
-    // Tiled path: stage up to TILE loads in an L1-resident buffer (in
-    // index order), scan it in register, hand the states to `write`.
-    // Tiles exist only for exact operators, so the reassociation
-    // inside the kernel cannot change any bit of the result.
-    let mut buf: Vec<S> = Vec::with_capacity(crate::simd::TILE.min(r.len()));
-    let mut acc = seed;
-    if mode.backward() {
-        let mut hi = r.end;
-        while hi > r.start {
-            let lo = hi - (hi - r.start).min(crate::simd::TILE);
-            buf.clear();
-            buf.extend((lo..hi).map(load));
-            acc = (t.bwd)(&mut buf, acc, mode.inclusive());
-            for (k, &s) in buf.iter().enumerate() {
-                write(lo + k, s);
+        Mode::InclusiveFwd => {
+            for i in r {
+                acc = f(acc, load(i));
+                write(i, acc);
             }
-            hi = lo;
         }
-    } else {
-        let mut lo = r.start;
-        while lo < r.end {
-            let hi = (lo + crate::simd::TILE).min(r.end);
-            buf.clear();
-            buf.extend((lo..hi).map(load));
-            acc = (t.fwd)(&mut buf, acc, mode.inclusive());
-            for (k, &s) in buf.iter().enumerate() {
-                write(lo + k, s);
+        Mode::ExclusiveBwd => {
+            for i in r.rev() {
+                let x = load(i);
+                write(i, acc);
+                acc = f(acc, x);
             }
-            lo = hi;
+        }
+        Mode::InclusiveBwd => {
+            for i in r.rev() {
+                acc = f(acc, load(i));
+                write(i, acc);
+            }
         }
     }
     acc
@@ -620,14 +588,12 @@ fn strides(
 /// [`scan_span`] under `budget`: in strides of [`Budget::STRIDE`]
 /// elements, checking the budget between them. On `Err` the span
 /// stopped part-way and the caller discards what it wrote.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn budget_scan_span<B, S, L, F, W>(
     r: core::ops::Range<usize>,
     load: &L,
     seed: S,
     f: &F,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
     budget: B,
     write: &mut W,
 ) -> Result<S, B::Err>
@@ -642,67 +608,41 @@ where
     // over, so the optimizer sees the span's bounds and drops the
     // load closure's index checks.
     if r.len() <= B::STRIDE {
-        return Ok(scan_span(r, load, seed, f, mode, tile, write));
+        return Ok(scan_span(r, load, seed, f, mode, write));
     }
     let mut acc = seed;
     for (k, s) in strides(r, B::STRIDE, mode.backward()).enumerate() {
         if k > 0 {
             budget.check()?;
         }
-        acc = scan_span(s, load, acc, f, mode, tile, write);
+        acc = scan_span(s, load, acc, f, mode, write);
     }
     Ok(acc)
 }
 
-/// One contiguous span of a reduction in traversal order; the tiled
-/// path stages each chunk in traversal order before folding, so
-/// non-commutative operators (the segmented pair combine) fold in the
-/// same order as the scalar loop.
+/// One contiguous span of a reduction in traversal order: the fold of
+/// the span into `seed`, in the same order as [`scan_span`], so
+/// non-commutative operators (the segmented pair combine) fold alike.
 pub(crate) fn reduce_span<S, L, F>(
     r: core::ops::Range<usize>,
     load: &L,
     seed: S,
     f: &F,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
 ) -> S
 where
     S: Copy,
     L: Fn(usize) -> S,
     F: Fn(S, S) -> S,
 {
-    let Some(t) = tile else {
-        let mut acc = seed;
-        if mode.backward() {
-            for i in r.rev() {
-                acc = f(acc, load(i));
-            }
-        } else {
-            for i in r {
-                acc = f(acc, load(i));
-            }
-        }
-        return acc;
-    };
-    let mut buf: Vec<S> = Vec::with_capacity(crate::simd::TILE.min(r.len()));
     let mut acc = seed;
     if mode.backward() {
-        let mut hi = r.end;
-        while hi > r.start {
-            let lo = hi - (hi - r.start).min(crate::simd::TILE);
-            buf.clear();
-            buf.extend((lo..hi).rev().map(load));
-            acc = (t.reduce)(&buf, acc);
-            hi = lo;
+        for i in r.rev() {
+            acc = f(acc, load(i));
         }
     } else {
-        let mut lo = r.start;
-        while lo < r.end {
-            let hi = (lo + crate::simd::TILE).min(r.end);
-            buf.clear();
-            buf.extend((lo..hi).map(load));
-            acc = (t.reduce)(&buf, acc);
-            lo = hi;
+        for i in r {
+            acc = f(acc, load(i));
         }
     }
     acc
@@ -716,7 +656,6 @@ pub(crate) fn budget_reduce_span<B, S, L, F>(
     seed: S,
     f: &F,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
     budget: B,
 ) -> Result<S, B::Err>
 where
@@ -727,14 +666,14 @@ where
 {
     // One stride: as in `budget_scan_span`.
     if r.len() <= B::STRIDE {
-        return Ok(reduce_span(r, load, seed, f, mode, tile));
+        return Ok(reduce_span(r, load, seed, f, mode));
     }
     let mut acc = seed;
     for (k, s) in strides(r, B::STRIDE, mode.backward()).enumerate() {
         if k > 0 {
             budget.check()?;
         }
-        acc = reduce_span(s, load, acc, f, mode, tile);
+        acc = reduce_span(s, load, acc, f, mode);
     }
     Ok(acc)
 }
@@ -802,11 +741,8 @@ fn madvise_huge(_: core::ops::Range<usize>) {}
 /// everything else [`blocked_scan`].
 ///
 /// `f` must be associative with identity `identity`; the parallel
-/// schedules reassociate combines across blocks. A `tile` (typed
-/// entry points pass [`crate::op::ScanOp::simd_tile`]) vectorizes the
-/// inner loops without changing any result bit — tiles are registered
-/// only for exact operators. The `budget` strides the spans but never
-/// changes the block plan or the association.
+/// schedules reassociate combines across blocks. The `budget` strides
+/// the spans but never changes the block plan or the association.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn engine<B, S, U, L, F, E>(
     sched: Schedule,
@@ -816,7 +752,6 @@ pub(crate) fn engine<B, S, U, L, F, E>(
     f: F,
     emit: E,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
     budget: B,
 ) -> Result<(Vec<U>, S), B::Err>
 where
@@ -830,26 +765,23 @@ where
     budget.check()?;
     let (load, f, emit) = (&load, &f, &emit);
     if !go_parallel(sched, n) {
-        return seq_scan(n, load, identity, f, emit, mode, tile, budget);
+        return seq_scan(n, load, identity, f, emit, mode, budget);
     }
     if sched == Schedule::Lookback {
-        return crate::lookback::engine(n, load, identity, f, emit, mode, tile, budget);
+        return crate::lookback::engine(n, load, identity, f, emit, mode, budget);
     }
     let nblocks = plan_blocks(n, engine_width(sched));
     if nblocks <= 1 {
-        return seq_scan(n, load, identity, f, emit, mode, tile, budget);
+        return seq_scan(n, load, identity, f, emit, mode, budget);
     }
-    blocked_scan(
-        sched, n, nblocks, load, identity, f, emit, mode, tile, budget,
-    )
+    blocked_scan(sched, n, nblocks, load, identity, f, emit, mode, budget)
 }
 
 /// The sequential scan: one span over `0..n`, emitted into a fresh
-/// vector. A function of its own, apart from [`blocked_scan`]: its
-/// tile loops vectorize only while the load closure arrives as a
-/// reference parameter, not as a local the blocked path lends to
+/// vector. A function of its own, apart from [`blocked_scan`]: its loop
+/// keeps the load closure's alias facts only while the closure arrives
+/// as a reference parameter, not as a local the blocked path lends to
 /// other threads.
-#[allow(clippy::too_many_arguments)]
 fn seq_scan<B, S, U, L, F, E>(
     n: usize,
     load: &L,
@@ -857,7 +789,6 @@ fn seq_scan<B, S, U, L, F, E>(
     f: &F,
     emit: &E,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
     budget: B,
 ) -> Result<(Vec<U>, S), B::Err>
 where
@@ -875,7 +806,7 @@ where
     // once, and `set_len` runs only if it ran to the end (on `Err` the
     // vector is dropped at length 0; `U: Copy`, nothing to drop).
     let mut write = |i: usize, s: S| unsafe { o.add(i).write(emit(i, s)) };
-    let acc = budget_scan_span(0..n, load, identity, f, mode, tile, budget, &mut write)?;
+    let acc = budget_scan_span(0..n, load, identity, f, mode, budget, &mut write)?;
     // SAFETY: the whole span ran, initializing every index.
     unsafe { out.set_len(n) };
     Ok((out, acc))
@@ -894,7 +825,6 @@ fn blocked_scan<B, S, U, L, F, E>(
     f: &F,
     emit: &E,
     mode: Mode,
-    tile: Option<&SimdTile<S>>,
     budget: B,
 ) -> Result<(Vec<U>, S), B::Err>
 where
@@ -913,7 +843,7 @@ where
             let r = block_range(n, nblocks, b);
             // A block that runs out of budget keeps the identity
             // partial; the phase check below discards the pass.
-            if let Ok(acc) = budget_reduce_span(r, load, identity, f, mode, tile, budget) {
+            if let Ok(acc) = budget_reduce_span(r, load, identity, f, mode, budget) {
                 // SAFETY: task `b` writes only index `b` (see `SendPtr`).
                 unsafe { p.get().add(b).write(acc) };
             }
@@ -957,7 +887,7 @@ where
             let mut write = |i: usize, s: S| unsafe { o.get().add(i).write(emit(i, s)) };
             // A block that runs out of budget stops part-way; the phase
             // check below keeps `set_len` off its unwritten tail.
-            let _ = budget_scan_span(r, load, offsets[b], f, mode, tile, budget, &mut write);
+            let _ = budget_scan_span(r, load, offsets[b], f, mode, budget, &mut write);
         })?;
     }
     budget.check()?;
@@ -974,7 +904,6 @@ pub(crate) fn reduce_engine<B, S, L, F>(
     load: L,
     identity: S,
     f: F,
-    tile: Option<&SimdTile<S>>,
     budget: B,
 ) -> Result<S, B::Err>
 where
@@ -986,7 +915,7 @@ where
     budget.check()?;
     let mode = Mode::ExclusiveFwd;
     if !go_parallel(sched, n) {
-        return budget_reduce_span(0..n, &load, identity, &f, mode, tile, budget);
+        return budget_reduce_span(0..n, &load, identity, &f, mode, budget);
     }
     let nblocks = plan_blocks(n, engine_width(sched));
     let mut partials = vec![identity; nblocks];
@@ -998,7 +927,7 @@ where
             let r = block_range(n, nblocks, b);
             // Out of budget: the identity partial stays, and the phase
             // check below discards the pass.
-            if let Ok(acc) = budget_reduce_span(r, load, identity, f, mode, tile, budget) {
+            if let Ok(acc) = budget_reduce_span(r, load, identity, f, mode, budget) {
                 // SAFETY: task `b` writes only index `b`.
                 unsafe { p.get().add(b).write(acc) };
             }
@@ -1575,7 +1504,6 @@ mod tests {
                         |x, y| x + y,
                         |_, s| s,
                         Mode::ExclusiveFwd,
-                        None,
                         Some(d),
                     )
                 })

@@ -36,7 +36,6 @@ use crate::error::{Error, ExecError, Result};
 use crate::op::ScanOp;
 use crate::parallel::{self, Budget, Mode, NoDeadline, Schedule};
 use crate::segmented::Segments;
-use crate::simd::SimdTile;
 
 /// Exclusive forward scan (the paper's scan).
 ///
@@ -90,32 +89,19 @@ pub fn reduce<O: ScanOp<T>, T: ScanElem>(a: &[T]) -> T {
     Scan::op::<O, T>().total(a)
 }
 
-/// The operator of a [`Scan`]: a [`ScanOp`] type ([`Typed`]), which
-/// brings its SIMD tiles, or an identity and a closure ([`ByFn`]),
-/// which runs scalar. Either way the engine receives it as a type, so
-/// every combine inlines. [`Scan::op`] and [`Scan::by`] build the only
-/// two.
+/// The operator of a [`Scan`]: a [`ScanOp`] type ([`Typed`]) or an
+/// identity and a closure ([`ByFn`]). Either way the engine receives it
+/// as a type, so every combine inlines. [`Scan::op`] and [`Scan::by`]
+/// build the only two.
 pub trait Operator<T: Copy>: Sync {
     /// The identity `i`, with `i ⊕ x == x`.
     fn identity(&self) -> T;
 
     /// `a ⊕ b`.
     fn combine(&self, a: T, b: T) -> T;
-
-    /// The operator's tile kernels over `T`, if the CPU has them.
-    fn tile(&self) -> Option<&SimdTile<T>> {
-        None
-    }
-
-    /// The tile kernels of its segmented `(T, head)` pair operator.
-    fn seg_tile(&self) -> Option<&SimdTile<(T, bool)>> {
-        None
-    }
 }
 
-/// The [`ScanOp`] type `O` as a [`Scan`]'s operator. Its tiles are
-/// registered only where reassociation is bit-exact, so the vector
-/// path cannot change a result.
+/// The [`ScanOp`] type `O` as a [`Scan`]'s operator.
 pub struct Typed<O>(PhantomData<O>);
 
 impl<O> Clone for Typed<O> {
@@ -136,18 +122,9 @@ impl<O: ScanOp<T>, T: ScanElem> Operator<T> for Typed<O> {
     fn combine(&self, a: T, b: T) -> T {
         O::combine(a, b)
     }
-
-    fn tile(&self) -> Option<&SimdTile<T>> {
-        O::simd_tile()
-    }
-
-    fn seg_tile(&self) -> Option<&SimdTile<(T, bool)>> {
-        O::simd_seg_tile()
-    }
 }
 
 /// An identity and an associative closure as a [`Scan`]'s operator.
-/// The engine cannot prove a closure exact, so it stays scalar.
 #[derive(Clone, Copy)]
 pub struct ByFn<T, F> {
     identity: T,
@@ -212,14 +189,13 @@ pub struct Scan<'a, K, T, S = T> {
 }
 
 impl Scan<'_, (), ()> {
-    /// The exclusive forward scan under the [`ScanOp`] `O`, SIMD tiles
-    /// included.
+    /// The exclusive forward scan under the [`ScanOp`] `O`.
     pub fn op<'a, O: ScanOp<T>, T: ScanElem>() -> Scan<'a, Typed<O>, T> {
         Scan::with(Typed(PhantomData))
     }
 
     /// The exclusive forward scan under the associative closure `f`
-    /// with identity `identity`, scalar.
+    /// with identity `identity`.
     pub fn by<'a, T, F>(identity: T, f: F) -> Scan<'a, ByFn<T, F>, T>
     where
         T: Copy + Send + Sync,
@@ -523,10 +499,10 @@ impl<'a, K: Operator<T>, T: Copy + Send + Sync, S: Carry<T>> Scan<'a, K, T, S> {
         let f = |x, y| op.combine(x, y);
         let id = op.identity();
         let Some(c) = carry else {
-            return parallel::engine(sched, n, load, id, f, |_, s| s, mode, op.tile(), budget);
+            return parallel::engine(sched, n, load, id, f, |_, s| s, mode, budget);
         };
         let emit = |_, s| f(c, s);
-        let (out, total) = parallel::engine(sched, n, load, id, f, emit, mode, op.tile(), budget)?;
+        let (out, total) = parallel::engine(sched, n, load, id, f, emit, mode, budget)?;
         Ok((out, f(c, total)))
     }
 
@@ -543,12 +519,12 @@ impl<'a, K: Operator<T>, T: Copy + Send + Sync, S: Carry<T>> Scan<'a, K, T, S> {
         B: Budget,
         L: Fn(usize) -> T + Sync,
     {
-        let (op, sched, id, tile) = (&self.op, self.sched(), self.op.identity(), self.op.tile());
+        let (op, sched, id) = (&self.op, self.sched(), self.op.identity());
         let f = |x, y| op.combine(x, y);
         let t = if self.mode.backward() {
-            parallel::reduce_engine(sched, n, |i| load(n - 1 - i), id, f, tile, budget)?
+            parallel::reduce_engine(sched, n, |i| load(n - 1 - i), id, f, budget)?
         } else {
-            parallel::reduce_engine(sched, n, load, id, f, tile, budget)?
+            parallel::reduce_engine(sched, n, load, id, f, budget)?
         };
         Ok(carry.map_or(t, |c| f(c, t)))
     }
@@ -599,13 +575,12 @@ impl<'a, K: Operator<T>, T: Copy + Send + Sync, S: Carry<T>> Scan<'a, K, T, S> {
         let id = op.identity();
         let load = move |i| (value(i), restart(i));
         let f = |a, b| pair(op, a, b);
-        let tile = op.seg_tile();
         let (out, total) = if mode.inclusive() {
             let emit = |_, s| fold(s).0;
-            parallel::engine(sched, n, load, (id, false), f, emit, mode, tile, budget)?
+            parallel::engine(sched, n, load, (id, false), f, emit, mode, budget)?
         } else {
             let emit = move |i, s| if restart(i) { id } else { fold(s).0 };
-            parallel::engine(sched, n, load, (id, false), f, emit, mode, tile, budget)?
+            parallel::engine(sched, n, load, (id, false), f, emit, mode, budget)?
         };
         Ok((out, fold(total)))
     }
@@ -625,14 +600,14 @@ impl<'a, K: Operator<T>, T: Copy + Send + Sync, S: Carry<T>> Scan<'a, K, T, S> {
         V: Fn(usize) -> T + Sync + Copy,
         R: Fn(usize) -> bool + Sync + Copy,
     {
-        let (op, sched, tile) = (&self.op, self.sched(), self.op.seg_tile());
+        let (op, sched) = (&self.op, self.sched());
         let load = move |i| (value(i), restart(i));
         let f = |a, b| pair(op, a, b);
         let id = (op.identity(), false);
         let t = if self.mode.backward() {
-            parallel::reduce_engine(sched, n, |i| load(n - 1 - i), id, f, tile, budget)?
+            parallel::reduce_engine(sched, n, |i| load(n - 1 - i), id, f, budget)?
         } else {
-            parallel::reduce_engine(sched, n, load, id, f, tile, budget)?
+            parallel::reduce_engine(sched, n, load, id, f, budget)?
         };
         Ok(carry.map_or(t, |c| f(c, t)))
     }

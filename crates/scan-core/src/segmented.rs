@@ -146,7 +146,6 @@ impl Segments {
             |a, b| a.wrapping_add(b),
             |_, s| s - 1,
             parallel::Mode::InclusiveFwd,
-            <crate::op::Sum as ScanOp<usize>>::simd_tile(),
             parallel::NoDeadline,
         );
         out
@@ -164,7 +163,6 @@ impl Segments {
             |a, b| a.max(b),
             |_, s| s,
             parallel::Mode::InclusiveFwd,
-            <crate::op::Max as ScanOp<usize>>::simd_tile(),
             parallel::NoDeadline,
         );
         out

@@ -3,7 +3,7 @@
 //!
 //! The confinement family keeps capability-like APIs (threads, the
 //! wall clock, ISA detection, atomics) inside single audited modules,
-//! so the loom model, the deadline token, the SIMD dispatch table and
+//! so the loom model, the deadline token, the ISA dispatch and
 //! the Release/Acquire publication protocols each have exactly one
 //! home — and ROADMAP item 3's multi-process transport can swap the
 //! internals without a workspace-wide audit.
@@ -68,9 +68,8 @@ pub fn check(ws: &Workspace, out: &mut Report) {
         let lx = &file.lexed;
 
         // R6: ISA dispatch confinement. Strict scope — benches, bins
-        // and test modules included: code that wants vectorization
-        // goes through the dispatched tile table, never re-detects the
-        // CPU.
+        // and test modules included: code that wants an ISA-specific
+        // path asks `simd::active_isa`, never re-detects the CPU.
         if rel != SIMD_ALLOWLIST {
             for pat in ["is_x86_feature_detected", "target_feature"] {
                 for &(l, c) in &lx.word_spans(pat) {
@@ -79,7 +78,7 @@ pub fn check(ws: &Workspace, out: &mut Report) {
                         rel,
                         l + 1,
                         c + 1,
-                        format!("`{pat}` outside {SIMD_ALLOWLIST}: consume the dispatched tile table"),
+                        format!("`{pat}` outside {SIMD_ALLOWLIST}: use its dispatch decision"),
                     ));
                 }
             }
