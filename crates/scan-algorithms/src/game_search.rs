@@ -300,10 +300,7 @@ mod tests {
     fn forced_loss_detected() {
         // O has two ways to win; X to move cannot stop both.
         let b = Board::parse("OO. .X. .XO", true);
-        assert_eq!(
-            parallel_minimax(b, 9).value,
-            minimax_reference(b, 9)
-        );
+        assert_eq!(parallel_minimax(b, 9).value, minimax_reference(b, 9));
     }
 
     #[test]

@@ -126,10 +126,22 @@ pub fn convex_hull_ctx(ctx: &mut Ctx, points: &[Pt]) -> Vec<Pt> {
         ctx.charge_elementwise_op(n);
         let keep_bucket: Vec<bool> = buckets.iter().map(|&b| b != Bucket::Hi).collect();
         let new_chord_a: Vec<Pt> = (0..n)
-            .map(|i| if buckets[i] == Bucket::Lo { chord_a[i] } else { f[i] })
+            .map(|i| {
+                if buckets[i] == Bucket::Lo {
+                    chord_a[i]
+                } else {
+                    f[i]
+                }
+            })
             .collect();
         let new_chord_b: Vec<Pt> = (0..n)
-            .map(|i| if buckets[i] == Bucket::Lo { f[i] } else { chord_b[i] })
+            .map(|i| {
+                if buckets[i] == Bucket::Lo {
+                    f[i]
+                } else {
+                    chord_b[i]
+                }
+            })
             .collect();
         ctx.charge_elementwise_op(n);
         ctx.charge_elementwise_op(n);
@@ -198,8 +210,7 @@ pub fn convex_hull_reference(points: &[Pt]) -> Vec<Pt> {
     let build = |iter: &mut dyn Iterator<Item = Pt>| {
         let mut chain: Vec<Pt> = Vec::new();
         for p in iter {
-            while chain.len() >= 2
-                && cross(chain[chain.len() - 2], chain[chain.len() - 1], p) <= 0
+            while chain.len() >= 2 && cross(chain[chain.len() - 2], chain[chain.len() - 1], p) <= 0
             {
                 chain.pop();
             }
@@ -262,7 +273,9 @@ mod tests {
     fn random_point_clouds() {
         let mut x = 12u64;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (x >> 40) as i64 % 200 - 100
         };
         for _ in 0..15 {

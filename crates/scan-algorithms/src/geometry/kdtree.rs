@@ -139,7 +139,10 @@ impl KdTree {
             segs = Segments::from_flags(next_flags);
             seg_nodes = next_seg_nodes;
             depth += 1;
-            assert!(depth < 64 + points.len() as u32, "k-d build failed to converge");
+            assert!(
+                depth < 64 + points.len() as u32,
+                "k-d build failed to converge"
+            );
         }
         KdTree { nodes }
     }

@@ -131,11 +131,7 @@ mod tests {
     #[test]
     fn figure9_lines() {
         // Endpoints (11,2)–(23,14), (2,13)–(13,8), (16,4)–(31,4).
-        let lines = [
-            ((11, 2), (23, 14)),
-            ((2, 13), (13, 8)),
-            ((16, 4), (31, 4)),
-        ];
+        let lines = [((11, 2), (23, 14)), ((2, 13), (13, 8)), ((16, 4), (31, 4))];
         let pixels = draw_lines(&lines);
         // The paper allocates max(|Δx|,|Δy|) processors per line and
         // quotes 12, 11 and 16 pixels; drawing both endpoints (as the

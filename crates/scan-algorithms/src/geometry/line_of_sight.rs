@@ -16,7 +16,9 @@ use scan_pram::{Ctx, Model};
 pub fn line_of_sight_ctx(ctx: &mut Ctx, observer: f64, altitudes: &[f64]) -> Vec<bool> {
     let n = altitudes.len();
     let idx = ctx.iota(n);
-    let angles = ctx.zip(altitudes, &idx, |alt, k| (alt - observer) / (k as f64 + 1.0));
+    let angles = ctx.zip(altitudes, &idx, |alt, k| {
+        (alt - observer) / (k as f64 + 1.0)
+    });
     let best_before = ctx.scan::<Max, _>(&angles);
     ctx.zip(&angles, &best_before, |a, b| a > b)
 }
@@ -30,11 +32,7 @@ pub fn line_of_sight(observer: f64, altitudes: &[f64]) -> Vec<bool> {
 /// Many rays at once: `rays` holds each ray's altitude samples; all
 /// rays share the observer height. One segmented max-scan resolves
 /// every ray — still a constant number of program steps.
-pub fn line_of_sight_rays_ctx(
-    ctx: &mut Ctx,
-    observer: f64,
-    rays: &[Vec<f64>],
-) -> Vec<Vec<bool>> {
+pub fn line_of_sight_rays_ctx(ctx: &mut Ctx, observer: f64, rays: &[Vec<f64>]) -> Vec<Vec<bool>> {
     let lengths: Vec<usize> = rays.iter().map(Vec::len).collect();
     let flat: Vec<f64> = rays.iter().flatten().copied().collect();
     let segs = Segments::from_lengths(&lengths);

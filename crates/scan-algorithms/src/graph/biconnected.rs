@@ -123,11 +123,7 @@ pub fn biconnected_components_ctx(
     // 1. Spanning tree: unit weights make the MST any spanning tree.
     let unit: Vec<(usize, usize, u64)> = edges.iter().map(|&(u, v, _)| (u, v, 0)).collect();
     let tree = minimum_spanning_tree_ctx(ctx, n_vertices, &unit, seed);
-    assert_eq!(
-        tree.edges.len(),
-        n_vertices - 1,
-        "graph must be connected"
-    );
+    assert_eq!(tree.edges.len(), n_vertices - 1, "graph must be connected");
     let is_tree_edge = {
         let mut f = vec![false; m];
         for &e in &tree.edges {
@@ -136,7 +132,11 @@ pub fn biconnected_components_ctx(
         f
     };
     ctx.charge_permute_op(m);
-    let tree_edges: Vec<(usize, usize)> = tree.edges.iter().map(|&e| (edges[e].0, edges[e].1)).collect();
+    let tree_edges: Vec<(usize, usize)> = tree
+        .edges
+        .iter()
+        .map(|&e| (edges[e].0, edges[e].1))
+        .collect();
     // Root at 0; Euler tour gives parent / depth / subtree size, and
     // preorder = rank of the downward edge among downward edges, which
     // we recover by sorting vertices by (depth-extended) tour position.
@@ -185,8 +185,7 @@ pub fn biconnected_components_ctx(
     let root = 0usize;
     let mut aux_edges: Vec<(usize, usize, u64)> = Vec::new();
     // Rule (i): nontree edge {u, v}, neither an ancestor of the other.
-    let is_ancestor =
-        |a: usize, d: usize| pre[a] <= pre[d] && pre[d] < pre[a] + size[a] as usize;
+    let is_ancestor = |a: usize, d: usize| pre[a] <= pre[d] && pre[d] < pre[a] + size[a] as usize;
     for (e, &(u, v, _)) in edges.iter().enumerate() {
         if !is_tree_edge[e] && u != v && !is_ancestor(u, v) && !is_ancestor(v, u) {
             aux_edges.push((u, v, 0));
@@ -377,13 +376,7 @@ mod tests {
     #[test]
     fn cycle_with_pendant() {
         // Square 0-1-2-3-0 plus pendant edge 3-4.
-        let edges = [
-            (0, 1, 0),
-            (1, 2, 0),
-            (2, 3, 0),
-            (3, 0, 0),
-            (3, 4, 0),
-        ];
+        let edges = [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 0, 0), (3, 4, 0)];
         let r = check(5, &edges, 5);
         assert_eq!(r.n_blocks, 2);
         assert!(r.bridge[4]);
@@ -418,14 +411,15 @@ mod tests {
     fn random_connected_graphs() {
         let mut x = 77u64;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         for trial in 0..12 {
             let n = 3 + (rng() % 30) as usize;
             // Spanning path + random extras keeps it connected.
-            let mut edges: Vec<(usize, usize, u64)> =
-                (1..n).map(|v| (v - 1, v, 0)).collect();
+            let mut edges: Vec<(usize, usize, u64)> = (1..n).map(|v| (v - 1, v, 0)).collect();
             for _ in 0..rng() % 40 {
                 let u = (rng() as usize) % n;
                 let v = (rng() as usize) % n;

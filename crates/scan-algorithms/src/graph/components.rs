@@ -7,7 +7,6 @@ use scan_pram::{Ctx, Model};
 use super::segmented::SegGraph;
 use super::star_merge::star_merge;
 
-
 /// Connected-components labelling on a step-counting machine: every
 /// vertex receives the smallest vertex id in its component.
 pub fn connected_components_ctx(

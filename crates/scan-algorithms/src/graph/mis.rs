@@ -13,7 +13,6 @@ use scan_pram::{Ctx, Model};
 use super::segmented::SegGraph;
 use crate::util::hash64;
 
-
 /// Maximal independent set on a step-counting machine. Returns the
 /// membership flag of every vertex.
 pub fn maximal_independent_set_ctx(

@@ -9,9 +9,6 @@ pub mod reference;
 pub mod segmented;
 pub mod star_merge;
 
-
-
-
 pub use biconnected::{biconnected_components, BiconnectedResult};
 pub use components::connected_components;
 pub use mis::maximal_independent_set;

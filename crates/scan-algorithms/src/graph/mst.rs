@@ -26,7 +26,6 @@ pub struct MstResult {
     pub rounds: usize,
 }
 
-
 /// Minimum spanning forest on a step-counting machine.
 ///
 /// Weights are made distinct with the composite `(weight, edge id)`
@@ -140,7 +139,9 @@ mod tests {
     fn random_graphs_match_kruskal() {
         let mut x = 2026u64;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         for trial in 0..10 {

@@ -77,10 +77,7 @@ impl SegGraph {
         let slot_of_half = scan_core::ops::permute(&slots, &half_usize);
         ctx.charge_permute_op(s);
         // Cross pointer: the slot of the *other* half of the same edge.
-        let partner_half: Vec<usize> = sorted_half
-            .iter()
-            .map(|&h| (h ^ 1) as usize)
-            .collect();
+        let partner_half: Vec<usize> = sorted_half.iter().map(|&h| (h ^ 1) as usize).collect();
         let cross_pointers = ctx.gather(&slot_of_half, &partner_half);
         let weights = ctx.map(&sorted_half, |h| edges[(h / 2) as usize].2);
         let edge_ids: Vec<usize> = sorted_half.iter().map(|&h| (h / 2) as usize).collect();
@@ -120,16 +117,25 @@ impl SegGraph {
         assert_eq!(self.cross_pointers.len(), s);
         assert_eq!(self.weights.len(), s);
         assert_eq!(self.edge_ids.len(), s);
-        assert!(self
-            .vertex_of_slot
-            .windows(2)
-            .all(|w| w[0] <= w[1]), "vertex ids must be nondecreasing");
+        assert!(
+            self.vertex_of_slot.windows(2).all(|w| w[0] <= w[1]),
+            "vertex ids must be nondecreasing"
+        );
         for (i, &c) in self.cross_pointers.iter().enumerate() {
             assert!(c < s, "cross pointer out of range");
             assert_ne!(c, i, "fixed-point cross pointer (self-loop)");
-            assert_eq!(self.cross_pointers[c], i, "cross pointers must be an involution");
-            assert_eq!(self.weights[c], self.weights[i], "edge ends disagree on weight");
-            assert_eq!(self.edge_ids[c], self.edge_ids[i], "edge ends disagree on id");
+            assert_eq!(
+                self.cross_pointers[c], i,
+                "cross pointers must be an involution"
+            );
+            assert_eq!(
+                self.weights[c], self.weights[i],
+                "edge ends disagree on weight"
+            );
+            assert_eq!(
+                self.edge_ids[c], self.edge_ids[i],
+                "edge ends disagree on id"
+            );
             assert_ne!(
                 self.vertex_of_slot[c], self.vertex_of_slot[i],
                 "edge internal to a vertex"
@@ -144,7 +150,11 @@ impl SegGraph {
     /// EREW-style: scatter each value to its vertex's first slot, then
     /// a segmented copy. Charge: 1 permute + 1 segmented scan.
     pub fn vertex_to_slots<T: ScanElem>(&self, ctx: &mut Ctx, per_vertex: &[T]) -> Vec<T> {
-        assert_eq!(per_vertex.len(), self.n_vertices, "per-vertex length mismatch");
+        assert_eq!(
+            per_vertex.len(),
+            self.n_vertices,
+            "per-vertex length mismatch"
+        );
         let s = self.n_slots();
         if s == 0 {
             return Vec::new();
@@ -168,7 +178,11 @@ impl SegGraph {
         ctx: &mut Ctx,
         slot_values: &[T],
     ) -> Vec<T> {
-        assert_eq!(slot_values.len(), self.n_slots(), "per-slot length mismatch");
+        assert_eq!(
+            slot_values.len(),
+            self.n_slots(),
+            "per-slot length mismatch"
+        );
         let mut out = vec![O::identity(); self.n_vertices];
         if self.n_slots() == 0 {
             return out;
@@ -349,7 +363,11 @@ mod tests {
         let g = SegGraph::figure6();
         let mut ctx = Ctx::new(Model::Scan);
         let slots = g.vertex_to_slots(&mut ctx, &[100u64, 200, 300, 400, 500]);
-        let expect: Vec<u64> = g.vertex_of_slot.iter().map(|&v| (v as u64 + 1) * 100).collect();
+        let expect: Vec<u64> = g
+            .vertex_of_slot
+            .iter()
+            .map(|&v| (v as u64 + 1) * 100)
+            .collect();
         assert_eq!(slots, expect);
     }
 }

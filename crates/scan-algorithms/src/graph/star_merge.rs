@@ -47,7 +47,9 @@ pub(crate) fn random_mate_select(
     use scan_core::op::Min;
     let s = g.n_slots();
     let ids = ctx.iota(g.n_vertices);
-    let parent = ctx.map(&ids, |v| hash64(seed ^ ((round as u64) << 32) ^ v as u64) & 1 == 1);
+    let parent = ctx.map(&ids, |v| {
+        hash64(seed ^ ((round as u64) << 32) ^ v as u64) & 1 == 1
+    });
     let parent_slot = g.vertex_to_slots(ctx, &parent);
     let segs = g.segments();
     let min_w = ctx.seg_distribute::<Min, _>(&g.weights, &segs);
@@ -86,7 +88,12 @@ pub struct StarMergeResult {
 ///
 /// # Panics
 /// If the star structure is inconsistent (checked in debug builds).
-pub fn star_merge(ctx: &mut Ctx, g: &SegGraph, star_edge: &[bool], parent: &[bool]) -> StarMergeResult {
+pub fn star_merge(
+    ctx: &mut Ctx,
+    g: &SegGraph,
+    star_edge: &[bool],
+    parent: &[bool],
+) -> StarMergeResult {
     let s = g.n_slots();
     assert_eq!(star_edge.len(), s, "star_edge length mismatch");
     assert_eq!(parent.len(), g.n_vertices, "parent length mismatch");
@@ -151,7 +158,13 @@ pub fn star_merge(ctx: &mut Ctx, g: &SegGraph, star_edge: &[bool], parent: &[boo
     // the child distributes it over its segment (a max-distribute of
     // the single nonzero value).
     let base_msg: Vec<usize> = (0..s)
-        .map(|i| if parent_star_slot[i] { new_pos[i] + 1 } else { 0 })
+        .map(|i| {
+            if parent_star_slot[i] {
+                new_pos[i] + 1
+            } else {
+                0
+            }
+        })
         .collect();
     ctx.charge_elementwise_op(s);
     let child_base_at_star = g.across_edges(ctx, &base_msg);
@@ -186,7 +199,13 @@ pub fn star_merge(ctx: &mut Ctx, g: &SegGraph, star_edge: &[bool], parent: &[boo
     // and distributed over the child segment) for child slots.
     let own_new_id = g.vertex_to_slots(ctx, &new_id_exclusive);
     let id_msg: Vec<usize> = (0..s)
-        .map(|i| if parent_star_slot[i] { own_new_id[i] + 1 } else { 0 })
+        .map(|i| {
+            if parent_star_slot[i] {
+                own_new_id[i] + 1
+            } else {
+                0
+            }
+        })
         .collect();
     ctx.charge_elementwise_op(s);
     let parent_id_at_star = g.across_edges(ctx, &id_msg);
@@ -368,13 +387,16 @@ mod tests {
     fn step_complexity_constant_in_scan_model() {
         // The number of vector operations must not depend on graph size.
         let ops_for = |n: usize| {
-            let edges: Vec<(usize, usize, u64)> =
-                (1..n).map(|v| (v - 1, v, v as u64)).collect();
+            let edges: Vec<(usize, usize, u64)> = (1..n).map(|v| (v - 1, v, v as u64)).collect();
             let g = SegGraph::from_edges(n, &edges);
-            let star: Vec<bool> = (0..g.n_slots()).map(|i| g.edge_ids[i].is_multiple_of(2) && {
-                let e = g.edge_ids[i];
-                e.is_multiple_of(4)
-            }).collect();
+            let star: Vec<bool> = (0..g.n_slots())
+                .map(|i| {
+                    g.edge_ids[i].is_multiple_of(2) && {
+                        let e = g.edge_ids[i];
+                        e.is_multiple_of(4)
+                    }
+                })
+                .collect();
             // Stars: edge 4k merges vertex 4k+1 into 4k (even edges
             // chosen sparsely so stars stay disjoint).
             let parent: Vec<bool> = (0..n).map(|v| v % 4 != 1).collect();

@@ -30,7 +30,6 @@
 //! | Table 1 | matrix operations, linear solver | [`matrix`] |
 //! | appendix | binary addition & polynomial evaluation as scans | [`numeric`] |
 
-
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -44,8 +43,6 @@ pub mod numeric;
 pub mod tree_ops;
 mod util;
 
-
 pub mod merge;
 
 pub mod sort;
-

@@ -19,7 +19,6 @@ use scan_pram::{Ctx, Model};
 
 use crate::util::hash64;
 
-
 /// Wyllie's pointer jumping on a step-counting machine.
 pub fn wyllie_rank_ctx(ctx: &mut Ctx, next: &[usize]) -> Vec<u64> {
     let n = next.len();
@@ -33,7 +32,10 @@ pub fn wyllie_rank_ctx(ctx: &mut Ctx, next: &[usize]) -> Vec<u64> {
     let mut rounds = 0;
     loop {
         rounds += 1;
-        assert!(rounds <= 2 * n.ilog2().max(1) + 8, "pointer jumping diverged");
+        assert!(
+            rounds <= 2 * n.ilog2().max(1) + 8,
+            "pointer jumping diverged"
+        );
         // Done when every pointer has reached the tail (the gather's
         // fixed point): one more jump would change nothing.
         let done = nxt.iter().all(|&p| nxt[p] == p);
@@ -71,7 +73,11 @@ pub fn contraction_rank_ctx(ctx: &mut Ctx, next: &[usize], seed: u64) -> Vec<u64
     }
     // d[i]: weighted distance from i to next[i] (1 for live edges).
     let ids: Vec<usize> = (0..n).collect();
-    let d: Vec<u64> = next.iter().zip(&ids).map(|(&p, &i)| u64::from(p != i)).collect();
+    let d: Vec<u64> = next
+        .iter()
+        .zip(&ids)
+        .map(|(&p, &i)| u64::from(p != i))
+        .collect();
     ctx.charge_elementwise_op(n);
     let threshold = ctx.processors().map(|p| p.max(4)).unwrap_or(4);
     rank_rec(ctx, &ids, next, &d, seed, 0, threshold)
@@ -95,7 +101,12 @@ fn rank_rec(
         let mut rank = vec![0u64; n];
         for i in 0..n {
             if next[i] != i {
-                rank[i] = d[i] + if next[next[i]] == next[i] { 0 } else { d[next[i]] };
+                rank[i] = d[i]
+                    + if next[next[i]] == next[i] {
+                        0
+                    } else {
+                        d[next[i]]
+                    };
             }
         }
         return rank;
@@ -115,7 +126,13 @@ fn rank_rec(
             let next_rank = ctx.gather(&rank, &nxt);
             let is_tail: Vec<bool> = nxt.iter().enumerate().map(|(i, &p)| p == i).collect();
             rank = (0..n)
-                .map(|i| if is_tail[i] { 0 } else { rank[i] + next_rank[i] })
+                .map(|i| {
+                    if is_tail[i] {
+                        0
+                    } else {
+                        rank[i] + next_rank[i]
+                    }
+                })
                 .collect();
             ctx.charge_elementwise_op(n);
             nxt = ctx.gather(&nxt, &nxt);
@@ -158,15 +175,22 @@ fn rank_rec(
     // pack moves the whole (node, weight, next) record.
     let new_pos = scan_core::ops::enumerate(&keep);
     ctx.charge_scan_op(n);
-    let records: Vec<(usize, u64, usize)> = (0..n)
-        .map(|i| (nodes[i], new_d[i], new_next[i]))
-        .collect();
+    let records: Vec<(usize, u64, usize)> =
+        (0..n).map(|i| (nodes[i], new_d[i], new_next[i])).collect();
     let kept = ctx.pack(&records, &keep);
     let kept_nodes: Vec<usize> = kept.iter().map(|&(v, _, _)| v).collect();
     let kept_d: Vec<u64> = kept.iter().map(|&(_, w, _)| w).collect();
     let kept_next: Vec<usize> = kept.iter().map(|&(_, _, p)| new_pos[p]).collect();
     ctx.charge_permute_op(kept_nodes.len());
-    let kept_rank = rank_rec(ctx, &kept_nodes, &kept_next, &kept_d, seed, depth + 1, threshold);
+    let kept_rank = rank_rec(
+        ctx,
+        &kept_nodes,
+        &kept_next,
+        &kept_d,
+        seed,
+        depth + 1,
+        threshold,
+    );
     // Reinsert: a spliced node's rank is its old edge weight plus its
     // old successor's rank.
     let mut rank = vec![0u64; n];
@@ -248,7 +272,11 @@ mod tests {
     fn check(next: &[usize], seed: u64) {
         let expect = rank_reference(next);
         assert_eq!(wyllie_rank(next), expect, "wyllie on {next:?}");
-        assert_eq!(contraction_rank(next, seed), expect, "contraction on {next:?}");
+        assert_eq!(
+            contraction_rank(next, seed),
+            expect,
+            "contraction on {next:?}"
+        );
     }
 
     #[test]

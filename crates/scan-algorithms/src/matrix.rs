@@ -134,20 +134,20 @@ pub fn solve_ctx(ctx: &mut Ctx, a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
     for k in 0..n {
         // Pivot: the row with the largest |m[r][k]|, r ≥ k — one
         // max-reduce over a composite (|value| bits, row).
-        let candidates: Vec<(f64, usize)> =
-            (k..n).map(|r| (m[r * cols + k].abs(), r)).collect();
+        let candidates: Vec<(f64, usize)> = (k..n).map(|r| (m[r * cols + k].abs(), r)).collect();
         ctx.charge_elementwise_op(n - k);
         ctx.charge_scan_op(n - k);
-        let (pmax, prow) = candidates
-            .iter()
-            .copied()
-            .fold((f64::NEG_INFINITY, usize::MAX), |acc, x| {
-                if x.0 > acc.0 {
-                    x
-                } else {
-                    acc
-                }
-            });
+        let (pmax, prow) =
+            candidates
+                .iter()
+                .copied()
+                .fold((f64::NEG_INFINITY, usize::MAX), |acc, x| {
+                    if x.0 > acc.0 {
+                        x
+                    } else {
+                        acc
+                    }
+                });
         if pmax < 1e-12 {
             return None;
         }
@@ -242,14 +242,22 @@ mod tests {
     fn solve_known_system() {
         // x + y = 3, x - y = 1 → (2, 1)
         let a = Matrix::new(2, 2, vec![1.0, 1.0, 1.0, -1.0]);
-        approx(&solve(&a, &[3.0, 1.0]).expect("nonsingular"), &[2.0, 1.0], 1e-9);
+        approx(
+            &solve(&a, &[3.0, 1.0]).expect("nonsingular"),
+            &[2.0, 1.0],
+            1e-9,
+        );
     }
 
     #[test]
     fn solve_requires_pivoting() {
         // Zero in the leading position forces a row swap.
         let a = Matrix::new(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
-        approx(&solve(&a, &[5.0, 7.0]).expect("nonsingular"), &[7.0, 5.0], 1e-9);
+        approx(
+            &solve(&a, &[5.0, 7.0]).expect("nonsingular"),
+            &[7.0, 5.0],
+            1e-9,
+        );
     }
 
     #[test]

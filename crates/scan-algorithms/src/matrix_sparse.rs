@@ -45,8 +45,7 @@ impl SparseMatrix {
         let keys: Vec<u64> = triplets.iter().map(|&(r, _, _)| r as u64).collect();
         let ids: Vec<u64> = (0..triplets.len() as u64).collect();
         let bits = 64 - (rows.max(2) as u64 - 1).leading_zeros();
-        let (sorted_rows, order) =
-            crate::sort::radix::split_radix_sort_pairs(&keys, &ids, bits);
+        let (sorted_rows, order) = crate::sort::radix::split_radix_sort_pairs(&keys, &ids, bits);
         let mut row_lengths = vec![0usize; rows];
         for &r in &sorted_rows {
             row_lengths[r as usize] += 1;
@@ -121,11 +120,7 @@ mod tests {
         // [ 2 0 1 ]
         // [ 0 0 0 ]
         // [ 3 4 0 ]
-        SparseMatrix::from_triplets(
-            3,
-            3,
-            &[(0, 0, 2.0), (2, 1, 4.0), (0, 2, 1.0), (2, 0, 3.0)],
-        )
+        SparseMatrix::from_triplets(3, 3, &[(0, 0, 2.0), (2, 1, 4.0), (0, 2, 1.0), (2, 0, 3.0)])
     }
 
     #[test]
@@ -183,8 +178,7 @@ mod tests {
     fn constant_step_count() {
         // O(1) vector ops regardless of size or structure.
         let ops_for = |rows: usize| {
-            let triplets: Vec<(usize, usize, f64)> =
-                (0..rows).map(|r| (r, r % 7, 1.0)).collect();
+            let triplets: Vec<(usize, usize, f64)> = (0..rows).map(|r| (r, r % 7, 1.0)).collect();
             let a = SparseMatrix::from_triplets(rows, 7, &triplets);
             let mut ctx = Ctx::new(Model::Scan);
             a.spmv_ctx(&mut ctx, &[1.0; 7]);

@@ -226,7 +226,9 @@ mod tests {
     fn random_merges() {
         let mut x = 31u64;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         for _ in 0..30 {
@@ -253,7 +255,12 @@ mod tests {
         let mut ctx2 = Ctx::new(Model::Scan);
         halving_merge_ctx(&mut ctx2, &a2, &b2);
         // 4× the data should cost far less than 4× the steps.
-        assert!(ctx2.steps() < 2 * steps_512, "{} vs {}", ctx2.steps(), steps_512);
+        assert!(
+            ctx2.steps() < 2 * steps_512,
+            "{} vs {}",
+            ctx2.steps(),
+            steps_512
+        );
     }
 
     #[test]

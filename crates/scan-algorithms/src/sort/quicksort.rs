@@ -34,7 +34,6 @@ pub struct QuicksortRun {
     pub iterations: usize,
 }
 
-
 /// Segmented quicksort on a step-counting machine.
 pub fn quicksort_ctx(ctx: &mut Ctx, keys: &[u64], rule: PivotRule) -> QuicksortRun {
     let n = keys.len();
@@ -111,7 +110,10 @@ pub fn quicksort(keys: &[u64], rule: PivotRule) -> Vec<u64> {
 
 /// Quicksort for floats via the monotone key transform of §3.4.
 pub fn quicksort_f64(keys: &[f64], rule: PivotRule) -> Vec<f64> {
-    let keyed: Vec<u64> = keys.iter().map(|&x| scan_core::simulate::f64_key(x)).collect();
+    let keyed: Vec<u64> = keys
+        .iter()
+        .map(|&x| scan_core::simulate::f64_key(x))
+        .collect();
     quicksort(&keyed, rule)
         .into_iter()
         .map(scan_core::simulate::f64_unkey)
@@ -198,7 +200,9 @@ mod tests {
         let mut x = 3u64;
         let keys: Vec<u64> = (0..4096)
             .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 x >> 16
             })
             .collect();

@@ -199,7 +199,10 @@ pub fn split_radix_sort_i64(keys: &[i64]) -> Vec<i64> {
 /// Sort floating-point keys via the monotone bit transform of §3.4
 /// (non-NaN inputs).
 pub fn split_radix_sort_f64(keys: &[f64]) -> Vec<f64> {
-    let keyed: Vec<u64> = keys.iter().map(|&x| scan_core::simulate::f64_key(x)).collect();
+    let keyed: Vec<u64> = keys
+        .iter()
+        .map(|&x| scan_core::simulate::f64_key(x))
+        .collect();
     split_radix_sort(&keyed, 64)
         .into_iter()
         .map(scan_core::simulate::f64_unkey)

@@ -51,8 +51,7 @@ pub fn euler_tour_ctx(
             subtree_size: vec![1],
         };
     }
-    let weighted: Vec<(usize, usize, u64)> =
-        edges.iter().map(|&(u, v)| (u, v, 0)).collect();
+    let weighted: Vec<(usize, usize, u64)> = edges.iter().map(|&(u, v)| (u, v, 0)).collect();
     let g = SegGraph::from_edges_ctx(ctx, n_vertices, &weighted);
     let s = g.n_slots();
     // Euler tour successor: after traversing edge (u→v) arriving at v

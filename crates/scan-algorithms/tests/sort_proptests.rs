@@ -43,7 +43,11 @@ fn with_default_schedule<R>(s: Schedule, f: impl FnOnce() -> R) -> R {
 
 /// Deterministic pseudo-random keys (splitmix64), masked to `bits`.
 fn keys(mut seed: u64, n: usize, bits: u32) -> Vec<u64> {
-    let mask = if bits >= 64 { u64::MAX } else { (1 << bits) - 1 };
+    let mask = if bits >= 64 {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    };
     (0..n)
         .map(|_| {
             seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -100,7 +104,8 @@ fn stability_with_tagged_duplicates_across_threshold() {
         let tags: Vec<u64> = (0..n as u64).collect();
         for w in WIDTHS {
             let (sk, sv) = fused_radix_sort_pairs_digits(&ks, &tags, 4, w);
-            let mut expect: Vec<(u64, u64)> = ks.iter().copied().zip(tags.iter().copied()).collect();
+            let mut expect: Vec<(u64, u64)> =
+                ks.iter().copied().zip(tags.iter().copied()).collect();
             expect.sort_by_key(|&(k, _)| k); // std stable sort
             let got: Vec<(u64, u64)> = sk.into_iter().zip(sv).collect();
             assert_eq!(got, expect, "n={n} w={w}");

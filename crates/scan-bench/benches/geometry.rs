@@ -2,10 +2,10 @@
 //! quickhull vs monotone chain, k-d tree build + queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use scan_algorithms::geometry::draw_lines;
 use scan_algorithms::geometry::hull::{convex_hull, convex_hull_reference};
 use scan_algorithms::geometry::kdtree::KdTree;
 use scan_algorithms::geometry::line_of_sight::line_of_sight;
-use scan_algorithms::geometry::draw_lines;
 use scan_bench::{random_points, Rng};
 
 fn bench_line_drawing(c: &mut Criterion) {

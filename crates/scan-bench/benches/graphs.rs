@@ -29,9 +29,7 @@ fn bench_components(c: &mut Criterion) {
     g.bench_function("random_mate", |b| {
         b.iter(|| connected_components(n, &edges, 13))
     });
-    g.bench_function("union_find", |b| {
-        b.iter(|| components_reference(n, &edges))
-    });
+    g.bench_function("union_find", |b| b.iter(|| components_reference(n, &edges)));
     g.finish();
 }
 

@@ -13,12 +13,16 @@ fn bench_merges(c: &mut Criterion) {
         let a = sorted_keys(n, 30, 6);
         let b = sorted_keys(n, 30, 7);
         g.throughput(Throughput::Elements(2 * n as u64));
-        g.bench_with_input(BenchmarkId::new("halving", n), &(a.clone(), b.clone()), |bch, (a, b)| {
-            bch.iter(|| halving_merge(a, b))
-        });
-        g.bench_with_input(BenchmarkId::new("bitonic", n), &(a.clone(), b.clone()), |bch, (a, b)| {
-            bch.iter(|| bitonic_merge(a, b))
-        });
+        g.bench_with_input(
+            BenchmarkId::new("halving", n),
+            &(a.clone(), b.clone()),
+            |bch, (a, b)| bch.iter(|| halving_merge(a, b)),
+        );
+        g.bench_with_input(
+            BenchmarkId::new("bitonic", n),
+            &(a.clone(), b.clone()),
+            |bch, (a, b)| bch.iter(|| bitonic_merge(a, b)),
+        );
         g.bench_with_input(BenchmarkId::new("sequential", n), &(a, b), |bch, (a, b)| {
             bch.iter(|| seq_merge(a, b))
         });

@@ -61,5 +61,10 @@ fn bench_radix_digit_width(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sorts, bench_radix_width, bench_radix_digit_width);
+criterion_group!(
+    benches,
+    bench_sorts,
+    bench_radix_width,
+    bench_radix_digit_width
+);
 criterion_main!(benches);

@@ -136,7 +136,9 @@ impl Row {
 
 /// Deterministic request payload.
 fn payload(client: u64, i: u64, len: usize) -> Vec<u64> {
-    (0..len as u64).map(|j| client * 7919 + i * 13 + j).collect()
+    (0..len as u64)
+        .map(|j| client * 7919 + i * 13 + j)
+        .collect()
 }
 
 /// Closed-loop storm through a service: `clients` threads each submit

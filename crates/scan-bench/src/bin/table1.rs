@@ -39,9 +39,7 @@ fn rows() -> Vec<Row> {
             paper_scan: "O(lg n)",
             run: Box::new(|ctx, n, seed| {
                 let edges = connected_graph(n, 2 * n, seed);
-                scan_algorithms::graph::components::connected_components_ctx(
-                    ctx, n, &edges, seed,
-                );
+                scan_algorithms::graph::components::connected_components_ctx(ctx, n, &edges, seed);
             }),
         },
         Row {
@@ -198,8 +196,9 @@ fn rows() -> Vec<Row> {
             run: Box::new(|ctx, n, seed| {
                 let side = (n as f64).sqrt() as usize;
                 let mut rng = Rng::new(seed);
-                let mut data: Vec<f64> =
-                    (0..side * side).map(|_| rng.below(100) as f64 + 1.0).collect();
+                let mut data: Vec<f64> = (0..side * side)
+                    .map(|_| rng.below(100) as f64 + 1.0)
+                    .collect();
                 for i in 0..side {
                     data[i * side + i] += 1000.0; // well-conditioned
                 }
@@ -241,13 +240,25 @@ fn main() {
             ratios.push(ratio);
             print_row(
                 &[
-                    if k == 0 { row.name.into() } else { String::new() },
+                    if k == 0 {
+                        row.name.into()
+                    } else {
+                        String::new()
+                    },
                     n.to_string(),
                     erew.steps().to_string(),
                     scan.steps().to_string(),
                     format!("{ratio:.2}"),
-                    if k == 0 { row.paper_erew.into() } else { String::new() },
-                    if k == 0 { row.paper_scan.into() } else { String::new() },
+                    if k == 0 {
+                        row.paper_erew.into()
+                    } else {
+                        String::new()
+                    },
+                    if k == 0 {
+                        row.paper_scan.into()
+                    } else {
+                        String::new()
+                    },
                 ],
                 &widths,
             );

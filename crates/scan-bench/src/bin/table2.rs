@@ -13,7 +13,11 @@ fn main() {
     println!("Theoretical rows (models, n processors):");
     let widths = [34, 22, 22];
     print_row(
-        &["".into(), "memory reference".into(), "scan operation".into()],
+        &[
+            "".into(),
+            "memory reference".into(),
+            "scan operation".into(),
+        ],
         &widths,
     );
     print_rule(&widths);
@@ -64,7 +68,11 @@ fn main() {
     let run = circuit.scan(OpKind::Plus, &values, 32);
     let widths = [34, 22, 22];
     print_row(
-        &["".into(), "memory reference".into(), "scan operation".into()],
+        &[
+            "".into(),
+            "memory reference".into(),
+            "scan operation".into(),
+        ],
         &widths,
     );
     print_rule(&widths);
@@ -82,7 +90,9 @@ fn main() {
     let mut perm: Vec<usize> = (0..n).collect();
     let mut x = 0x1234_5678_9abc_def0u64;
     for i in (1..n).rev() {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let j = (x >> 33) as usize % (i + 1);
         perm.swap(i, j);
     }
@@ -153,7 +163,10 @@ fn main() {
         "  32-bit scan @100ns clock: {:.1} us  (paper: ~5 us)",
         sys.scan_time_us(32)
     );
-    let fast = ExampleSystem { clock_ns: 10.0, ..sys };
+    let fast = ExampleSystem {
+        clock_ns: 10.0,
+        ..sys
+    };
     println!(
         "  32-bit scan @ 10ns clock: {:.2} us (paper: ~0.5 us)",
         fast.scan_time_us(32)

@@ -70,7 +70,11 @@ fn main() {
     ];
     let w = [28, 52, 30];
     scan_bench::print_row(
-        &["use".into(), "implemented by".into(), "example algorithms".into()],
+        &[
+            "use".into(),
+            "implemented by".into(),
+            "example algorithms".into(),
+        ],
         &w,
     );
     scan_bench::print_rule(&w);
@@ -81,8 +85,14 @@ fn main() {
     let algs = [
         ("Split Radix Sort (2.2.1)", "scan_algorithms::sort::radix"),
         ("Quicksort (2.3.1)", "scan_algorithms::sort::quicksort"),
-        ("Minimum Spanning Tree (2.3.3)", "scan_algorithms::graph::mst"),
-        ("Line Drawing (2.4.1)", "scan_algorithms::geometry::line_draw"),
+        (
+            "Minimum Spanning Tree (2.3.3)",
+            "scan_algorithms::graph::mst",
+        ),
+        (
+            "Line Drawing (2.4.1)",
+            "scan_algorithms::geometry::line_draw",
+        ),
         ("Halving Merge (2.5.1)", "scan_algorithms::merge::halving"),
     ];
     let w = [30, 44];

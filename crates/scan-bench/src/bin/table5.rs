@@ -51,9 +51,8 @@ fn main() {
             name: "Tree Contraction (Euler tour)",
             run: Box::new(|ctx, n| {
                 let mut rng = Rng::new(5);
-                let edges: Vec<(usize, usize)> = (1..n)
-                    .map(|v| ((rng.next() as usize) % v, v))
-                    .collect();
+                let edges: Vec<(usize, usize)> =
+                    (1..n).map(|v| ((rng.next() as usize) % v, v)).collect();
                 euler_tour_ctx(ctx, n, &edges, 0, 9);
             }),
         },
@@ -84,7 +83,11 @@ fn main() {
             let product_few = few.steps() * p as u64;
             print_row(
                 &[
-                    if k == 0 { case.name.into() } else { String::new() },
+                    if k == 0 {
+                        case.name.into()
+                    } else {
+                        String::new()
+                    },
                     n.to_string(),
                     full.steps().to_string(),
                     few.steps().to_string(),

@@ -55,7 +55,11 @@ impl Rng {
 /// Random keys bounded by `2^bits`.
 pub fn random_keys(n: usize, bits: u32, seed: u64) -> Vec<u64> {
     let mut rng = Rng::new(seed);
-    let mask = if bits >= 64 { u64::MAX } else { (1 << bits) - 1 };
+    let mask = if bits >= 64 {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    };
     (0..n).map(|_| rng.next() & mask).collect()
 }
 

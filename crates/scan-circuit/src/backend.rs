@@ -69,9 +69,7 @@ impl CircuitBackend {
         };
         let a: Vec<u64> = a.iter().map(|&x| x & mask).collect();
         let plus_ok = self.plus_scan(&a)
-            == scan_core::parallel::seq_exclusive_scan_by(&a, 0, |x, y| {
-                x.wrapping_add(y) & mask
-            });
+            == scan_core::parallel::seq_exclusive_scan_by(&a, 0, |x, y| x.wrapping_add(y) & mask);
         let max_ok =
             self.max_scan(&a) == scan_core::parallel::seq_exclusive_scan_by(&a, 0, u64::max);
         plus_ok && max_ok
@@ -127,7 +125,10 @@ mod tests {
         // min-scan = invert ∘ max-scan ∘ invert needs full-width fields.
         let b = CircuitBackend::new(64);
         let a = [7u64, 3, 9, 1];
-        assert_eq!(simulate::min_scan_u64(&b, &a), scan_core::scan::<Min, _>(&a));
+        assert_eq!(
+            simulate::min_scan_u64(&b, &a),
+            scan_core::scan::<Min, _>(&a)
+        );
     }
 
     #[test]
@@ -141,9 +142,7 @@ mod tests {
     fn figure16_on_hardware() {
         let b = CircuitBackend::new(16);
         let a = [5u64, 1, 3, 4, 3, 9, 2, 6];
-        let segs = Segments::from_flags(vec![
-            true, false, true, false, false, false, true, false,
-        ]);
+        let segs = Segments::from_flags(vec![true, false, true, false, false, false, true, false]);
         let got = simulate::seg_max_scan_via_primitives(&b, &a, &segs, 8).unwrap();
         assert_eq!(got, seg_scan::<Max, _>(&a, &segs));
     }

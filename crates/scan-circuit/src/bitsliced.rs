@@ -302,7 +302,11 @@ impl BitslicedScans {
             } else {
                 x.add_bit_steps()
             };
-            x = if max { x.max(&shifted) } else { x.add(&shifted) };
+            x = if max {
+                x.max(&shifted)
+            } else {
+                x.add(&shifted)
+            };
             self.bit_steps.set(self.bit_steps.get() + step);
             d *= 2;
         }
@@ -331,7 +335,9 @@ mod tests {
         let mut x = seed | 1;
         (0..n)
             .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (x >> 17) & mask
             })
             .collect()
@@ -432,9 +438,7 @@ mod tests {
             let v = sample(n, 12, 11);
             let s = BitSlicedVec::from_slice(&v, 12);
             for k in [0usize, 1, 2, 63, 64, 65, 100] {
-                let expect: Vec<u64> = (0..n)
-                    .map(|i| if i >= k { v[i - k] } else { 0 })
-                    .collect();
+                let expect: Vec<u64> = (0..n).map(|i| if i >= k { v[i - k] } else { 0 }).collect();
                 assert_eq!(s.shift_lanes_up(k).to_vec(), expect, "n={n} k={k}");
             }
         }

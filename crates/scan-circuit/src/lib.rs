@@ -36,8 +36,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backend;
-pub mod bitsliced;
 pub mod baseline;
+pub mod bitsliced;
 pub mod cost;
 pub mod router;
 pub mod seg_tree;

@@ -208,7 +208,9 @@ mod tests {
         let mut p: Vec<usize> = (0..n).collect();
         let mut x = seed | 1;
         for i in (1..n).rev() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let j = (x >> 33) as usize % (i + 1);
             p.swap(i, j);
         }

@@ -283,13 +283,7 @@ impl SegTreeScanCircuit {
             .raw_values
             .iter()
             .enumerate()
-            .map(|(i, &v)| {
-                if i == 0 || flags[i] {
-                    op.identity()
-                } else {
-                    v
-                }
-            })
+            .map(|(i, &v)| if i == 0 || flags[i] { op.identity() } else { v })
             .collect();
         CircuitRun {
             values: out,
@@ -325,7 +319,10 @@ mod tests {
             }
             OpKind::Max => sw_seg_scan::<Max, _>(values, &segs),
         };
-        assert_eq!(run.values, expect, "op={op:?} values={values:?} flags={flags:?}");
+        assert_eq!(
+            run.values, expect,
+            "op={op:?} values={values:?} flags={flags:?}"
+        );
         assert!(run.cycles <= c.cycle_bound(m));
     }
 

@@ -372,7 +372,11 @@ impl TreeScanCircuit {
         let m = m_bits as u64;
         // Result bit k reaches the leaves 2·levels - 1 cycles after the
         // operand bit k enters (one register per unit, up and down).
-        let latency = if n == 1 { 0 } else { 2 * self.levels as u64 - 1 };
+        let latency = if n == 1 {
+            0
+        } else {
+            2 * self.levels as u64 - 1
+        };
         let total_cycles = m + latency;
         let mut out = vec![0u64; n];
         let mut applied = 0usize;
@@ -391,8 +395,8 @@ impl TreeScanCircuit {
                     }
                     let v = values.get(p).copied().unwrap_or(0);
                     let bit_index = match op {
-                        OpKind::Plus => t,               // LSB first
-                        OpKind::Max => m - 1 - t,        // MSB first
+                        OpKind::Plus => t,        // LSB first
+                        OpKind::Max => m - 1 - t, // MSB first
                     };
                     (v >> bit_index) & 1 == 1
                 })
@@ -627,7 +631,7 @@ mod tests {
         let run = c.scan(OpKind::Plus, &values, 8);
         assert_eq!(trace.result, run.values);
         assert_eq!(trace.steps, 6); // 2 lg 8
-        // Root stores the left subtree's sum and passes up the total.
+                                    // Root stores the left subtree's sum and passes up the total.
         assert_eq!(trace.stored_left[1], 11);
         assert_eq!(trace.up_value[1], 25);
     }

@@ -272,10 +272,7 @@ mod tests {
             outs.push(r.shift(i));
         }
         // First 3 outputs are the initial zeros; then inputs delayed by 3.
-        assert_eq!(
-            outs,
-            vec![false, false, false, true, false, true, true]
-        );
+        assert_eq!(outs, vec![false, false, false, true, false, true, true]);
     }
 
     #[test]

@@ -150,7 +150,10 @@ mod tests {
         assert_eq!(alloc.total, 5);
         assert_eq!(alloc.starts, vec![0, 0, 2, 2, 5]);
         assert_eq!(alloc.segments.lengths(), vec![2, 3]);
-        assert_eq!(distribute(&[9u32, 1, 9, 2, 9], &[0, 2, 0, 3, 0]), vec![1, 1, 2, 2, 2]);
+        assert_eq!(
+            distribute(&[9u32, 1, 9, 2, 9], &[0, 2, 0, 3, 0]),
+            vec![1, 1, 2, 2, 2]
+        );
     }
 
     #[test]
@@ -168,10 +171,7 @@ mod tests {
 
     #[test]
     fn try_distribute_checks_lengths() {
-        assert_eq!(
-            try_distribute(&[1u32, 2], &[1, 2]),
-            Ok(vec![1, 2, 2])
-        );
+        assert_eq!(try_distribute(&[1u32, 2], &[1, 2]), Ok(vec![1, 2, 2]));
         assert_eq!(
             try_distribute(&[1u32], &[1, 2]),
             Err(crate::error::Error::LengthMismatch {

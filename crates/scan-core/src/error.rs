@@ -141,7 +141,10 @@ impl fmt::Display for Error {
                 write!(f, "flag count mismatch: expected {expected}, got {actual}")
             }
             Error::CheckpointCorrupt { chunk } => {
-                write!(f, "carry checkpoint for chunk {chunk} failed its digest check")
+                write!(
+                    f,
+                    "carry checkpoint for chunk {chunk} failed its digest check"
+                )
             }
             Error::SeekUnsupported { chunk } => {
                 write!(f, "chunk source cannot seek to chunk {chunk} for resume")
@@ -170,7 +173,10 @@ mod tests {
         let e = Error::DuplicateIndex { index: 7 };
         assert_eq!(e.to_string(), "duplicate permute destination index 7");
         let e = Error::IndexOutOfBounds { index: 9, len: 4 };
-        assert_eq!(e.to_string(), "index 9 out of bounds for vector of length 4");
+        assert_eq!(
+            e.to_string(),
+            "index 9 out of bounds for vector of length 4"
+        );
         let e = Error::WidthOverflow {
             required: 70,
             available: 64,
@@ -189,7 +195,10 @@ mod tests {
             "carry checkpoint for chunk 12 failed its digest check"
         );
         let e = Error::SeekUnsupported { chunk: 5 };
-        assert_eq!(e.to_string(), "chunk source cannot seek to chunk 5 for resume");
+        assert_eq!(
+            e.to_string(),
+            "chunk source cannot seek to chunk 5 for resume"
+        );
         let e = Error::Exec(ExecError::DeadlineExceeded);
         assert_eq!(e.to_string(), "execution failed: deadline exceeded");
         let e = Error::Exec(ExecError::WorkerLost { panics: 2 });

@@ -172,9 +172,7 @@ pub fn try_seg_split3<T: ScanElem>(
 }
 
 fn seg_split3_inner<T: ScanElem>(a: &[T], buckets: &[Bucket], segs: &Segments) -> SegSplit3<T> {
-    let is = |b: Bucket| -> Vec<usize> {
-        buckets.iter().map(|&x| usize::from(x == b)).collect()
-    };
+    let is = |b: Bucket| -> Vec<usize> { buckets.iter().map(|&x| usize::from(x == b)).collect() };
     let lo = is(Bucket::Lo);
     let mid = is(Bucket::Mid);
     let enum_lo = seg_scan::<Sum, _>(&lo, segs);
@@ -244,10 +242,7 @@ mod tests {
         let a = [1u32, 2, 3, 10, 20, 5];
         let s = segs(&[true, false, false, true, false, true]);
         assert_eq!(seg_reduce::<Sum, _>(&a, &s), vec![6, 30, 5]);
-        assert_eq!(
-            seg_distribute::<Sum, _>(&a, &s),
-            vec![6, 6, 6, 30, 30, 5]
-        );
+        assert_eq!(seg_distribute::<Sum, _>(&a, &s), vec![6, 6, 6, 30, 30, 5]);
         assert_eq!(seg_reduce::<Max, _>(&a, &s), vec![3, 20, 5]);
         assert_eq!(seg_reduce::<Min, _>(&a, &s), vec![1, 10, 5]);
     }
@@ -333,10 +328,7 @@ mod tests {
         );
         let f = [true, false, true, false, true, false];
         assert_eq!(try_seg_split(&a, &f, &s), Ok(seg_split(&a, &f, &s)));
-        assert_eq!(
-            try_seg_split_index(&f, &s),
-            Ok(seg_split_index(&f, &s))
-        );
+        assert_eq!(try_seg_split_index(&f, &s), Ok(seg_split_index(&f, &s)));
         use Bucket::*;
         let b = [Mid, Lo, Hi, Mid, Lo, Hi];
         assert_eq!(try_seg_split3(&a, &b, &s), Ok(seg_split3(&a, &b, &s)));

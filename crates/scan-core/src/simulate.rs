@@ -318,11 +318,7 @@ pub fn seg_plus_scan_via_primitives<B: PrimitiveScans>(
         })
         .collect();
     let excl = seg_max_scan_via_primitives(b, &marked, segs, value_bits)?;
-    let head_copy: Vec<u64> = excl
-        .iter()
-        .zip(&marked)
-        .map(|(&e, &m)| e.max(m))
-        .collect();
+    let head_copy: Vec<u64> = excl.iter().zip(&marked).map(|(&e, &m)| e.max(m)).collect();
     Ok(s.iter()
         .zip(&head_copy)
         .map(|(&x, &h)| x.wrapping_sub(h))
@@ -414,9 +410,7 @@ mod tests {
         // A = [5 1 3 4 3 9 2 6], SFlag = [T F T F F F T F]
         // Result = [0 5 0 3 4 4 0 2]
         let a = [5u64, 1, 3, 4, 3, 9, 2, 6];
-        let segs = Segments::from_flags(vec![
-            true, false, true, false, false, false, true, false,
-        ]);
+        let segs = Segments::from_flags(vec![true, false, true, false, false, false, true, false]);
         let got = seg_max_scan_via_primitives(&B, &a, &segs, 8).unwrap();
         assert_eq!(got, vec![0, 5, 0, 3, 4, 4, 0, 2]);
         assert_eq!(got, seg_scan::<Max, _>(&a, &segs));
@@ -425,9 +419,7 @@ mod tests {
     #[test]
     fn seg_plus_scan_matches_direct() {
         let a = [5u64, 1, 3, 4, 3, 9, 2, 6];
-        let segs = Segments::from_flags(vec![
-            true, false, true, false, false, false, true, false,
-        ]);
+        let segs = Segments::from_flags(vec![true, false, true, false, false, false, true, false]);
         let got = seg_plus_scan_via_primitives(&B, &a, &segs, 16).unwrap();
         assert_eq!(got, seg_scan::<Sum, _>(&a, &segs));
         assert_eq!(got, vec![0, 5, 0, 3, 7, 10, 0, 2]);
@@ -437,7 +429,9 @@ mod tests {
     fn seg_scans_random_match_direct() {
         let mut x = 12345u64;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         let n = 500;

@@ -261,7 +261,10 @@ mod tests {
         // A radix-sort pass in the paper's notation.
         let a = V::from(vec![5u64, 7, 3, 1, 4, 2, 7, 2]);
         let bit0 = a.map(|k| k & 1 == 1);
-        assert_eq!(a.split(bit0.as_slice()).as_slice(), &[4, 2, 2, 5, 7, 3, 1, 7]);
+        assert_eq!(
+            a.split(bit0.as_slice()).as_slice(),
+            &[4, 2, 2, 5, 7, 3, 1, 7]
+        );
         let idx = [2, 5, 4, 3, 1, 6, 0, 7];
         assert_eq!(a.permute(&idx)[2], 5);
     }

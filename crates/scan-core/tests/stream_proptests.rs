@@ -419,13 +419,11 @@ fn failed_step_retries_without_repulling() {
     let mut s = ScanStream::<Sum, u64, _>::exclusive(source);
 
     let mut got = Vec::new();
-    let err = deadline::with_deadline(&d, || {
-        loop {
-            match s.step() {
-                Ok(Some(c)) => got.extend_from_slice(c),
-                Ok(None) => panic!("stream must fail at the tripped pull"),
-                Err(e) => break e,
-            }
+    let err = deadline::with_deadline(&d, || loop {
+        match s.step() {
+            Ok(Some(c)) => got.extend_from_slice(c),
+            Ok(None) => panic!("stream must fail at the tripped pull"),
+            Err(e) => break e,
         }
     });
     assert_eq!(err, Error::Exec(scan_core::ExecError::Cancelled));
@@ -473,10 +471,13 @@ fn chunks_straddling_par_threshold_stay_equivalent() {
     let data: Vec<u64> = (0..1000).map(|i| (i * 13 + 7) % 997).collect();
     for chunk_len in [1usize, 63, 64, 65, 128, 400] {
         let mut got = Vec::new();
-        let mut s =
-            ScanStream::<Sum, u64, _>::exclusive(SliceSource::new(&data, chunk_len));
+        let mut s = ScanStream::<Sum, u64, _>::exclusive(SliceSource::new(&data, chunk_len));
         s.process(|c| got.extend_from_slice(c)).unwrap();
-        assert_eq!(got, scan_core::scan::<Sum, _>(&data), "chunk_len {chunk_len}");
+        assert_eq!(
+            got,
+            scan_core::scan::<Sum, _>(&data),
+            "chunk_len {chunk_len}"
+        );
     }
     scan_core::parallel::set_par_threshold_override(0);
 }

@@ -127,8 +127,15 @@ mod tests {
                 corrupted += 1;
             }
         }
-        assert!(corrupted > 5, "only {corrupted} of 50 faulted scans corrupted");
-        assert!(b.flips() >= 40, "flips {} should land nearly every scan", b.flips());
+        assert!(
+            corrupted > 5,
+            "only {corrupted} of 50 faulted scans corrupted"
+        );
+        assert!(
+            b.flips() >= 40,
+            "flips {} should land nearly every scan",
+            b.flips()
+        );
         assert!(b.distinct_sites_hit() >= 20);
         assert_eq!(b.scans(), 50);
     }

@@ -227,7 +227,13 @@ mod tests {
         // Third failure at clock 2 opens: until = 2 + 8 = 10.
         assert_eq!(b.gate(2), Gate::Full);
         assert!(b.failure(&cfg, 0, 2, false));
-        assert_eq!(b.state(), BreakerState::Open { until: 10, backoff: 8 });
+        assert_eq!(
+            b.state(),
+            BreakerState::Open {
+                until: 10,
+                backoff: 8
+            }
+        );
         assert_eq!(b.quarantines(), 1);
         // Clocks 3..=9 skip.
         for clock in 3..10 {
@@ -237,7 +243,13 @@ mod tests {
         // Clock 10 probes; a failed probe re-opens with doubled backoff.
         assert_eq!(b.gate(10), Gate::Probe);
         assert!(b.failure(&cfg, 0, 10, true));
-        assert_eq!(b.state(), BreakerState::Open { until: 26, backoff: 16 });
+        assert_eq!(
+            b.state(),
+            BreakerState::Open {
+                until: 26,
+                backoff: 16
+            }
+        );
         assert_eq!(b.probes(), 1);
         // Backoff caps at max_quarantine.
         for _ in 0..4 {

@@ -375,6 +375,9 @@ mod tests {
         }
         let h = ex.backend_health(0);
         assert!(h.panics > 0, "schedule must have injected panics");
-        assert!(ex.stats().detections > 0, "schedule must have injected lies");
+        assert!(
+            ex.stats().detections > 0,
+            "schedule must have injected lies"
+        );
     }
 }

@@ -96,7 +96,10 @@ mod tests {
     #[test]
     fn display_and_source() {
         let e: FaultError = scan_core::Error::EmptyInput { op: "copy" }.into();
-        assert_eq!(e.to_string(), "vector operation failed: copy of an empty vector");
+        assert_eq!(
+            e.to_string(),
+            "vector operation failed: copy of an empty vector"
+        );
         assert!(std::error::Error::source(&e).is_some());
 
         let e = FaultError::Corrupted {

@@ -409,7 +409,13 @@ mod tests {
         }
         let h = ex.backend_health(0);
         assert_eq!(h.quarantines, 1);
-        assert_eq!(h.state, BreakerState::Open { until: 10, backoff: 8 });
+        assert_eq!(
+            h.state,
+            BreakerState::Open {
+                until: 10,
+                backoff: 8
+            }
+        );
         let attempts_at_open = ex.stats().attempts;
         // Clocks 3..=9: the primary is skipped, not attempted.
         for _ in 3..10 {
@@ -425,7 +431,13 @@ mod tests {
         let h = ex.backend_health(0);
         assert_eq!(h.probes, 1);
         assert_eq!(h.quarantines, 2);
-        assert_eq!(h.state, BreakerState::Open { until: 26, backoff: 16 });
+        assert_eq!(
+            h.state,
+            BreakerState::Open {
+                until: 26,
+                backoff: 16
+            }
+        );
     }
 
     #[test]
@@ -537,7 +549,10 @@ mod tests {
         assert_eq!(ex.checked_plus_scan(&a).unwrap(), good);
         assert_eq!(
             ex.backend_health(0).state,
-            BreakerState::Open { until: 2, backoff: 2 }
+            BreakerState::Open {
+                until: 2,
+                backoff: 2
+            }
         );
         // Clock 1: skipped.
         assert_eq!(ex.checked_plus_scan(&a).unwrap(), good);

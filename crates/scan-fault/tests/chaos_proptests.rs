@@ -28,10 +28,7 @@ fn setup() {
 
 /// Hard per-case watchdog: the property fails (rather than wedging the
 /// suite) if a case neither returns nor panics in time.
-fn with_timeout<R: Send + 'static>(
-    limit: Duration,
-    f: impl FnOnce() -> R + Send + 'static,
-) -> R {
+fn with_timeout<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let _ = tx.send(f());
@@ -66,7 +63,11 @@ fn reference_plus_scan(a: &[u64]) -> Vec<u64> {
 fn plan_from(seed: u64, panic_every: u64, delay_every: u64, lie_every: u64) -> ChaosPlan {
     ChaosPlan {
         // 0 stays 0 (disabled); otherwise keep the period ≥ 16.
-        delay_every: if delay_every == 0 { 0 } else { 16 + delay_every },
+        delay_every: if delay_every == 0 {
+            0
+        } else {
+            16 + delay_every
+        },
         delay_us: 20,
         panic_every,
         lie_every,

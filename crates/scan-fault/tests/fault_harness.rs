@@ -80,7 +80,11 @@ fn five_headline_algorithms_survive_a_fault_campaign() {
         .map(|i| ((i as f64) * 0.37).sin() * 50.0 + (rng.below(100) as f64))
         .collect();
     let got = line_of_sight_ctx(&mut ctx_with(&executor), 10.0, &altitudes);
-    assert_eq!(got, line_of_sight(10.0, &altitudes), "line of sight corrupted");
+    assert_eq!(
+        got,
+        line_of_sight(10.0, &altitudes),
+        "line of sight corrupted"
+    );
 
     // 5. Halving merge.
     let mut a: Vec<u64> = (0..64).map(|_| rng.next() & 0xFFFF).collect();
@@ -188,8 +192,14 @@ fn vm_programs_on_faulty_backends_stay_typed() {
     let data: Vec<u64> = (0..32).map(|i| (i * 7) % 101).collect();
     vm.load("a", data.clone());
     let program = [
-        Instr::PlusScan { dst: "ps", src: "a" },
-        Instr::MaxScan { dst: "ms", src: "a" },
+        Instr::PlusScan {
+            dst: "ps",
+            src: "a",
+        },
+        Instr::MaxScan {
+            dst: "ms",
+            src: "a",
+        },
     ];
     match vm.run(&program) {
         Ok(()) => {

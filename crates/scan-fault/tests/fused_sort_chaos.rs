@@ -4,9 +4,7 @@
 //! result — and the worker pool must stay usable afterwards.
 
 use scan_algorithms::sort::fused_radix::{fused_radix_sort, try_fused_radix_sort_digits};
-use scan_core::multi_split::{
-    try_multi_split_into_sched, MultiSplitScratch,
-};
+use scan_core::multi_split::{try_multi_split_into_sched, MultiSplitScratch};
 use scan_core::parallel::{Schedule, PAR_THRESHOLD};
 use scan_core::{deadline, Error, ExecError, ScanDeadline};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,7 +79,14 @@ fn expired_deadline_is_typed_under_both_schedules() {
         let r = deadline::with_deadline(&d, || {
             let mut dst = vec![0u64; ks.len()];
             let mut scratch = MultiSplitScratch::new();
-            try_multi_split_into_sched(sched, &ks, &mut dst, 256, |k| (k & 255) as usize, &mut scratch)
+            try_multi_split_into_sched(
+                sched,
+                &ks,
+                &mut dst,
+                256,
+                |k| (k & 255) as usize,
+                &mut scratch,
+            )
         });
         assert_eq!(
             r,

@@ -28,10 +28,7 @@ fn setup() {
 
 /// Run `f` on its own thread and fail loudly if it neither returns nor
 /// panics within `limit` — the no-hang guarantee, enforced.
-fn with_timeout<R: Send + 'static>(
-    limit: Duration,
-    f: impl FnOnce() -> R + Send + 'static,
-) -> R {
+fn with_timeout<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let _ = tx.send(f());
@@ -84,7 +81,11 @@ fn induced_worker_panic_is_typed_and_pool_recovers() {
                 .schedule(sched)
                 .try_run(&a)
                 .map(|r| r.0);
-            assert_eq!(clean.as_deref(), Ok(&reference_plus_scan(&a)[..]), "{sched:?}");
+            assert_eq!(
+                clean.as_deref(),
+                Ok(&reference_plus_scan(&a)[..]),
+                "{sched:?}"
+            );
         }
     });
 }
@@ -129,10 +130,13 @@ fn lying_backend_is_quarantined_then_readmitted_after_healing() {
 
         // Lies on every one of its first 3 calls, truthful afterwards:
         // a transient corruption that heals mid-campaign.
-        let flaky = ChaosBackend::new(SoftwareScans, ChaosPlan {
-            lie_every: 1,
-            ..ChaosPlan::quiet(17)
-        });
+        let flaky = ChaosBackend::new(
+            SoftwareScans,
+            ChaosPlan {
+                lie_every: 1,
+                ..ChaosPlan::quiet(17)
+            },
+        );
         struct HealingLiar {
             inner: ChaosBackend<SoftwareScans>,
             heal_after: u64,

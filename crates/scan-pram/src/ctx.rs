@@ -16,12 +16,12 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use scan_core::element::ScanElem;
-use scan_core::ScanDeadline;
 use scan_core::op::ScanOp;
 use scan_core::ops::{self, Bucket};
 use scan_core::segmented::{self, Segments};
 use scan_core::segops;
 use scan_core::simulate::PrimitiveScans;
+use scan_core::ScanDeadline;
 use scan_core::{allocate as core_allocate, Allocation};
 
 use crate::model::Model;
@@ -60,7 +60,10 @@ impl core::fmt::Debug for Ctx {
             .field("stats", &self.stats)
             .field("strict", &self.strict)
             .field("merge_primitive", &self.merge_primitive)
-            .field("backend", &self.backend.as_ref().map(|_| "dyn PrimitiveScans"))
+            .field(
+                "backend",
+                &self.backend.as_ref().map(|_| "dyn PrimitiveScans"),
+            )
             .field("deadline", &self.deadline)
             .field("deadline_skips", &self.deadline_skips.get())
             .finish()
@@ -267,7 +270,8 @@ impl Ctx {
 
     fn charge_scan(&mut self, n: usize) {
         let p = self.p_for(n);
-        self.stats.charge(StepKind::Scan, self.model.scan_cost(n, p));
+        self.stats
+            .charge(StepKind::Scan, self.model.scan_cost(n, p));
     }
 
     fn charge_seg_scan(&mut self, n: usize) {
@@ -815,7 +819,11 @@ impl Ctx {
             "combining writes require the extended CRCW model, not {}",
             self.model.name()
         );
-        assert_eq!(indices.len(), values.len(), "combining_write length mismatch");
+        assert_eq!(
+            indices.len(),
+            values.len(),
+            "combining_write length mismatch"
+        );
         let p = self.p_for(indices.len());
         self.stats.charge(
             StepKind::CombiningWrite,
@@ -914,10 +922,7 @@ mod tests {
     #[test]
     fn derived_ops_work_and_charge() {
         let mut ctx = Ctx::new(Model::Scan);
-        assert_eq!(
-            ctx.enumerate(&[true, false, true]),
-            vec![0, 1, 1]
-        );
+        assert_eq!(ctx.enumerate(&[true, false, true]), vec![0, 1, 1]);
         assert_eq!(ctx.distribute_op::<Sum, _>(&[1u32, 2, 3]), vec![6, 6, 6]);
         assert_eq!(ctx.pack(&[1u32, 2, 3], &[true, false, true]), vec![1, 3]);
         let alloc = ctx.allocate(&[2, 1]);
@@ -997,10 +1002,7 @@ mod tests {
         assert_eq!(routed.enumerate(&flags), soft.enumerate(&flags));
         assert_eq!(routed.count(&flags), soft.count(&flags));
         assert_eq!(routed.pack(&a, &flags), soft.pack(&a, &flags));
-        assert_eq!(
-            routed.split_count(&a, &flags),
-            soft.split_count(&a, &flags)
-        );
+        assert_eq!(routed.split_count(&a, &flags), soft.split_count(&a, &flags));
         assert_eq!(routed.allocate(&[2, 0, 3]), soft.allocate(&[2, 0, 3]));
         assert_eq!(
             routed.distribute(&[7u64, 8, 9], &[2, 0, 3]),
@@ -1010,7 +1012,11 @@ mod tests {
         // the cost model.
         assert_eq!(routed.steps(), soft.steps());
         // And the primitives really ran on the backend.
-        assert!(backend.calls.get() >= 20, "backend saw {}", backend.calls.get());
+        assert!(
+            backend.calls.get() >= 20,
+            "backend saw {}",
+            backend.calls.get()
+        );
     }
 
     #[test]

@@ -156,7 +156,10 @@ mod tests {
         let v = BlockedVec::new(vec![4u64, 7, 1, 0, 5, 2, 6, 4, 8, 1, 9, 5], 4);
         assert_eq!(v.block_sums::<Sum>(), vec![12, 7, 18, 15]);
         // +-scan(Sum) = [0 12 19 37]
-        assert_eq!(flat_scan::<Sum, _>(&v.block_sums::<Sum>()), vec![0, 12, 19, 37]);
+        assert_eq!(
+            flat_scan::<Sum, _>(&v.block_sums::<Sum>()),
+            vec![0, 12, 19, 37]
+        );
         // Final: [0 4 11 | 12 12 17 | 19 25 29 | 37 38 47]
         assert_eq!(
             v.scan::<Sum>().data(),
@@ -169,7 +172,10 @@ mod tests {
         for p in [1, 2, 3, 5, 8, 64] {
             let data: Vec<u64> = (0..100).map(|i| i * 3 % 17).collect();
             let v = BlockedVec::new(data.clone(), p);
-            assert_eq!(v.scan::<Sum>().data(), flat_scan::<Sum, _>(&data).as_slice());
+            assert_eq!(
+                v.scan::<Sum>().data(),
+                flat_scan::<Sum, _>(&data).as_slice()
+            );
         }
     }
 

@@ -102,10 +102,7 @@ fn bits_for(v: u64) -> u32 {
 // ----- unsegmented scans -----
 
 /// Exclusive forward scan via the backend primitives (§3.4 dispatch).
-pub(crate) fn scan<O: ScanOp<T>, T: ScanElem>(
-    b: &dyn PrimitiveScans,
-    a: &[T],
-) -> Option<Vec<T>> {
+pub(crate) fn scan<O: ScanOp<T>, T: ScanElem>(b: &dyn PrimitiveScans, a: &[T]) -> Option<Vec<T>> {
     let op = TypeId::of::<O>();
     let t = TypeId::of::<T>();
     let (sum, max, min) = (
@@ -268,11 +265,7 @@ pub(crate) fn seg_copy<T: ScanElem>(
         .collect();
     let value_bits = marked.iter().map(|&w| bits_for(w)).max().unwrap_or(0);
     let excl = simulate::seg_max_scan_via_primitives(&ByRef(b), &marked, segs, value_bits).ok()?;
-    let out: Vec<u64> = excl
-        .iter()
-        .zip(&marked)
-        .map(|(&e, &m)| e.max(m))
-        .collect();
+    let out: Vec<u64> = excl.iter().zip(&marked).map(|(&e, &m)| e.max(m)).collect();
     from_words(&out)
 }
 
@@ -446,9 +439,7 @@ pub(crate) fn split3<T: ScanElem>(
         .map(|i| match buckets[i] {
             Bucket::Lo => rank(&lo_scan, i),
             Bucket::Mid => n_lo.saturating_add(rank(&mid_scan, i)),
-            Bucket::Hi => n_lo
-                .saturating_add(n_mid)
-                .saturating_add(rank(&hi_scan, i)),
+            Bucket::Hi => n_lo.saturating_add(n_mid).saturating_add(rank(&hi_scan, i)),
         })
         .collect();
     (scatter_permute(a, &idx), n_lo, n_mid)

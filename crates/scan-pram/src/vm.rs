@@ -130,10 +130,16 @@ impl core::fmt::Display for VmError {
             VmError::LengthMismatch { a, b } => write!(f, "length mismatch: {a} vs {b}"),
             VmError::BadPermutation => write!(f, "index vector is not a permutation"),
             VmError::StepBudgetExceeded { budget, used } => {
-                write!(f, "step budget exceeded: {used} steps charged, budget {budget}")
+                write!(
+                    f,
+                    "step budget exceeded: {used} steps charged, budget {budget}"
+                )
             }
             VmError::MemoryBudgetExceeded { cap, used } => {
-                write!(f, "register memory cap exceeded: {used} words held, cap {cap}")
+                write!(
+                    f,
+                    "register memory cap exceeded: {used} words held, cap {cap}"
+                )
             }
             VmError::Core(e) => write!(f, "vector operation failed: {e}"),
         }
@@ -342,12 +348,7 @@ impl Vm {
             }
             Enumerate { dst, flags } => {
                 let f = Self::flags_of(self.reg(flags)?);
-                let out: Vec<u64> = self
-                    .ctx
-                    .enumerate(&f)
-                    .iter()
-                    .map(|&x| x as u64)
-                    .collect();
+                let out: Vec<u64> = self.ctx.enumerate(&f).iter().map(|&x| x as u64).collect();
                 self.regs.insert(dst, out);
             }
             Permute { dst, src, idx } => {
@@ -514,10 +515,27 @@ mod tests {
         vm.load("a", vec![5, 1, 9]);
         vm.load("b", vec![2, 8, 9]);
         vm.run(&[
-            Instr::Add { dst: "sum", a: "a", b: "b" },
-            Instr::Lt { dst: "lt", a: "a", b: "b" },
-            Instr::Select { dst: "min", cond: "lt", a: "a", b: "b" },
-            Instr::MaxV { dst: "max", a: "a", b: "b" },
+            Instr::Add {
+                dst: "sum",
+                a: "a",
+                b: "b",
+            },
+            Instr::Lt {
+                dst: "lt",
+                a: "a",
+                b: "b",
+            },
+            Instr::Select {
+                dst: "min",
+                cond: "lt",
+                a: "a",
+                b: "b",
+            },
+            Instr::MaxV {
+                dst: "max",
+                a: "a",
+                b: "b",
+            },
         ])
         .unwrap();
         assert_eq!(vm.get("sum").unwrap(), &[7, 9, 18]);
@@ -532,8 +550,16 @@ mod tests {
         vm.load("a", vec![10, 11, 12, 13]);
         vm.load("idx", vec![2, 0, 3, 1]);
         vm.run(&[
-            Instr::Permute { dst: "p", src: "a", idx: "idx" },
-            Instr::Gather { dst: "back", src: "p", idx: "idx" },
+            Instr::Permute {
+                dst: "p",
+                src: "a",
+                idx: "idx",
+            },
+            Instr::Gather {
+                dst: "back",
+                src: "p",
+                idx: "idx",
+            },
         ])
         .unwrap();
         assert_eq!(vm.get("back").unwrap(), &[10, 11, 12, 13]);
@@ -543,19 +569,30 @@ mod tests {
     fn errors_are_reported() {
         let mut vm = Vm::new(Model::Scan);
         assert_eq!(
-            vm.step(Instr::PlusScan { dst: "x", src: "nope" }),
+            vm.step(Instr::PlusScan {
+                dst: "x",
+                src: "nope"
+            }),
             Err(VmError::UndefinedRegister("nope"))
         );
         vm.load("a", vec![1, 2]);
         vm.load("b", vec![1]);
         assert!(matches!(
-            vm.step(Instr::Add { dst: "c", a: "a", b: "b" }),
+            vm.step(Instr::Add {
+                dst: "c",
+                a: "a",
+                b: "b"
+            }),
             Err(VmError::LengthMismatch { .. })
         ));
         vm.load("idx", vec![0, 0]);
         vm.load("two", vec![7, 8]);
         assert_eq!(
-            vm.step(Instr::Permute { dst: "p", src: "two", idx: "idx" }),
+            vm.step(Instr::Permute {
+                dst: "p",
+                src: "two",
+                idx: "idx"
+            }),
             Err(VmError::BadPermutation)
         );
     }
@@ -566,7 +603,11 @@ mod tests {
         vm.load("a", vec![1, 2, 3]);
         vm.load("idx", vec![0, 9, 1]);
         let err = vm
-            .step(Instr::Gather { dst: "g", src: "a", idx: "idx" })
+            .step(Instr::Gather {
+                dst: "g",
+                src: "a",
+                idx: "idx",
+            })
             .unwrap_err();
         assert_eq!(
             err,

@@ -63,7 +63,10 @@ impl fmt::Display for ServiceError {
                 "overloaded: queue depth {depth} (tenant depth {tenant_depth}), request shed"
             ),
             ServiceError::RequestTooLarge { len, max } => {
-                write!(f, "request of {len} elements exceeds the {max}-element bound")
+                write!(
+                    f,
+                    "request of {len} elements exceeds the {max}-element bound"
+                )
             }
             ServiceError::Invalid(e) => write!(f, "invalid request: {e}"),
             ServiceError::Exec(e) => write!(f, "execution failed: {e}"),

@@ -203,7 +203,9 @@ mod tests {
         };
         assert!(matches!(
             bad.validate(100),
-            Err(ServiceError::Invalid(scan_core::Error::LengthMismatch { .. }))
+            Err(ServiceError::Invalid(
+                scan_core::Error::LengthMismatch { .. }
+            ))
         ));
         let big = RequestOp::PlusScan(vec![0; 10]);
         assert!(matches!(

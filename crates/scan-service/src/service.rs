@@ -40,8 +40,8 @@
 //! response, or buffers unboundedly.
 
 use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::sync::Arc;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use scan_core::segmented::Segments;
@@ -52,8 +52,8 @@ use crate::backend::{BatchBackend, PoolBackend, ScanKind};
 use crate::error::{Result, ServiceError};
 use crate::health::{CoalescerHealth, ServiceHealth, ServiceMode, TenantCounters};
 use crate::queue::FairQueue;
-use crate::sync::SlotFlag;
 use crate::request::{RequestOp, ScanRequest, TenantId};
+use crate::sync::SlotFlag;
 
 /// Upper bound on a single condvar park; a safety net under the
 /// notify-driven wakeups, and the poll cadence while a batch is in
@@ -255,7 +255,10 @@ impl ScanService<crate::sharded::ShardedBackend> {
         shard_cfg: scan_shard::ShardConfig,
         min_shard_len: usize,
     ) -> Self {
-        Self::with_backend(cfg, crate::sharded::ShardedBackend::new(shard_cfg, min_shard_len))
+        Self::with_backend(
+            cfg,
+            crate::sharded::ShardedBackend::new(shard_cfg, min_shard_len),
+        )
     }
 }
 
@@ -394,8 +397,8 @@ impl<B: BatchBackend> ScanService<B> {
                         return Err(e.into());
                     }
                 }
-                let triggered = st.live_depth() >= self.cfg.close_target
-                    || entry.window.is_expired();
+                let triggered =
+                    st.live_depth() >= self.cfg.close_target || entry.window.is_expired();
                 if triggered && !st.leading {
                     st.leading = true;
                     st = self.run_batch(st);
@@ -501,7 +504,9 @@ impl<B: BatchBackend> ScanService<B> {
             // A failed probe re-opens the breaker with doubled
             // quarantine; only a closed breaker opening is a new
             // degradation.
-            let opened = st.breaker.failure(&self.breaker_config(), 0, st.dispatches, probing);
+            let opened = st
+                .breaker
+                .failure(&self.breaker_config(), 0, st.dispatches, probing);
             st.times_degraded += u64::from(opened && !probing);
         } else {
             st.breaker.success();
@@ -593,7 +598,8 @@ impl<B: BatchBackend> ScanService<B> {
             let segs = Segments::from_lengths(&lengths);
             let token = ScanDeadline::after(budget);
 
-            let scanned = self.seg_scan_with_retries(kind, &values, &segs, &token, dispatch, &mut out);
+            let scanned =
+                self.seg_scan_with_retries(kind, &values, &segs, &token, dispatch, &mut out);
             match scanned {
                 Ok(scanned) => {
                     self.demux(kind, &members, &inputs, &lengths, &scanned, &mut out);
@@ -921,9 +927,7 @@ mod tests {
         let svc = ScanService::new(quick());
         let d = ScanDeadline::manual();
         d.cancel();
-        let err = svc
-            .submit(plus(&[1, 2, 3]).with_deadline(d))
-            .unwrap_err();
+        let err = svc.submit(plus(&[1, 2, 3]).with_deadline(d)).unwrap_err();
         assert_eq!(err, ServiceError::Exec(ExecError::Cancelled));
         let h = svc.health();
         assert_eq!(h.expired_in_queue, 1);
@@ -1007,7 +1011,10 @@ mod tests {
             assert_eq!(svc.submit(plus(&[5, 6])).unwrap(), vec![0, 5]);
         }
         let h = svc.health();
-        assert!(matches!(h.backend_health.mode, ServiceMode::Degraded { .. }));
+        assert!(matches!(
+            h.backend_health.mode,
+            ServiceMode::Degraded { .. }
+        ));
         assert_eq!(h.backend_health.times_degraded, 1);
         assert_eq!(h.backend_health.consecutive_failures, 2);
 
@@ -1024,7 +1031,10 @@ mod tests {
         assert_eq!(svc.submit(plus(&[5, 6])).unwrap(), vec![0, 5]);
         let h = svc.health();
         assert_eq!(h.backend_health.quarantine, 4);
-        assert!(matches!(h.backend_health.mode, ServiceMode::Degraded { .. }));
+        assert!(matches!(
+            h.backend_health.mode,
+            ServiceMode::Degraded { .. }
+        ));
 
         // Ride out the doubled quarantine; the next probe succeeds and
         // the breaker closes with state reset.
@@ -1158,6 +1168,9 @@ mod tests {
         // The zero-jitter early return too.
         let cfg = quick();
         let svc = ScanService::new(cfg.clone());
-        assert_eq!(svc.backoff(3, 2, ScanKind::Sum), legacy(&cfg, 3, 2, ScanKind::Sum));
+        assert_eq!(
+            svc.backoff(3, 2, ScanKind::Sum),
+            legacy(&cfg, 3, 2, ScanKind::Sum)
+        );
     }
 }

@@ -162,7 +162,10 @@ mod tests {
         );
         let a = data(200);
         let got = svc
-            .submit(ScanRequest::new(TenantId(7), RequestOp::PlusScan(a.clone())))
+            .submit(ScanRequest::new(
+                TenantId(7),
+                RequestOp::PlusScan(a.clone()),
+            ))
             .unwrap();
         assert_eq!(got, scan_core::scan::<scan_core::Sum, _>(&a));
         let h = svc.backend().executor().health();

@@ -33,10 +33,7 @@ type Token = (usize, usize, usize);
 
 /// Build the push list for a mix and seed-shuffle it so adversarial
 /// interleavings are covered, then enqueue everything.
-fn build(
-    mix_spec: &[(u32, usize)],
-    order_seed: u64,
-) -> (FairQueue<Token>, u64, usize) {
+fn build(mix_spec: &[(u32, usize)], order_seed: u64) -> (FairQueue<Token>, u64, usize) {
     let weights: BTreeMap<TenantId, u32> = mix_spec
         .iter()
         .enumerate()

@@ -6,9 +6,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use scan_service::{
-    RequestOp, ScanRequest, ScanService, ServiceConfig, ServiceError, TenantId,
-};
+use scan_service::{RequestOp, ScanRequest, ScanService, ServiceConfig, ServiceError, TenantId};
 
 /// Reference implementations to check every delivered result against.
 fn reference(op: &RequestOp) -> Vec<u64> {
@@ -31,7 +29,9 @@ fn reference(op: &RequestOp) -> Vec<u64> {
 /// Deterministic per-request op mix.
 fn make_op(thread: u64, i: u64) -> RequestOp {
     let len = 1 + ((thread * 31 + i * 7) % 40) as usize;
-    let vals: Vec<u64> = (0..len as u64).map(|j| thread * 1000 + i * 17 + j).collect();
+    let vals: Vec<u64> = (0..len as u64)
+        .map(|j| thread * 1000 + i * 17 + j)
+        .collect();
     match (thread + i) % 4 {
         0 => RequestOp::PlusScan(vals),
         1 => RequestOp::MaxScan(vals),

@@ -111,11 +111,7 @@ fn storm_config() -> ServiceConfig {
 
 /// Run `threads × per_thread` deterministic +-scans against `svc`,
 /// asserting every delivered `Ok` is exact; returns the typed errors.
-fn run_storm(
-    svc: &Arc<ScanService<ChaosSeg>>,
-    threads: u64,
-    per_thread: u64,
-) -> Vec<ServiceError> {
+fn run_storm(svc: &Arc<ScanService<ChaosSeg>>, threads: u64, per_thread: u64) -> Vec<ServiceError> {
     let errors = Arc::new(Mutex::new(Vec::new()));
     let handles: Vec<_> = (0..threads)
         .map(|t| {
@@ -123,8 +119,9 @@ fn run_storm(
             let errors = Arc::clone(&errors);
             thread::spawn(move || {
                 for i in 0..per_thread {
-                    let vals: Vec<u64> =
-                        (0..(1 + (t * 13 + i) % 32)).map(|j| t * 100 + i + j).collect();
+                    let vals: Vec<u64> = (0..(1 + (t * 13 + i) % 32))
+                        .map(|j| t * 100 + i + j)
+                        .collect();
                     match svc.submit(plus_req(t % 4, vals.clone())) {
                         Ok(got) => assert_eq!(got, ref_plus(&vals), "corrupt result delivered"),
                         Err(e) => errors.lock().unwrap().push(e),
@@ -206,9 +203,8 @@ fn deadline_storm_fails_only_the_fused() {
                             1 => {
                                 // Hair-trigger deadline: may or may not
                                 // make it.
-                                req = req.with_deadline(ScanDeadline::after(
-                                    Duration::from_micros(50),
-                                ));
+                                req = req
+                                    .with_deadline(ScanDeadline::after(Duration::from_micros(50)));
                             }
                             _ => {}
                         }
@@ -365,9 +361,8 @@ fn mid_batch_cancellation_spares_batchmates() {
         // when both are queued — they are guaranteed batchmates.
         let svc_a = Arc::clone(&svc);
         let token = victim_token.clone();
-        let a = thread::spawn(move || {
-            svc_a.submit(plus_req(1, vec![1, 2, 3]).with_deadline(token))
-        });
+        let a =
+            thread::spawn(move || svc_a.submit(plus_req(1, vec![1, 2, 3]).with_deadline(token)));
         let svc_b = Arc::clone(&svc);
         let b = thread::spawn(move || svc_b.submit(plus_req(2, vec![4, 5, 6])));
 

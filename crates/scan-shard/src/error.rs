@@ -127,7 +127,10 @@ mod tests {
             expected: 3,
             actual: 2,
         });
-        assert_eq!(e.to_string(), "invalid input: length mismatch: expected 3, got 2");
+        assert_eq!(
+            e.to_string(),
+            "invalid input: length mismatch: expected 3, got 2"
+        );
     }
 
     #[test]

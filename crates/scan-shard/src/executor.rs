@@ -347,8 +347,18 @@ impl ShardedExecutor {
 
         // Round 1: reduce every range to its pair total.
         let r1 = run_phase::<O>(
-            inner, kind, data, &heads, &deadline, &ranges, &workers, &admitted, &probing,
-            &mut healthy, clock, None,
+            inner,
+            kind,
+            data,
+            &heads,
+            &deadline,
+            &ranges,
+            &workers,
+            &admitted,
+            &probing,
+            &mut healthy,
+            clock,
+            None,
         )?;
         let mut totals = Vec::with_capacity(k);
         let mut producers1 = Vec::with_capacity(k);
@@ -373,8 +383,18 @@ impl ShardedExecutor {
 
         // Round 2: each range's exclusive scan, seeded with its carry.
         let r2 = run_phase::<O>(
-            inner, kind, data, &heads, &deadline, &ranges, &workers, &admitted, &probing,
-            &mut healthy, clock, Some(&carries),
+            inner,
+            kind,
+            data,
+            &heads,
+            &deadline,
+            &ranges,
+            &workers,
+            &admitted,
+            &probing,
+            &mut healthy,
+            clock,
+            Some(&carries),
         )?;
         let mut pieces = Vec::with_capacity(k);
         let mut producers2 = Vec::with_capacity(k);
@@ -593,9 +613,7 @@ fn run_phase<O: ScanOp<u64>>(
             }
             // The caller's deadline tripped inside the shard: the
             // whole run is over, not just this shard.
-            Ok(Reply {
-                result: Err(e), ..
-            }) => return Err(ShardError::Exec(e)),
+            Ok(Reply { result: Err(e), .. }) => return Err(ShardError::Exec(e)),
             Err(RecvTimeoutError::Timeout) => {
                 lose(inner, healthy, s, LossCause::Watchdog, probing, clock)?;
                 to_recover.push(slot);
@@ -647,9 +665,7 @@ fn run_phase<O: ScanOp<u64>>(
                     result: Err(ExecError::WorkerLost { .. }),
                     ..
                 }) => lose(inner, healthy, s, LossCause::Panic, probing, clock)?,
-                Ok(Reply {
-                    result: Err(e), ..
-                }) => return Err(ShardError::Exec(e)),
+                Ok(Reply { result: Err(e), .. }) => return Err(ShardError::Exec(e)),
                 Err(RecvTimeoutError::Timeout) => {
                     lose(inner, healthy, s, LossCause::Watchdog, probing, clock)?;
                 }
@@ -718,9 +734,9 @@ mod tests {
                     assert_eq!(w[0].end, w[1].start);
                 }
                 assert!(ranges.iter().all(|r| !r.is_empty()));
-                let (lo, hi) = ranges
-                    .iter()
-                    .fold((usize::MAX, 0), |(lo, hi), r| (lo.min(r.len()), hi.max(r.len())));
+                let (lo, hi) = ranges.iter().fold((usize::MAX, 0), |(lo, hi), r| {
+                    (lo.min(r.len()), hi.max(r.len()))
+                });
                 assert!(hi - lo <= 1, "n={n} k={k}: unbalanced {lo}..{hi}");
             }
         }

@@ -218,10 +218,7 @@ mod tests {
         // reported as a typed worker loss...
         let rx = send(&mut shard, ChaosEvent::Panic);
         let reply = rx.recv().unwrap();
-        assert!(matches!(
-            reply.result,
-            Err(ExecError::WorkerLost { .. })
-        ));
+        assert!(matches!(reply.result, Err(ExecError::WorkerLost { .. })));
 
         // ...and the shard keeps serving afterwards.
         let rx = send(&mut shard, ChaosEvent::None);

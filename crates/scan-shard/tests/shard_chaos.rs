@@ -70,7 +70,10 @@ fn stalled_shard_trips_watchdog() {
         ..cfg(2, plan)
     });
     let a = data(300);
-    assert_eq!(ex.scan(ScanKind::Sum, &a).unwrap(), scan_core::scan::<Sum, _>(&a));
+    assert_eq!(
+        ex.scan(ScanKind::Sum, &a).unwrap(),
+        scan_core::scan::<Sum, _>(&a)
+    );
     let h = ex.health();
     assert!(
         h.shards.iter().any(|s| s.watchdog_losses >= 1),
@@ -329,11 +332,12 @@ fn health_reports_breaker_state() {
     }
     let h = ex.health();
     assert!(h.quarantined() >= 1, "{h:?}");
-    assert!(h
-        .shards
-        .iter()
-        .any(|s| matches!(s.state, BreakerState::Open { .. }) && s.skipped >= 1),
-        "{h:?}");
+    assert!(
+        h.shards
+            .iter()
+            .any(|s| matches!(s.state, BreakerState::Open { .. }) && s.skipped >= 1),
+        "{h:?}"
+    );
 }
 
 /// One pinned attribution scenario: eight runs cycling flat Sum, flat

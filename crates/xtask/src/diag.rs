@@ -114,8 +114,9 @@ impl Report {
 
     /// Canonical ordering; call once after all rules ran.
     pub fn sort(&mut self) {
-        self.violations
-            .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
+        self.violations.sort_by(|a, b| {
+            (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
+        });
     }
 
     /// Apply `xtask-allow` suppressions from the workspace models:

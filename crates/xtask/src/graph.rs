@@ -201,8 +201,7 @@ impl CallGraph {
     /// entering) containment-boundary functions. Returns every reached
     /// id with its predecessor, entry included (predecessor = itself).
     pub fn reach_from(&self, ws: &Workspace, entry: FnId) -> HashMap<FnId, FnId> {
-        let barrier =
-            |id: FnId| ws.files[id.0].fns[id.1].has_catch_unwind;
+        let barrier = |id: FnId| ws.files[id.0].fns[id.1].has_catch_unwind;
         let mut parent: HashMap<FnId, FnId> = HashMap::new();
         if barrier(entry) {
             return parent;
@@ -226,11 +225,7 @@ impl CallGraph {
 
     /// The call path `entry → ... → target` as function names, using
     /// the predecessor map from [`Self::reach_from`].
-    pub fn path_names(
-        ws: &Workspace,
-        parent: &HashMap<FnId, FnId>,
-        target: FnId,
-    ) -> Vec<String> {
+    pub fn path_names(ws: &Workspace, parent: &HashMap<FnId, FnId>, target: FnId) -> Vec<String> {
         let mut rev = vec![target];
         let mut cur = target;
         while let Some(&p) = parent.get(&cur) {

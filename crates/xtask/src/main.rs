@@ -140,7 +140,10 @@ mod tests {
     #[test]
     fn lint_repo_is_clean() {
         let vs = lint_root(&workspace_root());
-        let errors: Vec<_> = vs.iter().filter(|v| v.severity == Severity::Error).collect();
+        let errors: Vec<_> = vs
+            .iter()
+            .filter(|v| v.severity == Severity::Error)
+            .collect();
         assert!(
             errors.is_empty(),
             "workspace lint violations:\n{}",

@@ -27,12 +27,8 @@ impl LintInheritance {
     pub fn load(root: &Path) -> Self {
         let mut out = LintInheritance::default();
         if let Ok(top) = fs::read_to_string(root.join("Cargo.toml")) {
-            out.workspace_forbids_unsafe = section_has(
-                &top,
-                "workspace.lints.rust",
-                "unsafe_code",
-                "forbid",
-            );
+            out.workspace_forbids_unsafe =
+                section_has(&top, "workspace.lints.rust", "unsafe_code", "forbid");
             if section_has_flag(&top, "lints", "workspace") {
                 out.inheriting.insert(".".to_string());
             }
@@ -120,8 +116,18 @@ mod tests {
     #[test]
     fn section_scanning_finds_keys() {
         let toml = "[package]\nname = \"x\"\n\n[workspace.lints.rust]\nunsafe_code = \"forbid\"\nmissing_docs = \"warn\"\n\n[lints]\nworkspace = true\n";
-        assert!(section_has(toml, "workspace.lints.rust", "unsafe_code", "forbid"));
-        assert!(!section_has(toml, "workspace.lints.rust", "unsafe_code", "deny"));
+        assert!(section_has(
+            toml,
+            "workspace.lints.rust",
+            "unsafe_code",
+            "forbid"
+        ));
+        assert!(!section_has(
+            toml,
+            "workspace.lints.rust",
+            "unsafe_code",
+            "deny"
+        ));
         assert!(section_has_flag(toml, "lints", "workspace"));
         assert!(!section_has_flag(toml, "package", "workspace"));
     }

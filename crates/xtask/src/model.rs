@@ -262,12 +262,9 @@ fn extract_fns(parsed: &Parsed, in_test: &[bool]) -> Vec<FnItem> {
         // ident seen at depth 0 (after `for`, if present) — that path
         // segment is the self type. `impl Trait for Type {` and
         // `impl<T> Type<T> {` both land on `Type`.
-        let Some(open) = find_at_angle_depth0(
-            toks,
-            i + 1,
-            |t| t.is_punct("{"),
-            |t| t.is_punct(";"),
-        ) else {
+        let Some(open) =
+            find_at_angle_depth0(toks, i + 1, |t| t.is_punct("{"), |t| t.is_punct(";"))
+        else {
             continue;
         };
         let mut ty: Option<&str> = None;
@@ -449,8 +446,7 @@ fn extract_calls_and_sites(parsed: &Parsed, fns: &[FnItem]) -> (Vec<Call>, Vec<P
         // non-value tokens and skipped.
         if t.is_punct("[") && i > 0 {
             let p = &toks[i - 1];
-            let value_end = (p.kind == TokKind::Ident
-                && !KEYWORDS.contains(&p.text.as_str()))
+            let value_end = (p.kind == TokKind::Ident && !KEYWORDS.contains(&p.text.as_str()))
                 || p.is_punct(")")
                 || p.is_punct("]");
             if value_end {
@@ -461,7 +457,11 @@ fn extract_calls_and_sites(parsed: &Parsed, fns: &[FnItem]) -> (Vec<Call>, Vec<P
                     col: t.col,
                     what: format!(
                         "{}[..]",
-                        if p.kind == TokKind::Ident { &p.text } else { "_" }
+                        if p.kind == TokKind::Ident {
+                            &p.text
+                        } else {
+                            "_"
+                        }
                     ),
                 });
             }
@@ -603,9 +603,8 @@ mod tests {
 
     #[test]
     fn fn_items_carry_visibility_and_body() {
-        let m = model(
-            "pub fn a() {}\npub(crate) fn b() {}\nfn c();\npub unsafe fn d() { body(); }\n",
-        );
+        let m =
+            model("pub fn a() {}\npub(crate) fn b() {}\nfn c();\npub unsafe fn d() { body(); }\n");
         let names: Vec<(&str, Vis, bool)> = m
             .fns
             .iter()

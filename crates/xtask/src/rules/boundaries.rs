@@ -23,9 +23,7 @@ const CHANNEL_BOUNDARIES: &[(&str, &str, &[&str])] = &[(
 pub fn check(ws: &Workspace, out: &mut Report) {
     for file in &ws.files {
         let rel = file.rel.as_str();
-        if let Some(&(_, module, allowed)) =
-            CHANNEL_BOUNDARIES.iter().find(|(f, _, _)| *f == rel)
-        {
+        if let Some(&(_, module, allowed)) = CHANNEL_BOUNDARIES.iter().find(|(f, _, _)| *f == rel) {
             check_boundary(file, module, allowed, out);
         }
         if in_library_src(rel) {

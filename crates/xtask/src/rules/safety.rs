@@ -84,11 +84,7 @@ fn has_safety_comment(lx: &Lexed, l: usize) -> bool {
 
 /// R5: crate roots pin the unsafe-code lint, either as a source
 /// attribute or by inheriting the `[workspace.lints]` table.
-fn check_crate_root(
-    file: &crate::model::FileModel,
-    inherit: &LintInheritance,
-    out: &mut Report,
-) {
+fn check_crate_root(file: &crate::model::FileModel, inherit: &LintInheritance, out: &mut Report) {
     let rel = file.rel.as_str();
     let is_root = rel == "src/lib.rs"
         || rel == "src/main.rs"

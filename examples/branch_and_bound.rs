@@ -9,9 +9,7 @@
 //!
 //! Run with: `cargo run --release --example branch_and_bound`
 
-use blelloch_scan::algorithms::game_search::{
-    minimax_reference, parallel_minimax_ctx, Board,
-};
+use blelloch_scan::algorithms::game_search::{minimax_reference, parallel_minimax_ctx, Board};
 use blelloch_scan::pram::{Ctx, Model};
 
 fn main() {
@@ -35,7 +33,10 @@ fn main() {
             r.wave_sizes.len()
         );
         println!("  frontier sizes: {:?}", r.wave_sizes);
-        println!("  program steps: {} — scales with depth, not nodes\n", ctx.steps());
+        println!(
+            "  program steps: {} — scales with depth, not nodes\n",
+            ctx.steps()
+        );
     }
     println!("Every wave is a handful of vector operations (allocate,");
     println!("distribute, segmented scan, segmented min/max), no matter how");

@@ -13,7 +13,9 @@ use blelloch_scan::pram::{Ctx, Model};
 fn random_graph(n: usize, m: usize, seed: u64) -> Vec<(usize, usize, u64)> {
     let mut x = seed | 1;
     let mut rng = move || {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         x >> 24
     };
     (0..m)
@@ -48,10 +50,7 @@ fn main() {
     let (expect, expect_weight) = kruskal(n, &edges);
     assert_eq!(mst.edges, expect, "random-mate MST must match Kruskal");
     assert_eq!(mst.total_weight, expect_weight);
-    println!(
-        "Random graph: n = {n}, m = {} edges",
-        edges.len()
-    );
+    println!("Random graph: n = {n}, m = {} edges", edges.len());
     println!(
         "  MST: {} edges, total weight {}, found in {} star-merge rounds",
         mst.edges.len(),

@@ -4,21 +4,14 @@
 //!
 //! Run with: `cargo run --example line_drawing`
 
-use blelloch_scan::algorithms::geometry::{
-    draw_lines, line_of_sight, render_ascii,
-};
+use blelloch_scan::algorithms::geometry::{draw_lines, line_of_sight, render_ascii};
 use blelloch_scan::pram::{Ctx, Model};
 
 fn main() {
     // The exact endpoints of Figure 9.
-    let lines = [
-        ((11, 2), (23, 14)),
-        ((2, 13), (13, 8)),
-        ((16, 4), (31, 4)),
-    ];
+    let lines = [((11, 2), (23, 14)), ((2, 13), (13, 8)), ((16, 4), (31, 4))];
     let mut ctx = Ctx::new(Model::Scan);
-    let pixels =
-        blelloch_scan::algorithms::geometry::line_draw::draw_lines_ctx(&mut ctx, &lines);
+    let pixels = blelloch_scan::algorithms::geometry::line_draw::draw_lines_ctx(&mut ctx, &lines);
     println!("Figure 9 — three lines, one processor per pixel:\n");
     println!("{}", render_ascii(&pixels, 32, 16));
     for l in 0..lines.len() {
@@ -32,8 +25,7 @@ fn main() {
         .map(|k| {
             let x = k as f64;
             // A hill at distance 12 and a taller one at 30.
-            12.0 * (-(x - 12.0).powi(2) / 18.0).exp()
-                + 25.0 * (-(x - 30.0).powi(2) / 30.0).exp()
+            12.0 * (-(x - 12.0).powi(2) / 18.0).exp() + 25.0 * (-(x - 30.0).powi(2) / 30.0).exp()
         })
         .collect();
     let visible = line_of_sight(2.0, &terrain);

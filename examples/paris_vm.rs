@@ -23,8 +23,16 @@ fn main() {
     vm.load("a", vec![3, 1, 4, 1, 5, 9, 2, 6]);
     vm.run(&[
         Instr::MaxScan { dst: "m", src: "a" },
-        Instr::MaxV { dst: "m", a: "m", b: "a" }, // inclusive max
-        Instr::Sub { dst: "gap", a: "m", b: "a" },
+        Instr::MaxV {
+            dst: "m",
+            a: "m",
+            b: "a",
+        }, // inclusive max
+        Instr::Sub {
+            dst: "gap",
+            a: "m",
+            b: "a",
+        },
     ])
     .expect("valid program");
     println!("a            = {:?}", vm.get("a").unwrap());
@@ -36,8 +44,16 @@ fn main() {
     vm.load("a", vec![5, 1, 3, 4, 3, 9, 2, 6]);
     vm.load("heads", vec![1, 0, 1, 0, 0, 0, 1, 0]);
     vm.run(&[
-        Instr::SegPlusScan { dst: "s", src: "a", flags: "heads" },
-        Instr::Add { dst: "incl", a: "s", b: "a" },
+        Instr::SegPlusScan {
+            dst: "s",
+            src: "a",
+            flags: "heads",
+        },
+        Instr::Add {
+            dst: "incl",
+            a: "s",
+            b: "a",
+        },
     ])
     .expect("valid program");
     println!("\nsegmented exclusive sums = {:?}", vm.get("s").unwrap());
@@ -46,7 +62,10 @@ fn main() {
     // Errors are first-class: reading an unwritten register fails.
     let mut vm = Vm::new(Model::Scan);
     let err = vm
-        .step(Instr::PlusScan { dst: "x", src: "missing" })
+        .step(Instr::PlusScan {
+            dst: "x",
+            src: "missing",
+        })
         .unwrap_err();
     println!("\nexpected program error: {err}");
 }

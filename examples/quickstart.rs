@@ -20,7 +20,10 @@ fn main() {
     let flags = [true, false, false, true, false, true, true, false];
     println!("\nenumerate({flags:?})\n  = {:?}", ops::enumerate(&flags));
     let b = [1u32, 1, 2, 1, 1, 2, 1, 1];
-    println!("+-distribute({b:?}) = {:?}", ops::distribute_op::<Sum, _>(&b));
+    println!(
+        "+-distribute({b:?}) = {:?}",
+        ops::distribute_op::<Sum, _>(&b)
+    );
 
     // Figure 3: split packs false-flagged elements to the bottom.
     let v = [5u32, 7, 3, 1, 4, 2, 7, 2];
@@ -29,13 +32,8 @@ fn main() {
 
     // Figure 4: segmented scans restart at segment heads.
     let vals = [5u32, 1, 3, 4, 3, 9, 2, 6];
-    let segs = Segments::from_flags(vec![
-        true, false, true, false, false, false, true, false,
-    ]);
-    println!(
-        "\nseg-+-scan   = {:?}",
-        seg_scan::<Sum, _>(&vals, &segs)
-    );
+    let segs = Segments::from_flags(vec![true, false, true, false, false, false, true, false]);
+    println!("\nseg-+-scan   = {:?}", seg_scan::<Sum, _>(&vals, &segs));
     println!("seg-max-scan = {:?}", seg_scan::<Max, _>(&vals, &segs));
 
     // Figure 8: processor allocation.

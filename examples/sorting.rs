@@ -13,7 +13,9 @@ fn workload(n: usize, seed: u64) -> Vec<u64> {
     let mut x = seed | 1;
     (0..n)
         .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (x >> 40) & 0xFFFF
         })
         .collect()

@@ -38,7 +38,10 @@ fn main() {
     let mut ctx = Ctx::new(Model::Scan);
     let y = a.spmv_ctx(&mut ctx, &x);
     println!("y = A x  = {y:?}");
-    println!("program steps: {} (constant in rows, cols and nnz)", ctx.stats());
+    println!(
+        "program steps: {} (constant in rows, cols and nnz)",
+        ctx.stats()
+    );
     // Verified against the dense reference.
     let expect = a.spmv_reference(&x);
     let err: f64 = y

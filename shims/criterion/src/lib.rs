@@ -32,12 +32,16 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// An id `name/parameter`.
     pub fn new(name: impl Into<String>, parameter: impl fmt::Display) -> Self {
-        BenchmarkId { id: format!("{}/{}", name.into(), parameter) }
+        BenchmarkId {
+            id: format!("{}/{}", name.into(), parameter),
+        }
     }
 
     /// An id that is just the parameter.
     pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
+        BenchmarkId {
+            id: parameter.to_string(),
+        }
     }
 }
 
@@ -64,7 +68,11 @@ pub struct Bencher {
 
 impl Bencher {
     fn new(samples: usize) -> Self {
-        Bencher { samples, mean: Duration::ZERO, best: Duration::MAX }
+        Bencher {
+            samples,
+            mean: Duration::ZERO,
+            best: Duration::MAX,
+        }
     }
 
     /// Time `f`, called repeatedly; the result is recorded on `self`.

@@ -238,7 +238,11 @@ impl Condvar {
     /// Model-mode wait: dissolve the guard, park through the
     /// scheduler, re-acquire, rebuild the guard. Returns the rebuilt
     /// guard and whether the wake was a (modeled) timeout.
-    fn model_wait<'a, T>(&self, guard: MutexGuard<'a, T>, forever: bool) -> (MutexGuard<'a, T>, bool) {
+    fn model_wait<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        forever: bool,
+    ) -> (MutexGuard<'a, T>, bool) {
         let lock = guard.lock;
         let mutex_key = lock.key();
         let mut guard = guard;

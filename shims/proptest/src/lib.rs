@@ -220,7 +220,10 @@ pub mod collection {
     impl From<std::ops::Range<usize>> for SizeRange {
         fn from(r: std::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { min: r.start, max: r.end }
+            SizeRange {
+                min: r.start,
+                max: r.end,
+            }
         }
     }
 
@@ -238,7 +241,10 @@ pub mod collection {
 
     /// `Vec` strategy: each element from `elem`, length from `size`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { elem, size: size.into() }
+        VecStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {

@@ -118,10 +118,7 @@ fn figure05_quicksort_round() {
 fn figure06_graph_representation() {
     let g = SegGraph::figure6();
     assert_eq!(g.vertex_of_slot, vec![0, 1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 4]);
-    assert_eq!(
-        g.segments().flags(),
-        &[T, T, F, F, T, F, F, T, F, T, F, F]
-    );
+    assert_eq!(g.segments().flags(), &[T, T, F, F, T, F, F, T, F, T, F, F]);
     assert_eq!(g.cross_pointers, vec![1, 0, 4, 9, 2, 7, 10, 5, 11, 3, 6, 8]);
     assert_eq!(g.weights, vec![1, 1, 2, 3, 2, 4, 5, 4, 6, 3, 5, 6]);
 }
@@ -160,10 +157,7 @@ fn figure07_star_merge() {
 fn figure08_allocation() {
     let alloc = allocate(&[4, 1, 3]);
     assert_eq!(alloc.starts, vec![0, 4, 5]); // Hpointers ← +-scan(A)
-    assert_eq!(
-        alloc.segments.flags(),
-        &[T, F, F, F, T, T, F, F]
-    );
+    assert_eq!(alloc.segments.flags(), &[T, F, F, F, T, T, F, F]);
     assert_eq!(
         distribute(&[1u32, 2, 3], &[4, 1, 3]),
         vec![1, 1, 1, 1, 2, 3, 3, 3]
@@ -177,11 +171,7 @@ fn figure08_allocation() {
 #[test]
 fn figure09_line_drawing() {
     use blelloch_scan::algorithms::geometry::draw_lines;
-    let lines = [
-        ((11, 2), (23, 14)),
-        ((2, 13), (13, 8)),
-        ((16, 4), (31, 4)),
-    ];
+    let lines = [((11, 2), (23, 14)), ((2, 13), (13, 8)), ((16, 4), (31, 4))];
     let pixels = draw_lines(&lines);
     let counts: Vec<usize> = (0..3)
         .map(|l| pixels.iter().filter(|p| p.line == l).count())

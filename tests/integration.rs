@@ -15,7 +15,9 @@ use blelloch_scan::pram::{Ctx, Model};
 fn rng(seed: u64) -> impl FnMut() -> u64 {
     let mut x = seed | 1;
     move || {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         x >> 24
     }
 }
@@ -64,8 +66,7 @@ fn graph_pipeline() {
     assert_eq!(mst.edges, expect_edges);
     assert_eq!(mst.total_weight, expect_weight);
     // Components of the MST edges equal components of the full graph.
-    let mst_edges: Vec<(usize, usize, u64)> =
-        mst.edges.iter().map(|&e| edges[e]).collect();
+    let mst_edges: Vec<(usize, usize, u64)> = mst.edges.iter().map(|&e| edges[e]).collect();
     assert_eq!(
         connected_components(n, &mst_edges, 8),
         connected_components(n, &edges, 9)
@@ -130,17 +131,9 @@ fn erew_to_scan_ratio_grows_logarithmically() {
         let n = 1usize << lg_n;
         let keys: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % n as u64).collect();
         let mut scan_ctx = Ctx::new(Model::Scan);
-        blelloch_scan::algorithms::sort::radix::split_radix_sort_ctx(
-            &mut scan_ctx,
-            &keys,
-            lg_n,
-        );
+        blelloch_scan::algorithms::sort::radix::split_radix_sort_ctx(&mut scan_ctx, &keys, lg_n);
         let mut erew_ctx = Ctx::new(Model::Erew);
-        blelloch_scan::algorithms::sort::radix::split_radix_sort_ctx(
-            &mut erew_ctx,
-            &keys,
-            lg_n,
-        );
+        blelloch_scan::algorithms::sort::radix::split_radix_sort_ctx(&mut erew_ctx, &keys, lg_n);
         erew_ctx.steps() as f64 / scan_ctx.steps() as f64
     };
     let r10 = ratio(10);

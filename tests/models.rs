@@ -8,7 +8,9 @@ use blelloch_scan::pram::{Ctx, Model};
 fn rng(seed: u64) -> impl FnMut() -> u64 {
     let mut x = seed | 1;
     move || {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         x >> 24
     }
 }
