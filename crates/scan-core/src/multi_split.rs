@@ -47,11 +47,13 @@ use core::ptr;
 /// cache is `u16`, so bucket ids must fit 16 bits).
 pub const MAX_BUCKETS: usize = 1 << 16;
 
-/// Most buckets the staged scatter serves: a radix sort's 256 (8-bit
-/// digits), the only bucket count it was measured at. The staging
-/// lines, one [`LINE`] per bucket, then take 16 KiB per block and stay
-/// in L1.
-const MAX_STAGED_BUCKETS: usize = 256;
+/// Most buckets the staged scatter serves: 2048, a radix sort's 11-bit
+/// digits, which sort 32-bit keys in three passes instead of four. The
+/// staging lines, 64 bytes per bucket, then take 128 KiB per block and
+/// stay in L2. Measured at 256 and 2048 buckets only (DESIGN.md §11):
+/// a staged 2048-bucket pass costs about 1.2× a staged 256-bucket one,
+/// and the direct scatter about 1.9×.
+pub const MAX_STAGED_BUCKETS: usize = 2048;
 
 /// Smallest `dst`, in bytes, the staged scatter serves. Streaming stores
 /// pay only once the output no longer fits in cache: on a 2-vCPU Xeon
@@ -69,22 +71,35 @@ struct Line([u8; LINE]);
 
 const _: () = assert!(align_of::<Line>() == LINE);
 
-/// Whether phase 3 stages its output lines: the element size is a
-/// power of two no larger than a line, `dst` is aligned to it (so every
-/// line boundary falls between elements), the staging lines fit
-/// [`MAX_STAGED_BUCKETS`], `dst` holds at least [`MIN_STAGED_BYTES`],
-/// and full lines are streamed. Staging without streaming stores gains
-/// nothing, so other hosts and inputs take the direct scatter; unit
-/// tests and Miri stage anyway, with plain line copies, to check the
-/// staging arithmetic.
-fn staged<T>(dst: &[T], nbuckets: usize) -> bool {
+/// Whether a split of `len` elements of `T` into `nbuckets` buckets
+/// takes the staged scatter when `stream` says whether full lines are
+/// streamed ([`simd::stream_lines`] on this host): the element size is
+/// a power of two no larger than a line, the staging lines fit
+/// [`MAX_STAGED_BUCKETS`], the output holds at least 16 MiB, and
+/// `stream` holds. Staging without streaming stores gains nothing, so
+/// other hosts and inputs take the direct scatter. A `dst` must also be
+/// aligned to the element size, which a `Vec<T>` always is. A radix
+/// sort reads this to pick its digit width.
+pub fn stages<T>(len: usize, nbuckets: usize, stream: bool) -> bool {
     let size = size_of::<T>();
     size.is_power_of_two()
         && size <= LINE
-        && dst.as_ptr().addr().is_multiple_of(size)
         && nbuckets <= MAX_STAGED_BUCKETS
-        && size_of_val(dst) >= MIN_STAGED_BYTES
-        && (cfg!(any(test, miri)) || simd::stream_lines())
+        && len.saturating_mul(size) >= MIN_STAGED_BYTES
+        && stream
+}
+
+/// Whether phase 3 stages its output lines: [`stages`] on this host,
+/// with `dst` aligned to its element size (so every line boundary
+/// falls between elements). Unit tests and Miri stage without
+/// streaming stores, with plain line copies, to check the staging
+/// arithmetic.
+fn staged<T>(dst: &[T], nbuckets: usize) -> bool {
+    stages::<T>(
+        dst.len(),
+        nbuckets,
+        cfg!(any(test, miri)) || simd::stream_lines(),
+    ) && dst.as_ptr().addr().is_multiple_of(size_of::<T>())
 }
 
 /// Hands `put` the cached digit and the element at every index of `r`,
@@ -700,7 +715,7 @@ mod tests {
         }
     }
 
-    /// The staging cutoff is a radix sort's 256 buckets.
+    /// The staging cutoff is a radix sort's 2048 buckets (11-bit digits).
     const SWEEP_BUCKETS: [usize; 4] = [1, 2, MAX_STAGED_BUCKETS, MAX_STAGED_BUCKETS + 1];
     const SWEEP_SCHEDS: [Schedule; 3] = [Schedule::Sequential, Schedule::Pooled, Schedule::Spawn];
 

@@ -113,10 +113,11 @@ fn detect_hw() -> Isa {
 /// crate tunes for.
 pub(crate) const LINE: usize = 64;
 
-/// Whether [`copy_line`] may bypass the cache: on `x86_64` outside
-/// Miri, when the dispatcher selected AVX2 (`SCAN_CORE_SIMD=0` pins the
-/// plain copy). Streaming stores are SSE2, baseline on `x86_64`.
-pub(crate) fn stream_lines() -> bool {
+/// Whether `multi_split`'s line copies may bypass the cache: on
+/// `x86_64` outside Miri, when the dispatcher selected AVX2
+/// (`SCAN_CORE_SIMD=0` pins the plain copy). Streaming stores are SSE2,
+/// baseline on `x86_64`.
+pub fn stream_lines() -> bool {
     cfg!(all(target_arch = "x86_64", not(miri))) && active_isa() == Isa::Avx2
 }
 
