@@ -20,12 +20,7 @@
 //! below: `memcpy` (reused destination — the raw bandwidth floor) and
 //! `memcpy(fresh)` (`a.to_vec()` — the floor for a kernel that must
 //! allocate and return a fresh `Vec`, which at large n is dominated
-//! by first-touch page faults, not the copy). A `+-scan(lookback)`
-//! row times the single-pass decoupled-
-//! lookback schedule against the two-pass blocked engine — with
-//! bit-for-bit equality between the two schedules asserted (on `+`,
-//! `max` and the segmented operator) before any timing counts, in
-//! `--smoke` mode too.
+//! by first-touch page faults, not the copy).
 //!
 //! The JSON records the actual pool width, the SIMD ISA the dispatcher
 //! selected, and a derived GB/s column for the bandwidth-bound rows
@@ -71,7 +66,7 @@ impl Row {
     fn gbps(&self) -> Option<f64> {
         matches!(
             self.kernel,
-            "memcpy" | "memcpy(fresh)" | "+-scan" | "max-scan" | "+-scan(lookback)"
+            "memcpy" | "memcpy(fresh)" | "+-scan" | "max-scan"
         )
         .then(|| 16.0 * self.n as f64 / self.new_ns.max(1) as f64)
     }
@@ -391,36 +386,6 @@ fn main() {
             new_ns: new,
         });
 
-        // Single-pass decoupled lookback vs the two-pass blocked
-        // engine: the same typed kernel with the process default
-        // schedule swapped. The schedules must agree bit-for-bit on
-        // `+`, `max` and the segmented operator — asserted on every
-        // size, in --smoke mode too, before any timing counts.
-        let blocked = scan::<Sum, _>(&a);
-        assert_eq!(
-            under(Schedule::Lookback, || scan::<Sum, _>(&a)),
-            blocked,
-            "lookback +-scan disagrees with blocked at n={n}"
-        );
-        assert_eq!(
-            under(Schedule::Lookback, || scan::<Max, _>(&a)),
-            scan::<Max, _>(&a),
-            "lookback max-scan disagrees with blocked at n={n}"
-        );
-        assert_eq!(
-            under(Schedule::Lookback, || seg_scan::<Sum, _>(&a, &segs)),
-            seg_scan::<Sum, _>(&a, &segs),
-            "lookback seg-scan disagrees with blocked at n={n}"
-        );
-        let old = time_median(w, k, || scan::<Sum, _>(&a));
-        let new = time_median(w, k, || under(Schedule::Lookback, || scan::<Sum, _>(&a)));
-        rows.push(Row {
-            kernel: "+-scan(lookback)",
-            n,
-            old_ns: old,
-            new_ns: new,
-        });
-
         // Plain memcpy roofline: the memory-bandwidth floor any
         // one-pass kernel is chasing (old == new by construction).
         let mut dstv = vec![0u64; n];
@@ -638,26 +603,23 @@ fn main() {
         );
     }
 
-    // Roofline gap at the largest size: how far the one-pass scans sit
-    // from the streamed-copy floor — against both the reused-buffer
+    // Roofline gap at the largest size: how far `+-scan` sits from the
+    // streamed-copy floor — against both the reused-buffer
     // bandwidth roofline and the allocate-a-fresh-Vec roofline that
     // matches the kernels' own calling convention.
     for base in ["memcpy", "memcpy(fresh)"] {
         if let Some(mem) = rows.iter().rev().find(|r| r.kernel == base) {
-            for kernel in ["+-scan", "+-scan(lookback)"] {
-                if let Some(r) = rows
-                    .iter()
-                    .rev()
-                    .find(|r| r.kernel == kernel && r.n == mem.n)
-                {
-                    println!(
-                        "roofline: {} at n=2^{} runs at {:.2}x {}",
-                        kernel,
-                        mem.n.ilog2(),
-                        r.new_ns as f64 / mem.new_ns.max(1) as f64,
-                        base
-                    );
-                }
+            if let Some(r) = rows
+                .iter()
+                .rev()
+                .find(|r| r.kernel == "+-scan" && r.n == mem.n)
+            {
+                println!(
+                    "roofline: +-scan at n=2^{} runs at {:.2}x {}",
+                    mem.n.ilog2(),
+                    r.new_ns as f64 / mem.new_ns.max(1) as f64,
+                    base
+                );
             }
         }
     }

@@ -16,8 +16,7 @@
 //! - segmented versions of all scans, which restart at segment boundaries
 //!   ([`segmented`], paper §2.3);
 //! - parallel execution kernels (blocked two-pass over a persistent
-//!   worker pool, [`parallel`] + [`pool`], plus a single-pass
-//!   decoupled-lookback schedule, [`lookback`]), falling back to
+//!   worker pool, [`parallel`] + [`pool`]), falling back to
 //!   sequential code below a threshold; set `SCAN_CORE_THREADS` to pin
 //!   the width and `SCAN_CORE_SIMD=0` to keep the radix scatter's
 //!   stores plain, not streamed ([`simd`]);
@@ -54,7 +53,6 @@ pub mod backoff;
 pub mod deadline;
 pub mod element;
 pub mod error;
-pub mod lookback;
 pub mod multi_split;
 pub mod op;
 pub mod ops;
@@ -76,7 +74,7 @@ pub use error::{Error, ExecError, Result};
 pub use multi_split::{
     multi_split_by, multi_split_into, try_multi_split_by, try_multi_split_into, MultiSplitScratch,
 };
-pub use op::{And, Max, Min, Or, Prod, ScanOp, Sum};
+pub use op::{And, Max, Min, Or, Prod, ScanKind, ScanOp, Sum};
 pub use scan::{
     inclusive_scan, inclusive_scan_backward, reduce, scan, scan_backward, scan_with_total, Scan,
 };

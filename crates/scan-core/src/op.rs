@@ -42,6 +42,16 @@ pub struct And;
 /// Product (`×-scan`); used by Stone's polynomial evaluation (appendix).
 pub struct Prod;
 
+/// The primitive scan a sharded run or a service request executes:
+/// the runtime name of [`Sum`] or [`Max`] over `u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanKind {
+    /// Exclusive `+-scan` (wrapping add; identity 0).
+    Sum,
+    /// Exclusive `max-scan` (identity `u64::MIN`, i.e. 0).
+    Max,
+}
+
 macro_rules! impl_int_ops {
     ($($t:ty),*) => {$(
         impl ScanOp<$t> for Sum {

@@ -35,16 +35,10 @@
 //! they reassociate the operator identically and produce bit-identical
 //! results even for non-associative operators like float addition.
 //!
-//! Every span — sequential, blocked down sweep, or lookback block —
-//! runs one fused loop: load element `i`, combine it into the running
-//! state, emit the state for `i`. Typed operators, closures and the
-//! segmented pair operator all take it, at every element width.
-//!
-//! **Single-pass lookback** ([`Schedule::Lookback`], [`crate::lookback`])
-//! replaces the two passes over the input with one, chaining block
-//! offsets through a descriptor array instead of a barriered offset
-//! scan. The two-pass engine stays as the differential baseline,
-//! exactly like `Spawn`.
+//! Every span — sequential or blocked down sweep — runs one fused
+//! loop: load element `i`, combine it into the running state, emit the
+//! state for `i`. Typed operators, closures and the segmented pair
+//! operator all take it, at every element width.
 //!
 //! Each engine has one body for both kinds of entry point: the
 //! infallible ones run it with no deadline, and their `try_*`
@@ -95,7 +89,7 @@ pub fn set_par_threshold_override(n: usize) {
 }
 
 /// Effective parallel threshold (the override, if set).
-pub(crate) fn par_threshold() -> usize {
+fn par_threshold() -> usize {
     match PAR_OVERRIDE.get() {
         0 => PAR_THRESHOLD,
         n => n,
@@ -122,18 +116,13 @@ pub enum Schedule {
     /// The persistent global worker pool (the default).
     Pooled,
     /// Fresh scoped OS threads per call — the seed engine's schedule,
-    /// kept as a reference for differential tests and benchmarks.
+    /// kept as a reference for differential tests and benchmarks. It
+    /// spawns at any pool width, so it is also the schedule that runs
+    /// the blocked writes on real threads under Miri, where the global
+    /// pool is one lane wide.
     Spawn,
     /// Force the sequential kernels regardless of input size.
     Sequential,
-    /// Single-pass decoupled lookback over the pool: each block scans
-    /// once and chains its offset through a descriptor array
-    /// ([`crate::lookback`]) instead of a second pass. Reassociates
-    /// like the sequential kernel *per block*, but the block
-    /// decomposition differs from the two-pass plan, so only exact
-    /// (freely reassociable) operators should compare bit-identical
-    /// across schedules.
-    Lookback,
 }
 
 static DEFAULT_SCHEDULE: ConfigCell = ConfigCell::new(0);
@@ -147,7 +136,6 @@ pub fn set_default_schedule(s: Schedule) {
         Schedule::Pooled => 0,
         Schedule::Spawn => 1,
         Schedule::Sequential => 2,
-        Schedule::Lookback => 3,
     };
     DEFAULT_SCHEDULE.set(v);
 }
@@ -157,7 +145,6 @@ pub fn default_schedule() -> Schedule {
     match DEFAULT_SCHEDULE.get() {
         1 => Schedule::Spawn,
         2 => Schedule::Sequential,
-        3 => Schedule::Lookback,
         _ => Schedule::Pooled,
     }
 }
@@ -281,8 +268,8 @@ impl<T> SendPtr<T> {
 /// The deadline budget an engine runs under: the one thing the
 /// infallible and the `try_*` entry points differ in. The sequential
 /// scan ([`seq_scan`]), the blocked scan ([`blocked_scan`]), the
-/// blocked reduction ([`reduce_engine`]), the single-pass lookback
-/// scan and `multi_split` each have one body, generic over it:
+/// blocked reduction ([`reduce_engine`]) and `multi_split` each have
+/// one body, generic over it:
 ///
 /// - [`NoDeadline`], under the infallible entry points: the error is
 ///   [`Infallible`], nothing is checked, every span runs as one
@@ -303,8 +290,6 @@ pub(crate) trait Budget: Copy + Sync {
     /// after a phase is authoritative for every stride that stopped
     /// early inside it.
     fn check(self) -> Result<(), Self::Err>;
-    /// The token the lookback spin checkpoints poll.
-    fn deadline(&self) -> Option<&ScanDeadline>;
     /// [`Self::Err`] as an execution error, for callers that mix
     /// budget failures with precondition errors.
     fn exec_error(e: Self::Err) -> ExecError;
@@ -329,10 +314,6 @@ impl Budget for NoDeadline {
         Ok(())
     }
 
-    fn deadline(&self) -> Option<&ScanDeadline> {
-        None
-    }
-
     fn exec_error(e: Infallible) -> ExecError {
         match e {}
     }
@@ -348,25 +329,16 @@ impl Budget for NoDeadline {
             // Under `cfg(loom)` there is no global pool (a static would
             // leak state across explored executions), so the pooled
             // schedule degrades to the sequential loop; the loom suite
-            // models `WorkerPool` directly instead. `Lookback` reaches
-            // here only for its non-scan phases (reduce/fill), which
-            // run on the pool like `Pooled`.
+            // models `WorkerPool` directly instead.
             #[cfg(not(loom))]
-            Schedule::Pooled | Schedule::Lookback => pool::global().run(nblocks, task),
+            Schedule::Pooled => pool::global().run(nblocks, task),
             #[cfg(loom)]
-            Schedule::Pooled | Schedule::Lookback => {
+            Schedule::Pooled => {
                 for b in 0..nblocks {
                     task(b);
                 }
             }
-            Schedule::Spawn => {
-                std::thread::scope(|s| {
-                    for b in 0..nblocks {
-                        let task = &task;
-                        s.spawn(move || task(b));
-                    }
-                });
-            }
+            Schedule::Spawn => spawn_blocks(nblocks, &task),
             Schedule::Sequential => {
                 for b in 0..nblocks {
                     task(b);
@@ -390,10 +362,6 @@ impl Budget for Option<&ScanDeadline> {
         }
     }
 
-    fn deadline(&self) -> Option<&ScanDeadline> {
-        *self
-    }
-
     fn exec_error(e: ExecError) -> ExecError {
         e
     }
@@ -412,9 +380,9 @@ impl Budget for Option<&ScanDeadline> {
         match sched {
             // See `NoDeadline::run_blocks`: no global pool under `cfg(loom)`.
             #[cfg(not(loom))]
-            Schedule::Pooled | Schedule::Lookback => pool::global().try_run(nblocks, self, task),
+            Schedule::Pooled => pool::global().try_run(nblocks, self, task),
             #[cfg(loom)]
-            Schedule::Pooled | Schedule::Lookback => {
+            Schedule::Pooled => {
                 for b in 0..nblocks {
                     if self.check().is_err() {
                         break;
@@ -424,15 +392,7 @@ impl Budget for Option<&ScanDeadline> {
                 self.check()
             }
             Schedule::Spawn => {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    std::thread::scope(|s| {
-                        for b in 0..nblocks {
-                            let task = &task;
-                            s.spawn(move || task(b));
-                        }
-                    });
-                }));
-                if r.is_err() {
+                if catch_unwind(AssertUnwindSafe(|| spawn_blocks(nblocks, &task))).is_err() {
                     return Err(ExecError::WorkerLost { panics: 1 });
                 }
                 self.check()
@@ -456,13 +416,25 @@ impl Budget for Option<&ScanDeadline> {
     }
 }
 
+/// `task(0..nblocks)` on fresh scoped threads, one per block: the
+/// [`Schedule::Spawn`] reference. A panicking task re-panics here once
+/// every thread has joined.
+fn spawn_blocks<F: Fn(usize) + Sync>(nblocks: usize, task: &F) {
+    // xtask-allow: no-raw-spawn the `Spawn` reference schedule, and the only engine path that runs blocks on real threads under Miri
+    std::thread::scope(|s| {
+        for b in 0..nblocks {
+            s.spawn(move || task(b));
+        }
+    });
+}
+
 /// Number of execution lanes the schedule will use. Both parallel
 /// schedules plan against the pool width so their block decomposition
 /// (and hence operator reassociation) is identical.
 pub(crate) fn engine_width(sched: Schedule) -> usize {
     match sched {
         Schedule::Sequential => 1,
-        Schedule::Spawn | Schedule::Pooled | Schedule::Lookback => pool::global_threads(),
+        Schedule::Spawn | Schedule::Pooled => pool::global_threads(),
     }
 }
 
@@ -476,9 +448,6 @@ pub(crate) fn go_parallel(sched: Schedule, n: usize) -> bool {
             // sequential when it has a single lane.
             Schedule::Spawn => true,
             Schedule::Pooled => pool::global_threads() > 1,
-            // Lookback pays off at any width: even inline on a width-1
-            // pool it reads the input once instead of twice.
-            Schedule::Lookback => true,
         }
 }
 
@@ -516,9 +485,9 @@ fn cut<T>(s: &[T], r: core::ops::Range<usize>) -> &[T] {
 /// One contiguous span of a scan, in traversal order. `write(i,
 /// state)` receives each index's scan state (pre- or post-combine per
 /// `mode`); the return value is the carry-out — the inclusive fold of
-/// the span into `seed`. Every scan path (sequential, blocked down
-/// sweep, lookback block) funnels through this one loop, which loads
-/// index `i` before it writes `i` and never visits `i` again.
+/// the span into `seed`. Every scan path (sequential or blocked down
+/// sweep) funnels through this one loop, which loads index `i` before
+/// it writes `i` and never visits `i` again.
 pub(crate) fn scan_span<S, L, F, W>(
     r: core::ops::Range<usize>,
     load: &L,
@@ -588,7 +557,7 @@ fn strides(
 /// [`scan_span`] under `budget`: in strides of [`Budget::STRIDE`]
 /// elements, checking the budget between them. On `Err` the span
 /// stopped part-way and the caller discards what it wrote.
-pub(crate) fn budget_scan_span<B, S, L, F, W>(
+fn budget_scan_span<B, S, L, F, W>(
     r: core::ops::Range<usize>,
     load: &L,
     seed: S,
@@ -737,7 +706,6 @@ fn madvise_huge(_: core::ops::Range<usize>) {}
 /// The scan engine. Returns the emitted output vector and the total
 /// reduction of all loaded values (in traversal order). Small inputs,
 /// [`Schedule::Sequential`] and one-block plans run [`seq_scan`];
-/// [`Schedule::Lookback`] runs [`crate::lookback`]'s single pass;
 /// everything else [`blocked_scan`].
 ///
 /// `f` must be associative with identity `identity`; the parallel
@@ -766,9 +734,6 @@ where
     let (load, f, emit) = (&load, &f, &emit);
     if !go_parallel(sched, n) {
         return seq_scan(n, load, identity, f, emit, mode, budget);
-    }
-    if sched == Schedule::Lookback {
-        return crate::lookback::engine(n, load, identity, f, emit, mode, budget);
     }
     let nblocks = plan_blocks(n, engine_width(sched));
     if nblocks <= 1 {
@@ -1058,9 +1023,7 @@ where
 /// token makes every remaining stride stop early, and its latch makes
 /// the phase checks authoritative, so a stopped block's partial output
 /// is never used). On success the result is the infallible call's,
-/// bit for bit (under [`Schedule::Lookback`] only for exact operators:
-/// which blocks take its seeded fast path, and so its association,
-/// depends on timing).
+/// bit for bit.
 pub(crate) fn contain<R>(f: impl FnOnce() -> Result<R, ExecError>) -> Result<R, ExecError> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or(Err(ExecError::WorkerLost { panics: 1 }))
 }
@@ -1148,12 +1111,7 @@ mod tests {
         let n = PAR_THRESHOLD * 3 + 17;
         let a: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(2654435761)).collect();
         let seq = seq_exclusive_scan_by(&a, 0, |x, y| x.wrapping_add(y));
-        for sched in [
-            Schedule::Pooled,
-            Schedule::Lookback,
-            Schedule::Spawn,
-            Schedule::Sequential,
-        ] {
+        for sched in [Schedule::Pooled, Schedule::Spawn, Schedule::Sequential] {
             let got = Scan::by(0u64, |x, y| x.wrapping_add(y))
                 .schedule(sched)
                 .run(&a)
@@ -1167,7 +1125,7 @@ mod tests {
         let n = PAR_THRESHOLD * 2 + 3;
         let a: Vec<u64> = (0..n as u64).map(|i| (i * 48271) % 104729).collect();
         let seq = seq_inclusive_scan_by(&a, 0, |x, y| x.max(y));
-        for sched in [Schedule::Pooled, Schedule::Lookback, Schedule::Spawn] {
+        for sched in [Schedule::Pooled, Schedule::Spawn] {
             assert_eq!(
                 seq,
                 Scan::by(0, |x, y| x.max(y))
@@ -1189,12 +1147,7 @@ mod tests {
             expect_exc.reverse();
             let mut expect_inc = seq_inclusive_scan_by(&rev, 0u64, |x, y| x.wrapping_add(y));
             expect_inc.reverse();
-            for sched in [
-                Schedule::Pooled,
-                Schedule::Lookback,
-                Schedule::Spawn,
-                Schedule::Sequential,
-            ] {
+            for sched in [Schedule::Pooled, Schedule::Spawn, Schedule::Sequential] {
                 assert_eq!(
                     Scan::by(0u64, |x, y| x.wrapping_add(y))
                         .schedule(sched)
@@ -1263,12 +1216,7 @@ mod tests {
     fn reduce_matches() {
         let n = PAR_THRESHOLD * 2 + 5;
         let a: Vec<u64> = (0..n as u64).collect();
-        for sched in [
-            Schedule::Pooled,
-            Schedule::Lookback,
-            Schedule::Spawn,
-            Schedule::Sequential,
-        ] {
+        for sched in [Schedule::Pooled, Schedule::Spawn, Schedule::Sequential] {
             assert_eq!(
                 Scan::by(0, |x, y| x + y).schedule(sched).total(&a),
                 (n as u64 - 1) * (n as u64) / 2
@@ -1377,12 +1325,7 @@ mod tests {
     fn try_scans_match_infallible_on_the_happy_path() {
         let n = PAR_THRESHOLD * 2 + 13;
         let a: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e3779b9)).collect();
-        for sched in [
-            Schedule::Pooled,
-            Schedule::Lookback,
-            Schedule::Spawn,
-            Schedule::Sequential,
-        ] {
+        for sched in [Schedule::Pooled, Schedule::Spawn, Schedule::Sequential] {
             assert_eq!(
                 Scan::by(0, u64::wrapping_add)
                     .schedule(sched)
@@ -1446,12 +1389,7 @@ mod tests {
     fn try_scan_with_expired_deadline_is_typed() {
         let a: Vec<u64> = (0..(PAR_THRESHOLD as u64 * 2)).collect();
         let d = ScanDeadline::at(std::time::Instant::now());
-        for sched in [
-            Schedule::Pooled,
-            Schedule::Lookback,
-            Schedule::Spawn,
-            Schedule::Sequential,
-        ] {
+        for sched in [Schedule::Pooled, Schedule::Spawn, Schedule::Sequential] {
             let got = crate::deadline::with_deadline(&d, || {
                 Scan::by(0, |x, y| x + y)
                     .schedule(sched)
@@ -1479,12 +1417,7 @@ mod tests {
         // sweep: deterministic mid-flight cancellation with no timing.
         let n = PAR_THRESHOLD * 4;
         let a: Vec<u64> = (0..n as u64).collect();
-        for sched in [
-            Schedule::Pooled,
-            Schedule::Lookback,
-            Schedule::Spawn,
-            Schedule::Sequential,
-        ] {
+        for sched in [Schedule::Pooled, Schedule::Spawn, Schedule::Sequential] {
             let d = ScanDeadline::manual();
             let seen = AtomicUsize::new(0);
             let got = crate::deadline::with_deadline(&d, || {
@@ -1526,12 +1459,7 @@ mod tests {
     fn try_scan_contains_operator_panics() {
         let n = PAR_THRESHOLD * 2;
         let a: Vec<u64> = (0..n as u64).collect();
-        for sched in [
-            Schedule::Pooled,
-            Schedule::Lookback,
-            Schedule::Spawn,
-            Schedule::Sequential,
-        ] {
+        for sched in [Schedule::Pooled, Schedule::Spawn, Schedule::Sequential] {
             let got = Scan::by(0, |x, y| {
                 assert!(x + y < 1_000_000, "operator exploded");
                 x + y

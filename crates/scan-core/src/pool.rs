@@ -12,12 +12,7 @@
 //!
 //! - **Dependency-free**: a `Mutex`/`Condvar` gate broadcasts one job at
 //!   a time to the workers; tasks inside a job are claimed with a single
-//!   `fetch_add` each, so block-level load balancing is lock-free. The
-//!   `fetch_add` makes claiming *in-order*: task `t` is claimed only
-//!   after `0..t` have been claimed. That ordering is load-bearing for
-//!   the decoupled-lookback schedule ([`crate::lookback`]), whose
-//!   forward-progress argument needs a spinning block's predecessors to
-//!   be running or finished — never parked unstarted behind it.
+//!   `fetch_add` each, so block-level load balancing is lock-free.
 //! - **The submitter participates**: a pool of `k` threads keeps `k - 1`
 //!   parked workers, and the thread calling [`WorkerPool::run`] executes
 //!   tasks alongside them. A job therefore always completes even if no

@@ -1,16 +1,14 @@
 //! The crate's single swap point for synchronization primitives.
 //!
 //! Every concurrent module in `scan-core` (`pool`, `deadline`,
-//! `parallel`, `multi_split`, `lookback`) imports its sync types from
-//! here instead of `std::sync` directly. In a normal build the
-//! re-exports *are* the `std` types — zero cost, zero behavior change.
-//! Building with `RUSTFLAGS="--cfg loom"` swaps in the [`loom`]
-//! model-checker equivalents, which turn every atomic access, lock
-//! acquisition, and condvar wait into a scheduling decision the
-//! interleaving search can permute. `tests/loom_pool.rs` runs the
-//! pool's concurrency scenarios under that search, and
-//! `tests/loom_lookback.rs` the lookback descriptor table's
-//! aggregate→prefix publication handshake.
+//! `parallel`, `multi_split`) imports its sync types from here instead
+//! of `std::sync` directly. In a normal build the re-exports *are* the
+//! `std` types — zero cost, zero behavior change. Building with
+//! `RUSTFLAGS="--cfg loom"` swaps in the [`loom`] model-checker
+//! equivalents, which turn every atomic access, lock acquisition, and
+//! condvar wait into a scheduling decision the interleaving search can
+//! permute. `tests/loom_pool.rs` runs the pool's concurrency scenarios
+//! under that search.
 //!
 //! Two deliberate exceptions stay on `std` even under loom:
 //!
@@ -31,9 +29,7 @@ pub use loom::thread;
 /// `loom::sync::atomic`).
 #[cfg(loom)]
 pub mod atomic {
-    pub use loom::sync::atomic::{
-        AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-    };
+    pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }
 
 #[cfg(not(loom))]
@@ -45,9 +41,7 @@ pub use std::thread;
 /// `loom::sync::atomic`).
 #[cfg(not(loom))]
 pub mod atomic {
-    pub use std::sync::atomic::{
-        AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-    };
+    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 }
 
 use self::atomic::{AtomicUsize, Ordering};

@@ -1,12 +1,11 @@
 //! Differential tests for the execution engine: every `*_by` entry
-//! point, under all three parallel schedules ([`Schedule::Pooled`],
-//! [`Schedule::Spawn`], and the single-pass [`Schedule::Lookback`])
-//! and all four scan directions, must agree with the sequential
-//! reference at sizes straddling `PAR_THRESHOLD`, and every entry
-//! point's `try_*` twin must return `Ok` with the infallible call's
-//! output, bit for bit. `pack` and `pack_indices` must agree with an
-//! iterator filter at keep densities from none to all, under the same
-//! schedules and `Sequential`.
+//! point, under both parallel schedules ([`Schedule::Pooled`] and
+//! [`Schedule::Spawn`]) and all four scan directions, must agree with
+//! the sequential reference at sizes straddling `PAR_THRESHOLD`, and
+//! every entry point's `try_*` twin must return `Ok` with the
+//! infallible call's output, bit for bit. `pack` and `pack_indices`
+//! must agree with an iterator filter at keep densities from none to
+//! all, under the same schedules and `Sequential`.
 //!
 //! The container running CI may expose a single core, which would give
 //! the lazy global pool width 1 and silently skip the parallel paths.
@@ -53,7 +52,7 @@ fn with_default_schedule<R>(s: Schedule, f: impl FnOnce() -> R) -> R {
     r
 }
 
-const PAR_SCHEDULES: [Schedule; 3] = [Schedule::Pooled, Schedule::Spawn, Schedule::Lookback];
+const PAR_SCHEDULES: [Schedule; 2] = [Schedule::Pooled, Schedule::Spawn];
 
 /// Sizes that straddle every interesting boundary: empty, tiny, just
 /// below/at/above the parallel threshold, a size that is not a multiple
@@ -124,11 +123,7 @@ proptest! {
             let inc = parallel::seq_inclusive_scan_by(&a, 0u64, wadd);
             // Float `+` is not associative: the `try_*` twin can match
             // the infallible call bit for bit only because both run the
-            // same block plan with the same association. Lookback has no
-            // fixed association (a block seeds its scan or grafts the
-            // seed on afterwards, depending on whether its predecessor
-            // has published yet), so only the two-pass schedules are
-            // checked on it.
+            // same block plan with the same association.
             let af: Vec<f64> = a.iter().map(|&x| (x >> 11) as f64 / ((x % 997) as f64 + 1.0)).collect();
             let fadd = |x: f64, y: f64| x + y;
             for sched in PAR_SCHEDULES {
@@ -152,9 +147,6 @@ proptest! {
                 });
                 prop_assert_eq!(try_inc, Ok(inc.clone()), "try inclusive fwd n={} sched={:?}", n, sched);
 
-                if sched == Schedule::Lookback {
-                    continue;
-                }
                 let f_ex = Scan::by(0.0, fadd).schedule(sched).run(&af).0;
                 let f_try_ex = Scan::by(0.0, fadd).schedule(sched).try_run(&af).map(|r| r.0);
                 prop_assert!(f_try_ex.is_ok(), "try f64 exclusive n={} sched={:?}", n, sched);

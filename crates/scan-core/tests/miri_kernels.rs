@@ -55,12 +55,7 @@ fn input(n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect()
 }
 
-const SCHEDS: [Schedule; 4] = [
-    Schedule::Spawn,
-    Schedule::Pooled,
-    Schedule::Lookback,
-    Schedule::Sequential,
-];
+const SCHEDS: [Schedule; 3] = [Schedule::Spawn, Schedule::Pooled, Schedule::Sequential];
 
 #[test]
 fn scan_kernels_are_sound_at_miri_size() {
@@ -208,33 +203,6 @@ fn pack_kernel_is_sound_at_miri_size() {
         }
     }
     parallel::set_default_schedule(Schedule::Pooled);
-}
-
-#[test]
-fn lookback_descriptor_protocol_is_race_free_under_miri() {
-    // The descriptor table's cross-thread handshake on real threads:
-    // the payload slot is plain (unsynchronized) memory published via a
-    // Release store of the status word and read back under an Acquire
-    // load. Miri's data-race detector proves the claim directly — if
-    // the ordering were wrong, the successor's slot read would race
-    // with the publisher's write.
-    use scan_core::lookback::DescTable;
-    use scan_core::sync::Arc;
-    let table: Arc<DescTable<u64>> = Arc::new(DescTable::new(3));
-    let t = Arc::clone(&table);
-    let h = std::thread::spawn(move || {
-        t.publish_aggregate(1, 5);
-        t.publish_prefix(0, 7);
-        t.publish_prefix(1, 12);
-    });
-    // Block 2's lookback must fold agg(1) onto prefix(0) — or observe
-    // prefix(1) directly — and land on 12 either way, spinning through
-    // EMPTY states until the publisher gets there.
-    let seed = table.lookback(2, 0u64, &|a, b| a + b, None);
-    assert_eq!(seed, Some(12));
-    h.join().unwrap();
-    assert_eq!(table.try_prefix(1), Some(12));
-    assert!(!table.is_abandoned());
 }
 
 #[test]

@@ -11,10 +11,9 @@
 use scan_core::segmented::Segments;
 use scan_core::{deadline, Error, Max, Scan, ScanDeadline, Sum};
 
-/// The primitive scan family a request group executes under — the
-/// sharded executor's, so a request's kind needs no translation on its
-/// way into a [`crate::ShardedBackend`].
-pub use scan_shard::ScanKind;
+/// The primitive scan a request group executes: scan-core's, the
+/// same type the sharded executor takes.
+pub use scan_core::ScanKind;
 
 /// Executes batches for the service. Implementations must be safe to
 /// call from whichever submitter thread is currently leading a batch.
@@ -47,7 +46,7 @@ pub trait BatchBackend: Send + Sync {
 pub struct PoolBackend;
 
 /// Run `f` under `deadline` as the ambient [`scan_core::deadline`] scope.
-pub(crate) fn scoped<R>(deadline: Option<&ScanDeadline>, f: impl FnOnce() -> R) -> R {
+fn scoped<R>(deadline: Option<&ScanDeadline>, f: impl FnOnce() -> R) -> R {
     match deadline {
         Some(d) => deadline::with_deadline(d, f),
         None => f(),

@@ -49,7 +49,6 @@ pub mod health;
 pub mod queue;
 pub mod request;
 pub mod service;
-pub mod sharded;
 pub mod sync;
 
 pub use backend::{BatchBackend, PoolBackend, ScanKind};
@@ -58,4 +57,3 @@ pub use health::{CoalescerHealth, ServiceHealth, ServiceMode, TenantCounters};
 pub use queue::{starvation_bound, FairQueue};
 pub use request::{RequestOp, ScanRequest, TenantId};
 pub use service::{ScanService, ServiceConfig};
-pub use sharded::ShardedBackend;

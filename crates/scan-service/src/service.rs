@@ -245,23 +245,6 @@ impl ScanService<PoolBackend> {
     }
 }
 
-impl ScanService<crate::sharded::ShardedBackend> {
-    /// A service whose mega-batches of `min_shard_len` elements or
-    /// more run on a sharded executor (loss recovery, verification,
-    /// per-shard quarantine — see [`scan_shard`]); smaller batches
-    /// stay on the single-pool kernels.
-    pub fn sharded(
-        cfg: ServiceConfig,
-        shard_cfg: scan_shard::ShardConfig,
-        min_shard_len: usize,
-    ) -> Self {
-        Self::with_backend(
-            cfg,
-            crate::sharded::ShardedBackend::new(shard_cfg, min_shard_len),
-        )
-    }
-}
-
 impl<B: BatchBackend> ScanService<B> {
     /// A service executing on a caller-provided backend.
     pub fn with_backend(cfg: ServiceConfig, backend: B) -> Self {
@@ -294,12 +277,6 @@ impl<B: BatchBackend> ScanService<B> {
     /// The configuration this service was built with.
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
-    }
-
-    /// The backend this service executes on (e.g. for inspecting a
-    /// [`crate::ShardedBackend`]'s executor health).
-    pub fn backend(&self) -> &B {
-        &self.backend
     }
 
     fn lock_state(&self) -> MutexGuard<'_, State> {

@@ -48,7 +48,7 @@ use std::time::Duration;
 
 use scan_core::backoff::Backoff;
 use scan_core::segmented::seg_combine;
-use scan_core::{ExecError, Max, Scan, ScanDeadline, ScanOp, Sum};
+use scan_core::{ExecError, Max, Scan, ScanDeadline, ScanKind, ScanOp, Sum};
 use scan_fault::{Breaker, BreakerConfig, ChaosEvent, ChaosPlan, Gate};
 
 use crate::assemble::assemble;
@@ -64,17 +64,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Producer index meaning "computed inline by the executor".
 const INLINE: usize = usize::MAX;
-
-/// The primitive scan family a sharded run (or a service request)
-/// executes: the runtime name of scan-core's [`Sum`] or [`Max`]
-/// operator over `u64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanKind {
-    /// Exclusive `+-scan` (wrapping add; identity 0).
-    Sum,
-    /// Exclusive `max-scan` (identity `u64::MIN`, i.e. 0).
-    Max,
-}
 
 /// What the executor does when a shard is lost mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

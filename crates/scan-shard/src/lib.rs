@@ -37,5 +37,6 @@ pub mod health;
 mod pool;
 
 pub use error::{LossCause, ShardError};
-pub use executor::{RecoveryPolicy, ScanKind, ShardConfig, ShardedExecutor};
+pub use executor::{RecoveryPolicy, ShardConfig, ShardedExecutor};
 pub use health::{ShardHealth, ShardStatus};
+pub use scan_core::ScanKind;

@@ -23,11 +23,10 @@ use std::sync::Arc;
 use std::thread;
 
 use scan_core::parallel::Schedule;
-use scan_core::{ExecError, Max, Scan, ScanDeadline, Sum};
+use scan_core::{ExecError, Max, Scan, ScanDeadline, ScanKind, Sum};
 use scan_fault::ChaosEvent;
 
 use crate::combine::compute;
-use crate::executor::ScanKind;
 
 /// Which half of the two-round sharded scan a job runs.
 #[derive(Debug, Clone, Copy)]

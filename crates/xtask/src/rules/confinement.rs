@@ -91,7 +91,7 @@ pub fn check(ws: &Workspace, out: &mut Report) {
         let in_test = &file.in_test;
 
         if !SPAWN_ALLOWLIST.contains(&rel) {
-            for pat in ["thread::spawn", "thread::Builder"] {
+            for pat in ["thread::spawn", "thread::Builder", "thread::scope"] {
                 for &(l, c) in &lx.path_spans(pat) {
                     if !in_test[l] {
                         out.violations.push(Violation::error(
@@ -236,6 +236,19 @@ mod tests {
             "#![forbid(unsafe_code)]\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::spawn(|| {}).join().unwrap(); }\n}\n",
         );
         assert_eq!(t.lint(), vec![]);
+    }
+
+    #[test]
+    fn scoped_spawn_outside_pool_is_flagged_but_not_in_tests() {
+        // `thread::scope` starts threads as surely as `thread::spawn`.
+        let t = Tree::new();
+        t.write(
+            "crates/demo/src/lib.rs",
+            "#![forbid(unsafe_code)]\npub fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n}\n",
+        );
+        let vs = t.lint();
+        assert_eq!(rules(&vs), vec!["no-raw-spawn"]);
+        assert_eq!(vs[0].line, 2);
     }
 
     #[test]
@@ -399,7 +412,7 @@ mod tests {
     fn multi_line_atomic_op_with_ordering_passes() {
         let t = Tree::new();
         t.write(
-            "crates/scan-core/src/lookback.rs",
+            "crates/scan-core/src/pool.rs",
             "use std::sync::atomic::{AtomicU64, Ordering};\npub fn f(a: &AtomicU64) {\n    a.compare_exchange(\n        0,\n        1,\n        Ordering::AcqRel,\n        Ordering::Acquire,\n    ).ok();\n}\n",
         );
         assert_eq!(t.lint(), vec![]);

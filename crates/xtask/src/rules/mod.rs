@@ -25,12 +25,11 @@ use crate::diag::Report;
 use crate::model::Workspace;
 
 /// Files allowed to contain `unsafe` (the audited kernel modules).
-pub const UNSAFE_ALLOWLIST: [&str; 5] = [
+pub const UNSAFE_ALLOWLIST: [&str; 4] = [
     "crates/scan-core/src/parallel.rs",
     "crates/scan-core/src/pool.rs",
     "crates/scan-core/src/multi_split.rs",
     "crates/scan-core/src/simd.rs",
-    "crates/scan-core/src/lookback.rs",
 ];
 
 /// The files allowed to spawn threads directly: the worker pool and
@@ -47,13 +46,12 @@ pub const CLOCK_ALLOWLIST: &str = "crates/scan-core/src/deadline.rs";
 pub const SIMD_ALLOWLIST: &str = "crates/scan-core/src/simd.rs";
 
 /// The audited sync modules allowed to hold atomic types and memory
-/// orderings: the swap points, the pools, the clock, the lookback
-/// descriptor table, and the service's slot-flag cell.
-pub const ATOMICS_ALLOWLIST: [&str; 6] = [
+/// orderings: the swap points, the pools, the clock, and the service's
+/// slot-flag cell.
+pub const ATOMICS_ALLOWLIST: [&str; 5] = [
     "crates/scan-core/src/sync.rs",
     "crates/scan-core/src/pool.rs",
     "crates/scan-core/src/deadline.rs",
-    "crates/scan-core/src/lookback.rs",
     "crates/scan-shard/src/pool.rs",
     "crates/scan-service/src/sync.rs",
 ];
