@@ -6,15 +6,14 @@
 //! **seeded jitter draw** (spread co-failing parties apart without
 //! giving up reproducibility). Before this module existed the service
 //! layer and the fault layer each carried a private copy of the same
-//! SplitMix64-finalizer arithmetic; they now share this one, and so
-//! does shard-range re-execution in `scan-shard`.
+//! SplitMix64-finalizer arithmetic; they now share this one.
 //!
 //! Everything here is **pure arithmetic** — no clocks are read and no
 //! sleeping happens (the repository's lint confines `Instant::now` to
 //! `deadline.rs`). Callers decide what to do with the returned values:
-//! `scan-service` sleeps for a [`Backoff::delay`], the `scan-fault`
-//! breaker adds a [`jitter`] draw to a quarantine measured in logical
-//! scans, and `scan-shard` does both.
+//! `scan-service` sleeps for a [`Backoff::delay`], and the `scan-fault`
+//! breaker (which also quarantines `scan-shard`'s shards) adds a
+//! [`jitter`] draw to a quarantine measured in logical scans.
 //!
 //! The jitter draw is a pure function of `(seed, stream, attempt)`:
 //! replaying the same failure sequence reproduces the same schedule,
@@ -92,8 +91,8 @@ pub fn double_capped(current: u64, max: u64) -> u64 {
 ///
 /// [`delay`](Backoff::delay) is a pure function of the policy and of
 /// `(stream, attempt, salt)`, so a replayed failure sequence sleeps
-/// the same schedule — the property the service- and shard-level
-/// chaos tests pin to exact values.
+/// the same schedule — the property the service-level tests pin to
+/// exact values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     /// The exponential term's base: attempt `k` waits `base · 2^(k-1)`.
@@ -107,7 +106,7 @@ pub struct Backoff {
 
 impl Backoff {
     /// The delay before retry number `attempt` (1-based) of logical
-    /// stream `stream` (a dispatch counter, shard index, ...). `salt`
+    /// stream `stream` (a dispatch counter, ...). `salt`
     /// decorrelates otherwise-identical streams (e.g. the scan-kind
     /// bit in the service layer); pass `0` when unused.
     #[must_use]

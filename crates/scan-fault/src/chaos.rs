@@ -44,8 +44,8 @@ pub enum ChaosEvent {
     /// Kill the executing shard mid-job (delivered by `scan-shard`'s
     /// supervisor loop, which exits without replying: the executor
     /// sees the job's reply channel close, a disconnect, so the
-    /// dead-shard detection and range re-execution are what get
-    /// exercised).
+    /// dead-shard detection and the executor's inline recomputation of
+    /// the lost range are what get exercised).
     ShardKill,
     /// Corrupt the carry a shard reports upward (the per-shard total
     /// feeding the exclusive tree combine), so the O(n) verify and the

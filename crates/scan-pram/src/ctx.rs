@@ -12,7 +12,6 @@
 //! but `O(lg n)` steps in the pure EREW model where each scan costs a
 //! tree traversal.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use scan_core::element::ScanElem;
@@ -21,7 +20,6 @@ use scan_core::ops::{self, Bucket};
 use scan_core::segmented::{self, Segments};
 use scan_core::segops;
 use scan_core::simulate::PrimitiveScans;
-use scan_core::ScanDeadline;
 use scan_core::{allocate as core_allocate, Allocation};
 
 use crate::model::Model;
@@ -48,8 +46,6 @@ pub struct Ctx {
     strict: bool,
     merge_primitive: bool,
     backend: Option<Rc<dyn PrimitiveScans>>,
-    deadline: Option<ScanDeadline>,
-    deadline_skips: Cell<u64>,
 }
 
 impl core::fmt::Debug for Ctx {
@@ -64,8 +60,6 @@ impl core::fmt::Debug for Ctx {
                 "backend",
                 &self.backend.as_ref().map(|_| "dyn PrimitiveScans"),
             )
-            .field("deadline", &self.deadline)
-            .field("deadline_skips", &self.deadline_skips.get())
             .finish()
     }
 }
@@ -80,8 +74,6 @@ impl Ctx {
             strict: false,
             merge_primitive: false,
             backend: None,
-            deadline: None,
-            deadline_skips: Cell::new(0),
         }
     }
 
@@ -96,8 +88,6 @@ impl Ctx {
             strict: false,
             merge_primitive: false,
             backend: None,
-            deadline: None,
-            deadline_skips: Cell::new(0),
         }
     }
 
@@ -109,58 +99,9 @@ impl Ctx {
         self
     }
 
-    /// Install or remove the primitive-scan backend.
-    pub fn set_backend(&mut self, backend: Option<Rc<dyn PrimitiveScans>>) {
-        self.backend = backend;
-    }
-
     /// Whether a primitive-scan backend is installed.
     pub fn has_backend(&self) -> bool {
         self.backend.is_some()
-    }
-
-    /// Attach a routing deadline. `Ctx` methods are infallible (they
-    /// always return a correct result), so the deadline does not abort
-    /// work — instead, once it expires or is cancelled, scans stop
-    /// being dispatched to the installed backend (e.g. a slow or
-    /// chaos-wrapped simulated circuit) and run on the in-process
-    /// software kernels, with each skipped dispatch counted in
-    /// [`Ctx::deadline_skips`].
-    pub fn with_deadline(mut self, deadline: ScanDeadline) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Install or remove the routing deadline (see
-    /// [`Ctx::with_deadline`]).
-    pub fn set_deadline(&mut self, deadline: Option<ScanDeadline>) {
-        self.deadline = deadline;
-    }
-
-    /// The routing deadline, if any.
-    pub fn deadline(&self) -> Option<&ScanDeadline> {
-        self.deadline.as_ref()
-    }
-
-    /// Operations served by the software kernels because the routing
-    /// deadline had already expired (or was cancelled) when they would
-    /// have dispatched to the backend.
-    pub fn deadline_skips(&self) -> u64 {
-        self.deadline_skips.get()
-    }
-
-    /// The installed backend, unless the routing deadline says the
-    /// machine is out of time — then `None`, and the caller falls
-    /// through to the software kernels.
-    fn routable_backend(&self) -> Option<&Rc<dyn PrimitiveScans>> {
-        let b = self.backend.as_ref()?;
-        if let Some(d) = &self.deadline {
-            if d.check().is_err() {
-                self.deadline_skips.set(self.deadline_skips.get() + 1);
-                return None;
-            }
-        }
-        Some(b)
     }
 
     /// Enable strict access checking: an EREW machine will panic on a
@@ -349,7 +290,7 @@ impl Ctx {
     /// Exclusive scan. Charge: 1 scan.
     pub fn scan<O: ScanOp<T>, T: ScanElem>(&mut self, a: &[T]) -> Vec<T> {
         self.charge_scan(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(out) = route::scan::<O, T>(b.as_ref(), a) {
                 return out;
             }
@@ -362,7 +303,7 @@ impl Ctx {
     pub fn scan_with_total<O: ScanOp<T>, T: ScanElem>(&mut self, a: &[T]) -> (Vec<T>, T) {
         self.charge_scan(a.len());
         self.charge_elementwise(a.len().min(1));
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(out) = route::scan_with_total::<O, T>(b.as_ref(), a) {
                 return out;
             }
@@ -374,7 +315,7 @@ impl Ctx {
     pub fn inclusive_scan<O: ScanOp<T>, T: ScanElem>(&mut self, a: &[T]) -> Vec<T> {
         self.charge_scan(a.len());
         self.charge_elementwise(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(excl) = route::scan::<O, T>(b.as_ref(), a) {
                 if excl.len() == a.len() {
                     return excl
@@ -391,7 +332,7 @@ impl Ctx {
     /// Exclusive backward scan (§2.1). Charge: 1 scan.
     pub fn scan_backward<O: ScanOp<T>, T: ScanElem>(&mut self, a: &[T]) -> Vec<T> {
         self.charge_scan(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(out) = route::scan_backward::<O, T>(b.as_ref(), a) {
                 return out;
             }
@@ -403,7 +344,7 @@ impl Ctx {
     pub fn inclusive_scan_backward<O: ScanOp<T>, T: ScanElem>(&mut self, a: &[T]) -> Vec<T> {
         self.charge_scan(a.len());
         self.charge_elementwise(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(excl) = route::scan_backward::<O, T>(b.as_ref(), a) {
                 if excl.len() == a.len() {
                     return excl
@@ -420,7 +361,7 @@ impl Ctx {
     /// Reduction. Charge: 1 scan (an up sweep).
     pub fn reduce<O: ScanOp<T>, T: ScanElem>(&mut self, a: &[T]) -> T {
         self.charge_scan(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some((_, total)) = route::scan_with_total::<O, T>(b.as_ref(), a) {
                 return total;
             }
@@ -434,7 +375,7 @@ impl Ctx {
     /// primitive scans, §3.4).
     pub fn seg_scan<O: ScanOp<T>, T: ScanElem>(&mut self, a: &[T], segs: &Segments) -> Vec<T> {
         self.charge_seg_scan(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(out) = route::seg_scan::<O, T>(b.as_ref(), a, segs) {
                 return out;
             }
@@ -451,7 +392,7 @@ impl Ctx {
     ) -> Vec<T> {
         self.charge_seg_scan(a.len());
         self.charge_elementwise(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(excl) = route::seg_scan::<O, T>(b.as_ref(), a, segs) {
                 if excl.len() == a.len() {
                     return excl
@@ -472,7 +413,7 @@ impl Ctx {
         segs: &Segments,
     ) -> Vec<T> {
         self.charge_seg_scan(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(out) = route::seg_scan_backward::<O, T>(b.as_ref(), a, segs) {
                 return out;
             }
@@ -490,7 +431,7 @@ impl Ctx {
     ) -> Vec<T> {
         self.charge_seg_scan(a.len());
         self.charge_elementwise(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(out) = route::seg_distribute::<O, T>(b.as_ref(), a, segs) {
                 return out;
             }
@@ -503,7 +444,7 @@ impl Ctx {
     /// segmented scan.
     pub fn seg_copy<T: ScanElem>(&mut self, a: &[T], segs: &Segments) -> Vec<T> {
         self.charge_seg_scan(a.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             if let Some(out) = route::seg_copy(b.as_ref(), a, segs) {
                 return out;
             }
@@ -517,7 +458,7 @@ impl Ctx {
     pub fn enumerate(&mut self, flags: &[bool]) -> Vec<usize> {
         self.charge_elementwise(flags.len());
         self.charge_scan(flags.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::enumerate(b.as_ref(), flags);
         }
         ops::enumerate(flags)
@@ -527,7 +468,7 @@ impl Ctx {
     pub fn back_enumerate(&mut self, flags: &[bool]) -> Vec<usize> {
         self.charge_elementwise(flags.len());
         self.charge_scan(flags.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::back_enumerate(b.as_ref(), flags);
         }
         ops::back_enumerate(flags)
@@ -537,7 +478,7 @@ impl Ctx {
     pub fn count(&mut self, flags: &[bool]) -> usize {
         self.charge_elementwise(flags.len());
         self.charge_scan(flags.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::count(b.as_ref(), flags);
         }
         ops::count(flags)
@@ -639,7 +580,7 @@ impl Ctx {
         self.charge_elementwise(n); // select of indices
         self.charge_permute(n);
         assert_eq!(a.len(), flags.len(), "split length mismatch");
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::split_count(b.as_ref(), a, flags);
         }
         ops::split_count(a, flags)
@@ -657,7 +598,7 @@ impl Ctx {
         }
         self.charge_permute(n);
         assert_eq!(a.len(), buckets.len(), "split3 length mismatch");
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::split3(b.as_ref(), a, buckets);
         }
         ops::split3(a, buckets)
@@ -738,7 +679,7 @@ impl Ctx {
         self.charge_elementwise(a.len());
         self.charge_permute(a.len());
         assert_eq!(a.len(), keep.len(), "pack length mismatch");
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::pack(b.as_ref(), a, keep);
         }
         ops::pack(a, keep)
@@ -753,7 +694,7 @@ impl Ctx {
         self.charge_elementwise(n);
         self.charge_elementwise(n);
         self.charge_permute(n);
-        if let Some(be) = self.routable_backend() {
+        if let Some(be) = &self.backend {
             // Only a *valid* merge is routable; invalid inputs keep the
             // software kernel's panic contract.
             let trues = flags.iter().filter(|&&f| f).count();
@@ -771,7 +712,7 @@ impl Ctx {
     pub fn allocate(&mut self, counts: &[usize]) -> Allocation {
         self.charge_scan(counts.len());
         self.charge_permute(counts.len());
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::allocate(b.as_ref(), counts);
         }
         core_allocate(counts)
@@ -792,7 +733,7 @@ impl Ctx {
             values.len(),
             counts.len()
         );
-        if let Some(b) = self.routable_backend() {
+        if let Some(b) = &self.backend {
             return route::distribute(b.as_ref(), values, counts);
         }
         scan_core::distribute(values, counts)
@@ -1017,91 +958,6 @@ mod tests {
             "backend saw {}",
             backend.calls.get()
         );
-    }
-
-    #[test]
-    fn expired_deadline_skips_the_backend_but_stays_correct() {
-        use scan_core::simulate::{PrimitiveScans, SoftwareScans};
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        #[derive(Debug, Default)]
-        struct Counting {
-            calls: Cell<u64>,
-        }
-        impl PrimitiveScans for Counting {
-            fn plus_scan(&self, a: &[u64]) -> Vec<u64> {
-                self.calls.set(self.calls.get() + 1);
-                SoftwareScans.plus_scan(a)
-            }
-            fn max_scan(&self, a: &[u64]) -> Vec<u64> {
-                self.calls.set(self.calls.get() + 1);
-                SoftwareScans.max_scan(a)
-            }
-        }
-
-        let backend = Rc::new(Counting::default());
-        let d = scan_core::ScanDeadline::after(std::time::Duration::ZERO);
-        let mut ctx = Ctx::new(Model::Scan)
-            .with_backend(backend.clone())
-            .with_deadline(d);
-        let a: Vec<u64> = vec![3, 1, 4, 1, 5, 9, 2, 6];
-        let flags = [true, false, true, true, false, false, true, false];
-        let mut soft = Ctx::new(Model::Scan);
-        // Out of time: every op still returns the exact software
-        // result, but nothing is dispatched to the backend.
-        assert_eq!(ctx.scan::<Sum, _>(&a), soft.scan::<Sum, _>(&a));
-        assert_eq!(ctx.reduce::<Max, _>(&a), soft.reduce::<Max, _>(&a));
-        assert_eq!(ctx.enumerate(&flags), soft.enumerate(&flags));
-        assert_eq!(ctx.pack(&a, &flags), soft.pack(&a, &flags));
-        assert_eq!(backend.calls.get(), 0, "expired deadline must skip routing");
-        assert_eq!(ctx.deadline_skips(), 4);
-        // The charges are unchanged — skipping is a routing decision,
-        // not a cost-model one.
-        assert_eq!(ctx.steps(), soft.steps());
-    }
-
-    #[test]
-    fn live_deadline_keeps_routing_and_cancel_stops_it() {
-        use scan_core::simulate::{PrimitiveScans, SoftwareScans};
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        #[derive(Debug, Default)]
-        struct Counting {
-            calls: Cell<u64>,
-        }
-        impl PrimitiveScans for Counting {
-            fn plus_scan(&self, a: &[u64]) -> Vec<u64> {
-                self.calls.set(self.calls.get() + 1);
-                SoftwareScans.plus_scan(a)
-            }
-            fn max_scan(&self, a: &[u64]) -> Vec<u64> {
-                self.calls.set(self.calls.get() + 1);
-                SoftwareScans.max_scan(a)
-            }
-        }
-
-        let backend = Rc::new(Counting::default());
-        let d = scan_core::ScanDeadline::manual();
-        let mut ctx = Ctx::new(Model::Scan)
-            .with_backend(backend.clone())
-            .with_deadline(d.clone());
-        assert!(ctx.deadline().is_some());
-        let a: Vec<u64> = vec![2, 7, 1, 8, 2, 8];
-        assert_eq!(ctx.scan::<Sum, _>(&a), vec![0, 2, 9, 10, 18, 20]);
-        let routed_calls = backend.calls.get();
-        assert!(routed_calls >= 1, "live deadline must not block routing");
-        assert_eq!(ctx.deadline_skips(), 0);
-        // Cancellation flips routing off mid-program.
-        d.cancel();
-        assert_eq!(ctx.scan::<Sum, _>(&a), vec![0, 2, 9, 10, 18, 20]);
-        assert_eq!(backend.calls.get(), routed_calls);
-        assert_eq!(ctx.deadline_skips(), 1);
-        // Removing the deadline restores routing.
-        ctx.set_deadline(None);
-        assert_eq!(ctx.scan::<Sum, _>(&a), vec![0, 2, 9, 10, 18, 20]);
-        assert!(backend.calls.get() > routed_calls);
     }
 
     #[test]

@@ -101,9 +101,6 @@ pub struct ServiceConfig {
     pub base_quarantine: u64,
     /// Quarantine cap; failed probes double up to this.
     pub max_quarantine: u64,
-    /// Verify every demuxed segment against the scan recurrence
-    /// (O(n)); catches lying backends per-request.
-    pub verify: bool,
     /// Fairness weight for tenants absent from `weights`.
     pub default_weight: u32,
     /// Per-tenant fairness weights (share of each batch rotation).
@@ -127,7 +124,6 @@ impl Default for ServiceConfig {
             failure_threshold: 3,
             base_quarantine: 8,
             max_quarantine: 256,
-            verify: true,
             default_weight: 1,
             weights: BTreeMap::new(),
         }
@@ -673,7 +669,7 @@ impl<B: BatchBackend> ScanService<B> {
                 // Cancelled or expired mid-batch: this member's
                 // verdict only.
                 Err(err.into())
-            } else if self.cfg.verify && !verifies(kind, input, seg) {
+            } else if !verifies(kind, input, seg) {
                 // Lying backend on this segment: the coalesced path is
                 // suspect (feeds the breaker); the member gets a solo
                 // retry with one corruption already on record.
@@ -704,10 +700,7 @@ impl<B: BatchBackend> ScanService<B> {
         let mut attempt: u32 = 0;
         loop {
             match self.backend.scan_one(kind, &input, e.deadline.as_ref()) {
-                Ok(scanned)
-                    if scanned.len() == input.len()
-                        && (!self.cfg.verify || verifies(kind, &input, &scanned)) =>
-                {
+                Ok(scanned) if scanned.len() == input.len() && verifies(kind, &input, &scanned) => {
                     return Ok(e.op.finish(&scanned));
                 }
                 Ok(_) if attempt < self.cfg.batch_retries => {

@@ -23,18 +23,15 @@
 //!   contained worker panic, misses the watchdog window, closes its
 //!   channel (dead supervisor), or returns a total or a piece that the
 //!   assembly pass finds wrong (a *lying* shard).
-//! - **Recovery ladder** — lost ranges are re-executed on surviving
-//!   shards with seeded, capped backoff between attempts
-//!   ([`scan_core::backoff`]); if every survivor fails too, the
-//!   executor computes the range inline (trusted, always succeeds).
+//! - **Recovery** — the executor recomputes every lost range itself,
+//!   with the sequential range kernel a shard job runs; it never fails
+//!   and is counted in [`ShardHealth::recoveries`].
 //! - **Quarantine** — each shard has a [`scan_fault::Breaker`] on the
 //!   executor's run clock: repeated losses open it, after which the
 //!   shard is skipped until its quarantine elapses and a single probe
 //!   run decides readmission.
-//! - **Degradation** — when fewer than `min_live` shards are
-//!   admitted, the run degrades to the ordinary single-pool
-//!   `scan-core` kernels (or fails typed, under
-//!   [`RecoveryPolicy::Fail`]).
+//! - **Degradation** — when no shard is admitted, the run degrades to
+//!   the ordinary single-pool `scan-core` kernels.
 //!
 //! Determinism: given a fixed [`ChaosPlan`] and config, the whole
 //! failure/recovery schedule is reproducible — jobs are numbered in
@@ -43,17 +40,15 @@
 use std::ops::Range;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread;
 use std::time::Duration;
 
-use scan_core::backoff::Backoff;
 use scan_core::segmented::seg_combine;
 use scan_core::{ExecError, Max, Scan, ScanDeadline, ScanKind, ScanOp, Sum};
 use scan_fault::{Breaker, BreakerConfig, ChaosEvent, ChaosPlan, Gate};
 
 use crate::assemble::assemble;
 use crate::combine::{compute, exclusive_combine, range_scan, range_total};
-use crate::error::{LossCause, ShardError};
+use crate::error::ShardError;
 use crate::health::{ShardHealth, ShardStatus};
 use crate::pool::{Job, Output, Phase, Reply, Shard};
 
@@ -65,17 +60,19 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Producer index meaning "computed inline by the executor".
 const INLINE: usize = usize::MAX;
 
-/// What the executor does when a shard is lost mid-run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Re-execute lost ranges on survivors (then inline); degrade to
-    /// the single-pool kernels when too few shards are live. Runs
-    /// return correct results whenever any compute path remains.
-    Recover,
-    /// Surface the first loss as a typed [`ShardError::ShardLost`]
-    /// (or [`ShardError::Degraded`]) instead of recovering — for
-    /// callers that own their own retry policy.
-    Fail,
+/// Why a shard was declared lost for (part of) a run; each cause has
+/// its own per-shard counter in [`ShardStatus`].
+#[derive(Debug, Clone, Copy)]
+enum LossCause {
+    /// The shard's kernel contained a panic and the job reported
+    /// [`ExecError::WorkerLost`]; the shard itself is still alive.
+    Panic,
+    /// No reply within the watchdog window; a late reply is discarded.
+    Watchdog,
+    /// A claimed total or piece failed the assembly pass's check.
+    Lied,
+    /// The supervisor thread is gone: the shard is dead for good.
+    Disconnected,
 }
 
 /// Tuning knobs for [`ShardedExecutor`].
@@ -86,19 +83,8 @@ pub struct ShardConfig {
     /// How long the executor waits for one job's reply before
     /// declaring the shard lost for the run.
     pub watchdog: Duration,
-    /// Re-execution attempts per lost range before falling back to
-    /// the inline (trusted) compute path.
-    pub reexec_retries: u32,
-    /// Backoff between re-execution attempts (seeded jitter; see
-    /// [`scan_core::backoff`]).
-    pub backoff: Backoff,
     /// Per-shard circuit-breaker tuning, on the executor's run clock.
     pub breaker: BreakerConfig,
-    /// Minimum admitted shards required to run sharded; below this the
-    /// run degrades (or fails, under [`RecoveryPolicy::Fail`]).
-    pub min_live: usize,
-    /// Loss handling policy.
-    pub policy: RecoveryPolicy,
     /// Deterministic fault schedule delivered to shard jobs
     /// ([`ChaosPlan::shard_event_for`]); `None` when quiet.
     pub chaos: Option<ChaosPlan>,
@@ -109,15 +95,7 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 2,
             watchdog: Duration::from_secs(5),
-            reexec_retries: 3,
-            backoff: Backoff {
-                base: Duration::from_micros(50),
-                jitter: Duration::from_micros(50),
-                seed: 0x5aad_c0de_0b57_ac1e,
-            },
             breaker: BreakerConfig::default(),
-            min_live: 1,
-            policy: RecoveryPolicy::Recover,
             chaos: None,
         }
     }
@@ -287,38 +265,26 @@ impl ShardedExecutor {
         // Admission: breaker-gate every reachable shard.
         let nshards = inner.shards.len();
         let mut probing = vec![false; nshards];
-        let mut admitted = vec![false; nshards];
         let mut live = Vec::new();
-        for i in 0..nshards {
+        for (i, probe) in probing.iter_mut().enumerate() {
             if !inner.shards[i].alive() {
                 continue;
             }
             match inner.breakers[i].gate(clock) {
-                Gate::Full => {
-                    admitted[i] = true;
-                    live.push(i);
-                }
+                Gate::Full => live.push(i),
                 Gate::Probe => {
-                    probing[i] = true;
-                    admitted[i] = true;
+                    *probe = true;
                     live.push(i);
                 }
                 Gate::Skip => {}
             }
         }
-        let need = inner.cfg.min_live.max(1);
         let head_flags = heads.as_deref().map(Vec::as_slice);
         let identity = (O::identity(), false);
-        if live.len() < need {
-            inner.degraded_runs += 1;
-            if matches!(inner.cfg.policy, RecoveryPolicy::Fail) {
-                return Err(ShardError::Degraded {
-                    live: live.len(),
-                    need,
-                });
-            }
+        if live.is_empty() {
             // Single-pool degradation: the whole input as one range on
             // the ordinary scan-core schedule.
+            inner.degraded_runs += 1;
             return Scan::op::<O, u64>()
                 .heads(head_flags)
                 .carry(identity)
@@ -331,7 +297,7 @@ impl ShardedExecutor {
         // Partition into one contiguous range per working shard.
         let k = live.len().min(n);
         let ranges = partition(n, k);
-        let workers: Vec<usize> = live[..k].to_vec();
+        let workers = &live[..k];
         let mut healthy = vec![true; nshards];
 
         // Round 1: reduce every range to its pair total.
@@ -342,8 +308,7 @@ impl ShardedExecutor {
             &heads,
             &deadline,
             &ranges,
-            &workers,
-            &admitted,
+            workers,
             &probing,
             &mut healthy,
             clock,
@@ -378,8 +343,7 @@ impl ShardedExecutor {
             &heads,
             &deadline,
             &ranges,
-            &workers,
-            &admitted,
+            workers,
             &probing,
             &mut healthy,
             clock,
@@ -419,17 +383,17 @@ impl ShardedExecutor {
                 inner.inline_rescues += 1;
             }
             if v.total_lied {
-                blame(inner, &mut healthy, producers1[slot], &probing, clock)?;
+                blame(inner, &mut healthy, producers1[slot], &probing, clock);
             }
             if v.piece_lied {
-                blame(inner, &mut healthy, producers2[slot], &probing, clock)?;
+                blame(inner, &mut healthy, producers2[slot], &probing, clock);
             }
         }
 
         // Close the loop on the breakers: every shard that worked this
         // run without a loss or lie is a verified success (this is
         // also how a probing shard gets readmitted).
-        for &s in &workers {
+        for &s in workers {
             if healthy[s] {
                 inner.breakers[s].success();
             }
@@ -482,16 +446,11 @@ fn issue(
         deadline: deadline.clone(),
         reply: tx,
     };
-    if inner.shards[shard].send(job) {
-        Some(rx)
-    } else {
-        None
-    }
+    inner.shards[shard].send(job).then_some(rx)
 }
 
 /// Record one shard loss: this-run health, lifetime stats, breaker
-/// failure. Under [`RecoveryPolicy::Fail`] the loss is surfaced as a
-/// typed error.
+/// failure.
 fn lose(
     inner: &mut Inner,
     healthy: &mut [bool],
@@ -499,7 +458,7 @@ fn lose(
     cause: LossCause,
     probing: &[bool],
     clock: u64,
-) -> Result<(), ShardError> {
+) {
     healthy[shard] = false;
     inner.losses += 1;
     match cause {
@@ -509,30 +468,21 @@ fn lose(
         LossCause::Disconnected => inner.stats[shard].disconnects += 1,
     }
     inner.breakers[shard].failure(&inner.cfg.breaker, shard as u64, clock, probing[shard]);
-    if matches!(inner.cfg.policy, RecoveryPolicy::Fail) {
-        return Err(ShardError::ShardLost { shard, cause });
-    }
-    Ok(())
 }
 
 /// Attribute a verification failure to `producer` (no-op for
 /// inline-computed ranges, which cannot lie).
-fn blame(
-    inner: &mut Inner,
-    healthy: &mut [bool],
-    producer: usize,
-    probing: &[bool],
-    clock: u64,
-) -> Result<(), ShardError> {
-    if producer == INLINE {
-        return Ok(());
+fn blame(inner: &mut Inner, healthy: &mut [bool], producer: usize, probing: &[bool], clock: u64) {
+    if producer != INLINE {
+        lose(inner, healthy, producer, LossCause::Lied, probing, clock);
     }
-    lose(inner, healthy, producer, LossCause::Lied, probing, clock)
 }
 
 /// Run one phase (reduce, or scan when `carries` is given) across the
-/// worker shards, with watchdog collection and the recovery ladder.
-/// Returns each slot's output and its producer shard (or [`INLINE`]).
+/// worker shards, collecting under the watchdog. A slot whose shard is
+/// lost, in this phase or an earlier one, is recomputed inline
+/// ([`rescue`]). Returns each slot's output and its producer shard (or
+/// [`INLINE`]).
 #[allow(clippy::too_many_arguments)]
 fn run_phase<O: ScanOp<u64>>(
     inner: &mut Inner,
@@ -542,7 +492,6 @@ fn run_phase<O: ScanOp<u64>>(
     deadline: &Option<ScanDeadline>,
     ranges: &[Range<usize>],
     workers: &[usize],
-    admitted: &[bool],
     probing: &[bool],
     healthy: &mut [bool],
     clock: u64,
@@ -552,83 +501,16 @@ fn run_phase<O: ScanOp<u64>>(
         None => Phase::Reduce,
         Some(c) => Phase::Scan { carry: c[slot] },
     };
-    let salt = u64::from(carries.is_some());
-    let mut outputs: Vec<Option<(Output, usize)>> = (0..ranges.len()).map(|_| None).collect();
-    let mut pending = Vec::new();
-    let mut to_recover = Vec::new();
 
-    // Issue every slot's job to its assigned shard.
+    // Issue every slot's job to its assigned shard. A slot whose shard
+    // was lost in an earlier phase gets no job (the loss is already
+    // recorded); one whose send fails is lost here.
+    let mut pending = Vec::with_capacity(ranges.len());
     for (slot, range) in ranges.iter().enumerate() {
         let s = workers[slot];
-        if !healthy[s] || !inner.shards[s].alive() {
-            // Lost in an earlier phase: route straight to recovery
-            // (the loss was already recorded).
-            to_recover.push(slot);
-            continue;
-        }
-        match issue(
-            inner,
-            kind,
-            data,
-            heads,
-            deadline,
-            range.clone(),
-            phase_for(slot),
-            s,
-        ) {
-            Some(rx) => pending.push((slot, s, rx)),
-            None => {
-                lose(inner, healthy, s, LossCause::Disconnected, probing, clock)?;
-                to_recover.push(slot);
-            }
-        }
-    }
-
-    // Collect under the watchdog.
-    for (slot, s, rx) in pending {
-        match rx.recv_timeout(inner.cfg.watchdog) {
-            Ok(Reply {
-                result: Ok(out), ..
-            }) => {
-                inner.stats[s].served += 1;
-                outputs[slot] = Some((out, s));
-            }
-            Ok(Reply {
-                result: Err(ExecError::WorkerLost { .. }),
-                ..
-            }) => {
-                lose(inner, healthy, s, LossCause::Panic, probing, clock)?;
-                to_recover.push(slot);
-            }
-            // The caller's deadline tripped inside the shard: the
-            // whole run is over, not just this shard.
-            Ok(Reply { result: Err(e), .. }) => return Err(ShardError::Exec(e)),
-            Err(RecvTimeoutError::Timeout) => {
-                lose(inner, healthy, s, LossCause::Watchdog, probing, clock)?;
-                to_recover.push(slot);
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                inner.shards[s].kill();
-                lose(inner, healthy, s, LossCause::Disconnected, probing, clock)?;
-                to_recover.push(slot);
-            }
-        }
-    }
-
-    // Recovery ladder: survivors with backoff, then inline.
-    for slot in to_recover {
-        let range = ranges[slot].clone();
-        let mut recovered = None;
-        for attempt in 1..=inner.cfg.reexec_retries {
-            let survivors: Vec<usize> = (0..inner.shards.len())
-                .filter(|&s| admitted[s] && healthy[s] && inner.shards[s].alive())
-                .collect();
-            if survivors.is_empty() {
-                break;
-            }
-            let s = survivors[(slot + attempt as usize) % survivors.len()];
-            thread::sleep(inner.cfg.backoff.delay(slot as u64, attempt, salt));
-            let Some(rx) = issue(
+        let mut rx = None;
+        if healthy[s] && inner.shards[s].alive() {
+            rx = issue(
                 inner,
                 kind,
                 data,
@@ -637,59 +519,52 @@ fn run_phase<O: ScanOp<u64>>(
                 range.clone(),
                 phase_for(slot),
                 s,
-            ) else {
-                lose(inner, healthy, s, LossCause::Disconnected, probing, clock)?;
-                continue;
-            };
-            match rx.recv_timeout(inner.cfg.watchdog) {
-                Ok(Reply {
-                    result: Ok(out), ..
-                }) => {
-                    inner.stats[s].served += 1;
-                    inner.recoveries += 1;
-                    recovered = Some((out, s));
-                    break;
-                }
-                Ok(Reply {
-                    result: Err(ExecError::WorkerLost { .. }),
-                    ..
-                }) => lose(inner, healthy, s, LossCause::Panic, probing, clock)?,
-                Ok(Reply { result: Err(e), .. }) => return Err(ShardError::Exec(e)),
-                Err(RecvTimeoutError::Timeout) => {
-                    lose(inner, healthy, s, LossCause::Watchdog, probing, clock)?;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    inner.shards[s].kill();
-                    lose(inner, healthy, s, LossCause::Disconnected, probing, clock)?;
-                }
+            );
+            if rx.is_none() {
+                lose(inner, healthy, s, LossCause::Disconnected, probing, clock);
             }
         }
-        let produced = match recovered {
-            Some(x) => x,
-            None => rescue::<O>(inner, data, heads, range, phase_for(slot))?,
-        };
-        outputs[slot] = Some(produced);
+        pending.push(rx);
     }
 
+    // Collect under the watchdog; every lost slot is recomputed inline.
     let mut done = Vec::with_capacity(ranges.len());
-    for (slot, o) in outputs.into_iter().enumerate() {
-        match o {
-            Some(x) => done.push(x),
-            // Defensive: never reached, but the phase must stay total.
-            None => done.push(rescue::<O>(
-                inner,
-                data,
-                heads,
-                ranges[slot].clone(),
-                phase_for(slot),
-            )?),
+    for ((slot, rx), &s) in pending.into_iter().enumerate().zip(workers) {
+        let cause = match rx.map(|rx| rx.recv_timeout(inner.cfg.watchdog)) {
+            None => None,
+            Some(Ok(Reply { result: Ok(out) })) => {
+                inner.stats[s].served += 1;
+                done.push((out, s));
+                continue;
+            }
+            Some(Ok(Reply {
+                result: Err(ExecError::WorkerLost { .. }),
+            })) => Some(LossCause::Panic),
+            // The caller's deadline tripped inside the shard: the
+            // whole run is over, not just this shard.
+            Some(Ok(Reply { result: Err(e) })) => return Err(ShardError::Exec(e)),
+            Some(Err(RecvTimeoutError::Timeout)) => Some(LossCause::Watchdog),
+            Some(Err(RecvTimeoutError::Disconnected)) => {
+                inner.shards[s].kill();
+                Some(LossCause::Disconnected)
+            }
+        };
+        if let Some(cause) = cause {
+            lose(inner, healthy, s, cause, probing, clock);
         }
+        done.push(rescue::<O>(
+            inner,
+            data,
+            heads,
+            ranges[slot].clone(),
+            phase_for(slot),
+        )?);
     }
     Ok(done)
 }
 
-/// The trusted bottom rung of the recovery ladder: compute the slot on
-/// the executor's own thread, with the kernels a shard job runs.
+/// Recover a lost slot: compute it on the executor's own thread, with
+/// the kernels a shard job runs.
 fn rescue<O: ScanOp<u64>>(
     inner: &mut Inner,
     data: &[u64],
@@ -697,6 +572,7 @@ fn rescue<O: ScanOp<u64>>(
     range: Range<usize>,
     phase: Phase,
 ) -> Result<(Output, usize), ShardError> {
+    inner.recoveries += 1;
     inner.inline_rescues += 1;
     let heads = heads.as_deref().map(Vec::as_slice);
     Ok((compute::<O>(data, heads, range, phase, None)?, INLINE))

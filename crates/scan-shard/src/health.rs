@@ -35,15 +35,18 @@ pub struct ShardHealth {
     pub shards: Vec<ShardStatus>,
     /// Scan runs served (sharded or degraded).
     pub runs: u64,
-    /// Runs that fell below `min_live` and degraded to the single-pool
-    /// kernels.
+    /// Runs with no shard admitted, which ran on the single-pool
+    /// kernels instead.
     pub degraded_runs: u64,
     /// Shard losses observed across all runs (every cause).
     pub losses: u64,
-    /// Lost ranges successfully re-executed on a survivor shard.
+    /// Lost ranges the executor recomputed inline: one per range whose
+    /// shard panicked, missed the watchdog or was gone, in either
+    /// round. Each one is also counted in `inline_rescues`.
     pub recoveries: u64,
-    /// Lost or lying ranges recomputed inline by the executor itself
-    /// (the trusted bottom rung of the recovery ladder).
+    /// Ranges the executor computed itself: every recovery, plus every
+    /// range whose claimed result failed the assembly pass's check or
+    /// came back in the wrong shape.
     pub inline_rescues: u64,
 }
 

@@ -9,22 +9,36 @@
 //! per-shard totals are combined by the same exclusive balanced-tree
 //! scan the paper uses for blocks ([`combine`]).
 //!
-//! Shards are deliberately treated as remote executors: the only way
-//! in is a job channel, the only way out is a per-job reply channel,
-//! and loss detection is purely observational (a reply, a watchdog
-//! timeout, a closed channel, or output that fails verification).
-//! Nothing in the executor shares mutable state with a shard, so the
-//! model extends unchanged to a multi-process transport later.
+//! Shards are treated as untrusted executors: the only way in is a
+//! job channel, the only way out is a per-job reply channel, and loss
+//! detection is purely observational (a reply, a watchdog timeout, a
+//! closed channel, or output that fails verification). Nothing in the
+//! executor shares mutable state with a shard, so a shard that is
+//! still running after a watchdog loss cannot touch the run it lost.
 //!
-//! What the executor guarantees under [`RecoveryPolicy::Recover`]:
-//! bit-equal output to the single-pool kernels whenever *any* compute
-//! path remains — lost ranges are re-executed on survivors with seeded
-//! backoff, then inline; lying shards are caught by the parallel pass
-//! that assembles the output and checks every element of it, their
-//! ranges are recomputed inline, and they are quarantined behind a
-//! [`scan_fault::Breaker`] until a probe run readmits them. Under
-//! [`RecoveryPolicy::Fail`], the first loss surfaces as a typed
-//! [`ShardError`] instead.
+//! What the executor guarantees: bit-equal output to the single-pool
+//! kernels on every run that is not cancelled or out of time. A lost
+//! range is recomputed inline with the same sequential range kernel;
+//! lying shards are caught by the parallel pass that assembles the
+//! output and checks every element of it, their ranges are recomputed
+//! inline, and they are quarantined behind a [`scan_fault::Breaker`]
+//! until a probe run readmits them. When no shard is admitted, the run
+//! degrades to the single-pool kernels.
+//!
+//! ```
+//! use scan_shard::{ScanKind, ShardConfig, ShardedExecutor};
+//!
+//! let ex = ShardedExecutor::new(ShardConfig { shards: 4, ..ShardConfig::default() });
+//! let data: Vec<u64> = (0..1_000_000).collect();
+//! assert_eq!(
+//!     ex.scan(ScanKind::Sum, &data).unwrap(),
+//!     scan_core::scan::<scan_core::Sum, _>(&data)
+//! );
+//! // Per-shard breaker state and losses by cause, plus recoveries,
+//! // inline rescues and degraded runs.
+//! let health = ex.health();
+//! assert_eq!((health.losses, health.recoveries), (0, 0));
+//! ```
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -36,7 +50,7 @@ pub mod executor;
 pub mod health;
 mod pool;
 
-pub use error::{LossCause, ShardError};
-pub use executor::{RecoveryPolicy, ShardConfig, ShardedExecutor};
+pub use error::ShardError;
+pub use executor::{ShardConfig, ShardedExecutor};
 pub use health::{ShardHealth, ShardStatus};
 pub use scan_core::ScanKind;

@@ -8,8 +8,8 @@
 //! `ShardKill` simulates a hard crash by exiting the loop without
 //! replying). The executor therefore never shares mutable state with a
 //! shard — loss detection is purely observational (reply, timeout, or
-//! closed channel), which is exactly the discipline a multi-process
-//! transport would force later.
+//! closed channel), and a shard still running after a watchdog loss
+//! can only send into a reply channel nobody reads.
 //!
 //! This file is the crate's one sanctioned thread-spawn site (see the
 //! `xtask` `no-raw-spawn` lint): shard supervisors are long-lived,

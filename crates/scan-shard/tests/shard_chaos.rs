@@ -10,10 +10,7 @@ use std::time::Duration;
 
 use scan_core::{Max, Segments, Sum};
 use scan_fault::{BreakerConfig, BreakerState, ChaosPlan};
-use scan_shard::{
-    LossCause, RecoveryPolicy, ScanKind, ShardConfig, ShardError, ShardHealth, ShardStatus,
-    ShardedExecutor,
-};
+use scan_shard::{ScanKind, ShardConfig, ShardHealth, ShardStatus, ShardedExecutor};
 
 fn data(n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| (i * 131 + 17) % 509).collect()
@@ -27,9 +24,8 @@ fn cfg(shards: usize, chaos: ChaosPlan) -> ShardConfig {
     }
 }
 
-/// A shard killed mid-scan under `Recover`: its ranges are re-executed
-/// on survivors (or inline once everyone is dead) and the output stays
-/// bit-equal to the single-pool kernel.
+/// A shard killed mid-scan: its ranges are recomputed inline and the
+/// output stays bit-equal to the single-pool kernel.
 #[test]
 fn killed_shard_recovers_bit_equal() {
     let plan = ChaosPlan {
@@ -66,7 +62,6 @@ fn stalled_shard_trips_watchdog() {
     };
     let ex = ShardedExecutor::new(ShardConfig {
         watchdog: Duration::from_millis(10),
-        reexec_retries: 1,
         ..cfg(2, plan)
     });
     let a = data(300);
@@ -80,6 +75,67 @@ fn stalled_shard_trips_watchdog() {
         "stall must be seen as a watchdog loss: {h:?}"
     );
     assert!(h.inline_rescues >= 1, "{h:?}");
+}
+
+/// Every lost range takes the one recovery path: the executor
+/// recomputes it inline, in the round it was lost and in every later
+/// round of the run, and hands it to no other shard.
+#[test]
+fn lost_ranges_are_recomputed_inline() {
+    // Shard-job clock: 1 → shard 0, 2 → shard 1 (killed), 3 → shard 2
+    // in the reduce round; 4 → shard 0 (killed), 5 → shard 2 in the
+    // scan round, where shard 1's range gets no job at all.
+    let plan = ChaosPlan {
+        shard_kill_every: 2,
+        ..ChaosPlan::quiet(7)
+    };
+    let ex = ShardedExecutor::new(cfg(3, plan));
+    let a = data(1000);
+    assert_eq!(
+        ex.scan(ScanKind::Sum, &a).unwrap(),
+        scan_core::scan::<Sum, _>(&a)
+    );
+    let shard = |alive, served, disconnects| ShardStatus {
+        state: BreakerState::Closed,
+        alive,
+        served,
+        panics: 0,
+        watchdog_losses: 0,
+        lies: 0,
+        disconnects,
+        quarantines: 0,
+        probes: 0,
+        skipped: 0,
+    };
+    let want = ShardHealth {
+        shards: vec![shard(false, 1, 1), shard(false, 0, 1), shard(true, 2, 0)],
+        runs: 1,
+        degraded_runs: 0,
+        losses: 2,
+        recoveries: 3,
+        inline_rescues: 3,
+    };
+    assert_eq!(ex.health(), want);
+
+    // Both shards stall past the watchdog in the reduce round: all four
+    // ranges (two per round) are recovered inline, none is served.
+    let plan = ChaosPlan {
+        shard_delay_every: 1,
+        delay_us: 100_000,
+        ..ChaosPlan::quiet(11)
+    };
+    let ex = ShardedExecutor::new(ShardConfig {
+        watchdog: Duration::from_millis(10),
+        ..cfg(2, plan)
+    });
+    let a = data(300);
+    assert_eq!(
+        ex.scan(ScanKind::Sum, &a).unwrap(),
+        scan_core::scan::<Sum, _>(&a)
+    );
+    let h = ex.health();
+    assert_eq!((h.recoveries, h.inline_rescues), (4, 4), "{h:?}");
+    assert!(h.shards.iter().all(|s| s.served == 0), "{h:?}");
 }
 
 /// A lying shard (corrupted carry, then corrupted output) is caught by
@@ -179,99 +235,6 @@ fn total_shard_loss_degrades_gracefully() {
     assert_eq!(h.runs, 2);
 }
 
-/// Under `RecoveryPolicy::Fail` the first loss surfaces as a typed
-/// error instead of being recovered.
-#[test]
-fn fail_policy_surfaces_typed_losses() {
-    // Killed shard → channel closes → Disconnected.
-    let ex = ShardedExecutor::new(ShardConfig {
-        policy: RecoveryPolicy::Fail,
-        ..cfg(
-            2,
-            ChaosPlan {
-                shard_kill_every: 1,
-                ..ChaosPlan::quiet(19)
-            },
-        )
-    });
-    let a = data(100);
-    assert_eq!(
-        ex.scan(ScanKind::Sum, &a),
-        Err(ShardError::ShardLost {
-            shard: 0,
-            cause: LossCause::Disconnected,
-        })
-    );
-
-    // Stalled shard → Watchdog.
-    let ex = ShardedExecutor::new(ShardConfig {
-        policy: RecoveryPolicy::Fail,
-        watchdog: Duration::from_millis(10),
-        ..cfg(
-            2,
-            ChaosPlan {
-                shard_delay_every: 1,
-                delay_us: 100_000,
-                ..ChaosPlan::quiet(19)
-            },
-        )
-    });
-    assert_eq!(
-        ex.scan(ScanKind::Sum, &a),
-        Err(ShardError::ShardLost {
-            shard: 0,
-            cause: LossCause::Watchdog,
-        })
-    );
-
-    // Lying shard → Lied (caught by the verify pass).
-    let ex = ShardedExecutor::new(ShardConfig {
-        policy: RecoveryPolicy::Fail,
-        ..cfg(
-            2,
-            ChaosPlan {
-                carry_corrupt_every: 1,
-                ..ChaosPlan::quiet(19)
-            },
-        )
-    });
-    assert_eq!(
-        ex.scan(ScanKind::Sum, &a),
-        Err(ShardError::ShardLost {
-            shard: 0,
-            cause: LossCause::Lied,
-        })
-    );
-}
-
-/// Below the `min_live` floor the run degrades under `Recover` and
-/// fails typed under `Fail`.
-#[test]
-fn min_live_floor_controls_degradation() {
-    let a = data(50);
-    let want = scan_core::scan::<Sum, _>(&a);
-
-    let ex = ShardedExecutor::new(ShardConfig {
-        shards: 1,
-        min_live: 2,
-        ..ShardConfig::default()
-    });
-    assert_eq!(ex.scan(ScanKind::Sum, &a).unwrap(), want);
-    let h = ex.health();
-    assert_eq!(h.degraded_runs, 1, "{h:?}");
-
-    let ex = ShardedExecutor::new(ShardConfig {
-        shards: 1,
-        min_live: 2,
-        policy: RecoveryPolicy::Fail,
-        ..ShardConfig::default()
-    });
-    assert_eq!(
-        ex.scan(ScanKind::Sum, &a),
-        Err(ShardError::Degraded { live: 1, need: 2 })
-    );
-}
-
 /// The chaos schedule is a pure function of the plan and the job
 /// counter: two executors with identical configs observe identical
 /// histories.
@@ -343,17 +306,11 @@ fn health_reports_breaker_state() {
 /// One pinned attribution scenario: eight runs cycling flat Sum, flat
 /// Max, segmented Sum and segmented Max over growing `n`, with heads
 /// inside ranges and on range starts, under breakers that never open
-/// (so the job schedule is fixed by the plan alone). Every `Ok` must
-/// equal scan-core's answer. Returns the run outcomes (`.` for `Ok`,
-/// else the shard a `ShardLost { cause: Lied }` names) and the final
-/// health.
-fn attribution_scenario(
-    shards: usize,
-    every: u64,
-    policy: RecoveryPolicy,
-) -> (String, ShardHealth) {
+/// (so the job schedule is fixed by the plan alone). Every run must be
+/// `Ok` and equal scan-core's answer. Returns the run outcomes (`.` for
+/// each `Ok`) and the final health.
+fn attribution_scenario(shards: usize, every: u64) -> (String, ShardHealth) {
     let ex = ShardedExecutor::new(ShardConfig {
-        policy,
         breaker: BreakerConfig {
             failure_threshold: u32::MAX,
             ..BreakerConfig::default()
@@ -389,83 +346,52 @@ fn attribution_scenario(
                 scan_core::seg_scan::<Max, u64>(&a, &segs),
             ),
         };
-        let ctx = format!("{policy:?} shards={shards} every={every} run={run}");
+        let ctx = format!("shards={shards} every={every} run={run}");
         match got {
             Ok(v) => {
                 assert_eq!(v, want, "{ctx}");
                 outcomes.push('.');
             }
-            Err(ShardError::ShardLost {
-                shard,
-                cause: LossCause::Lied,
-            }) => outcomes.push_str(&shard.to_string()),
             Err(e) => panic!("{ctx}: unexpected {e:?}"),
         }
     }
     (outcomes, ex.health())
 }
 
-/// Lie attribution, pinned: 32 scenarios (1–4 shards, lie periods 1,
-/// 2, 3 and 5, both policies), each compared field by field with a
-/// pinned outcome string and health. Any change to how lies are
-/// detected, repaired or blamed shows up as a different
-/// `inline_rescues`, `lies`, `served` or `Err` sequence.
+/// Lie attribution, pinned: 16 scenarios (1–4 shards, lie periods 1,
+/// 2, 3 and 5), each compared field by field with a pinned outcome
+/// string and health. Any change to how lies are detected, repaired or
+/// blamed shows up as a different `inline_rescues`, `lies` or `served`.
 #[test]
 fn lie_attribution_is_pinned() {
-    use RecoveryPolicy::{Fail, Recover};
-    /// `(shards, carry_corrupt_every, policy, outcomes,
-    /// inline_rescues, per-shard (served, lies))`.
-    type Row = (
-        usize,
-        u64,
-        RecoveryPolicy,
-        &'static str,
-        u64,
-        &'static [(u64, u64)],
-    );
+    /// `(shards, carry_corrupt_every, outcomes, inline_rescues,
+    /// per-shard (served, lies))`.
+    type Row = (usize, u64, &'static str, u64, &'static [(u64, u64)]);
     #[rustfmt::skip]
-    const PINNED: [Row; 32] = [
-        (1, 1, Recover, "........", 8, &[(16, 16)]),
-        (1, 2, Recover, "........", 8, &[(16, 8)]),
-        (1, 3, Recover, "........", 2, &[(16, 5)]),
-        (1, 5, Recover, "........", 1, &[(16, 3)]),
-        (2, 1, Recover, "........", 16, &[(16, 16), (16, 8)]),
-        (2, 2, Recover, "........", 8, &[(16, 0), (16, 16)]),
-        (2, 3, Recover, "........", 5, &[(16, 5), (16, 3)]),
-        (2, 5, Recover, "........", 3, &[(16, 3), (16, 3)]),
-        (3, 1, Recover, "........", 23, &[(16, 16), (16, 8), (16, 9)]),
-        (3, 2, Recover, "........", 15, &[(16, 8), (16, 8), (16, 1)]),
-        (3, 3, Recover, "........", 8, &[(16, 0), (16, 0), (16, 16)]),
-        (3, 5, Recover, "........", 7, &[(16, 3), (16, 3), (16, 2)]),
-        (4, 1, Recover, "........", 31, &[(16, 16), (16, 8), (16, 9), (16, 8)]),
-        (4, 2, Recover, "........", 20, &[(16, 0), (16, 16), (16, 0), (16, 13)]),
-        (4, 3, Recover, "........", 17, &[(16, 5), (16, 5), (16, 5), (16, 4)]),
-        (4, 5, Recover, "........", 6, &[(16, 3), (16, 2), (16, 1), (16, 2)]),
-        (1, 1, Fail, "00000000", 8, &[(16, 8)]),
-        (1, 2, Fail, "00000000", 8, &[(16, 8)]),
-        (1, 3, Fail, ".00.00.0", 2, &[(16, 5)]),
-        (1, 5, Fail, "..0.0..0", 1, &[(16, 3)]),
-        (2, 1, Fail, "00000000", 8, &[(16, 8), (16, 0)]),
-        (2, 2, Fail, "11111111", 8, &[(16, 0), (16, 8)]),
-        (2, 3, Fail, "01001001", 3, &[(16, 5), (16, 3)]),
-        (2, 5, Fail, ".0101.01", 2, &[(16, 3), (16, 3)]),
-        (3, 1, Fail, "00000000", 8, &[(16, 8), (16, 0), (16, 0)]),
-        (3, 2, Fail, "00000000", 8, &[(16, 8), (16, 0), (16, 0)]),
-        (3, 3, Fail, "22222222", 8, &[(16, 0), (16, 0), (16, 8)]),
-        (3, 5, Fail, "10210102", 4, &[(16, 3), (16, 3), (16, 2)]),
-        (4, 1, Fail, "00000000", 8, &[(16, 8), (16, 0), (16, 0), (16, 0)]),
-        (4, 2, Fail, "11111111", 8, &[(16, 0), (16, 8), (16, 0), (16, 0)]),
-        (4, 3, Fail, "10010010", 5, &[(16, 5), (16, 3), (16, 0), (16, 0)]),
-        (4, 5, Fail, "01302013", 2, &[(16, 3), (16, 2), (16, 1), (16, 2)]),
+    const PINNED: [Row; 16] = [
+        (1, 1, "........", 8, &[(16, 16)]),
+        (1, 2, "........", 8, &[(16, 8)]),
+        (1, 3, "........", 2, &[(16, 5)]),
+        (1, 5, "........", 1, &[(16, 3)]),
+        (2, 1, "........", 16, &[(16, 16), (16, 8)]),
+        (2, 2, "........", 8, &[(16, 0), (16, 16)]),
+        (2, 3, "........", 5, &[(16, 5), (16, 3)]),
+        (2, 5, "........", 3, &[(16, 3), (16, 3)]),
+        (3, 1, "........", 23, &[(16, 16), (16, 8), (16, 9)]),
+        (3, 2, "........", 15, &[(16, 8), (16, 8), (16, 1)]),
+        (3, 3, "........", 8, &[(16, 0), (16, 0), (16, 16)]),
+        (3, 5, "........", 7, &[(16, 3), (16, 3), (16, 2)]),
+        (4, 1, "........", 31, &[(16, 16), (16, 8), (16, 9), (16, 8)]),
+        (4, 2, "........", 20, &[(16, 0), (16, 16), (16, 0), (16, 13)]),
+        (4, 3, "........", 17, &[(16, 5), (16, 5), (16, 5), (16, 4)]),
+        (4, 5, "........", 6, &[(16, 3), (16, 2), (16, 1), (16, 2)]),
     ];
-    let grid = [Recover, Fail].into_iter().flat_map(|policy| {
-        (1..=4usize).flat_map(move |shards| [1u64, 2, 3, 5].map(|every| (shards, every, policy)))
-    });
-    for ((shards, every, policy), row) in grid.zip(PINNED) {
-        let (_, _, _, outcomes, inline_rescues, per_shard) = row;
-        assert_eq!((row.0, row.1, row.2), (shards, every, policy));
-        let ctx = format!("{policy:?} shards={shards} every={every}");
-        let (got, health) = attribution_scenario(shards, every, policy);
+    let grid = (1..=4usize).flat_map(|shards| [1u64, 2, 3, 5].map(|every| (shards, every)));
+    for ((shards, every), row) in grid.zip(PINNED) {
+        let (_, _, outcomes, inline_rescues, per_shard) = row;
+        assert_eq!((row.0, row.1), (shards, every));
+        let ctx = format!("shards={shards} every={every}");
+        let (got, health) = attribution_scenario(shards, every);
         assert_eq!(got, outcomes, "{ctx}");
         let lies: u64 = per_shard.iter().map(|&(_, lies)| lies).sum();
         let want = ShardHealth {

@@ -17,10 +17,10 @@
 //!
 //! Invariants live here instead of in review comments so they hold by
 //! construction: the loom model in `scan_core::sync` is only sound if
-//! every atomic lives behind it (R8), the shard executor only survives
-//! the planned process split if it stays message-shaped (R9), and the
-//! `try_*` degraded-mode contract only means anything if those paths
-//! cannot panic (R7).
+//! every atomic lives behind it (R8), the shard executor's loss
+//! detection is only observational while its seam stays
+//! message-shaped (R9), and the `try_*` degraded-mode contract only
+//! means anything if those paths cannot panic (R7).
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,11 @@
 //! R9 `channel-isolation`, R10 `error-taxonomy`.
 //!
-//! Boundary rules: R9 keeps the executor↔shard seam message-shaped so
-//! the shard pool can become a process (ROADMAP item 3) without the
-//! executor noticing, and R10 keeps the workspace's pub `Result` APIs
-//! on the crate error enums so callers can match on failure modes.
+//! Boundary rules: R9 keeps the executor↔shard seam message-shaped, so
+//! the executor shares no state with a shard and learns of a loss only
+//! from what crosses the channel (a reply, a timeout, a closed
+//! channel) — a shard still running after a watchdog loss cannot touch
+//! the run it lost. R10 keeps the workspace's pub `Result` APIs on the
+//! crate error enums so callers can match on failure modes.
 
 use crate::diag::{Report, Violation};
 use crate::model::{Vis, Workspace};

@@ -5,8 +5,7 @@
 //! wall clock, ISA detection, atomics) inside single audited modules,
 //! so the loom model, the deadline token, the ISA dispatch and
 //! the Release/Acquire publication protocols each have exactly one
-//! home — and ROADMAP item 3's multi-process transport can swap the
-//! internals without a workspace-wide audit.
+//! home, and a change to any of them is audited in one file.
 
 use crate::diag::{Report, Violation};
 use crate::model::Workspace;

@@ -15,9 +15,9 @@
 //! - [`circuit`] (`scan-circuit`) — the cycle-accurate bit-pipelined
 //!   tree scan circuit and the Table 2/4 cost models;
 //! - [`shard`] (`scan-shard`) — sharded execution: one scan fanned
-//!   across independent worker pools with the §3 tree combine of
-//!   per-shard totals, shard-loss detection and recovery
-//!   (re-execution on survivors, breaker quarantine, probe
+//!   across independent shard threads with the §3 tree combine of
+//!   per-shard totals, shard-loss detection and recovery (inline
+//!   recomputation of lost ranges, breaker quarantine, probe
 //!   readmission), and graceful degradation;
 //! - [`service`] (`scan-service`) — the multi-tenant serving layer: a
 //!   coalescing front door that batches many small concurrent scan
