@@ -49,7 +49,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod allocate;
-pub mod backoff;
 pub mod deadline;
 pub mod element;
 pub mod error;

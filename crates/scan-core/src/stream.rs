@@ -45,16 +45,26 @@
 
 use core::marker::PhantomData;
 
-use crate::backoff;
 use crate::deadline;
 use crate::element::ScanElem;
 use crate::error::{Error, Result};
 use crate::op::ScanOp;
 use crate::scan::{Scan, Typed};
 
-/// Domain separator for checkpoint digests, so a checkpoint can never
-/// verify against a jitter draw or any other `mix` stream.
+/// Domain separator for checkpoint digests, so a checkpoint digest
+/// never coincides with a plain `mix` of the same bits.
 const CHECKPOINT_SEED: u64 = 0xCA44_7C8E_C001_D16E;
+
+/// One SplitMix64 step: advance `z` by the 64-bit golden-ratio
+/// increment and run the output finalizer. The checkpoint digest is
+/// built from it, so its constants are part of the persisted format.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// A pull source of input chunks for a [`ScanStream`].
 ///
@@ -174,13 +184,13 @@ impl CarryDigest for f64 {
 impl<T: CarryDigest> CarryDigest for (T, bool) {
     #[inline]
     fn digest_bits(&self) -> u64 {
-        backoff::mix(self.0.digest_bits()) ^ u64::from(self.1)
+        mix(self.0.digest_bits()) ^ u64::from(self.1)
     }
 }
 
 /// Digest binding a chunk index to a carry value.
 fn checkpoint_digest<T: CarryDigest>(chunk: u64, carry: &T) -> u64 {
-    backoff::mix(carry.digest_bits() ^ backoff::mix(chunk ^ CHECKPOINT_SEED))
+    mix(carry.digest_bits() ^ mix(chunk ^ CHECKPOINT_SEED))
 }
 
 /// A verified restart point: "the scan of everything before chunk
@@ -625,6 +635,20 @@ mod tests {
         let ck = CarryCheckpoint::new(3, (7u64, true));
         assert!(ck.verify());
         assert!(!CarryCheckpoint::from_parts(3, (7u64, false), ck.parts().2).verify());
+    }
+
+    /// Exact digests: a checkpoint persisted by an earlier build must
+    /// still verify, so the digest formula may never drift.
+    #[test]
+    fn checkpoint_digests_are_pinned() {
+        assert_eq!(
+            CarryCheckpoint::new(5, 42u64).parts().2,
+            0x7AB0_0E1B_309D_0783
+        );
+        assert_eq!(
+            CarryCheckpoint::new(3, (7u64, true)).parts().2,
+            0xD8C8_3E20_E7F6_B375
+        );
     }
 
     #[test]

@@ -11,15 +11,15 @@
 //!
 //! - `Closed` backends are attempted with the caller's full retry
 //!   budget; `failure_threshold` consecutive failures open the breaker.
-//! - `Open` backends are skipped until the clock reaches `until`, then
-//!   granted exactly one probation probe — success re-closes the
-//!   breaker, failure re-opens it with exponentially doubled (capped)
-//!   backoff.
-//! - Each quarantine end carries a deterministic seeded jitter draw
-//!   (via the shared [`scan_core::backoff`] arithmetic) so a fleet of
-//!   breakers opened by one incident does not re-probe in lockstep.
-
-use scan_core::backoff;
+//! - `Open` backends are skipped until the clock reaches `until`, the
+//!   opening tick plus the backoff, then granted exactly one probation
+//!   probe — success re-closes the breaker, failure re-opens it with
+//!   exponentially doubled (capped) backoff.
+//!
+//! Quarantines carry no jitter. Every breaker ticks on its own
+//! owner's logical clock, so there is no shared wall-clock instant at
+//! which a fleet of breakers could re-probe in lockstep, and an exact
+//! schedule is what the chaos suites assert.
 
 /// Tuning knobs for the per-backend circuit breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,14 +33,6 @@ pub struct BreakerConfig {
     /// Backoff ceiling: each failed probation probe doubles the
     /// quarantine up to this many ticks.
     pub max_quarantine: u64,
-    /// Up to this many extra ticks of seeded jitter are added to each
-    /// quarantine, so a fleet of breakers opened by one incident does
-    /// not re-probe in lockstep. `0` disables jitter (exact backoff).
-    pub jitter: u64,
-    /// Seed for the jitter draw. The draw is a pure function of
-    /// `(seed, backend index, quarantine count)` — replaying the same
-    /// failure sequence reproduces the same quarantine schedule.
-    pub jitter_seed: u64,
 }
 
 impl Default for BreakerConfig {
@@ -49,8 +41,6 @@ impl Default for BreakerConfig {
             failure_threshold: 3,
             base_quarantine: 8,
             max_quarantine: 1024,
-            jitter: 3,
-            jitter_seed: 0x5eed_b10c_ba5e_0ff5,
         }
     }
 }
@@ -138,11 +128,10 @@ impl Breaker {
     /// breaker when the attempt was a probation probe or the streak
     /// reached `cfg.failure_threshold`; returns `true` iff it opened
     /// (the caller should stop retrying a quarantined backend).
-    /// `stream` is the backend's jitter stream (typically its index).
-    pub fn failure(&mut self, cfg: &BreakerConfig, stream: u64, clock: u64, probe: bool) -> bool {
+    pub fn failure(&mut self, cfg: &BreakerConfig, clock: u64, probe: bool) -> bool {
         self.consecutive_failures += 1;
         if probe || self.consecutive_failures >= cfg.failure_threshold {
-            self.open(cfg, stream, clock);
+            self.open(cfg, clock);
             true
         } else {
             false
@@ -150,25 +139,16 @@ impl Breaker {
     }
 
     /// Open (or re-open) the breaker at logical time `clock`, doubling
-    /// the backoff (capped) if it was already open. The quarantine end
-    /// gets a deterministic seeded jitter on top of the backoff so
-    /// co-failing breakers spread their re-probes; the stored `backoff`
-    /// stays exact, keeping the doubling schedule independent of the
-    /// jitter draws.
-    pub fn open(&mut self, cfg: &BreakerConfig, stream: u64, clock: u64) {
-        let next_backoff = match self.state {
+    /// the backoff (capped) if it was already open. The quarantine ends
+    /// at exactly `clock + backoff`.
+    pub fn open(&mut self, cfg: &BreakerConfig, clock: u64) {
+        let backoff = match self.state {
             BreakerState::Closed => cfg.base_quarantine.max(1),
-            BreakerState::Open { backoff, .. } => {
-                backoff::double_capped(backoff, cfg.max_quarantine)
-            }
+            BreakerState::Open { backoff, .. } => double_capped(backoff, cfg.max_quarantine),
         };
-        let jitter = backoff::jitter(
-            backoff::stream_key(cfg.jitter_seed, stream, self.quarantines),
-            cfg.jitter.saturating_add(1),
-        );
         self.state = BreakerState::Open {
-            until: clock.saturating_add(next_backoff).saturating_add(jitter),
-            backoff: next_backoff,
+            until: clock.saturating_add(backoff),
+            backoff,
         };
         self.quarantines += 1;
     }
@@ -200,18 +180,20 @@ impl Breaker {
     }
 }
 
+/// Double a quarantine, capped at `max` (clamped to at least 1).
+fn double_capped(current: u64, max: u64) -> u64 {
+    current.saturating_mul(2).min(max.max(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::SplitMix64;
 
     fn exact(threshold: u32) -> BreakerConfig {
         BreakerConfig {
             failure_threshold: threshold,
             base_quarantine: 8,
             max_quarantine: 64,
-            jitter: 0,
-            jitter_seed: 0,
         }
     }
 
@@ -221,12 +203,12 @@ mod tests {
         let mut b = Breaker::new();
         // Two failures: still closed (streak below threshold).
         assert_eq!(b.gate(0), Gate::Full);
-        assert!(!b.failure(&cfg, 0, 0, false));
+        assert!(!b.failure(&cfg, 0, false));
         assert_eq!(b.gate(1), Gate::Full);
-        assert!(!b.failure(&cfg, 0, 1, false));
+        assert!(!b.failure(&cfg, 1, false));
         // Third failure at clock 2 opens: until = 2 + 8 = 10.
         assert_eq!(b.gate(2), Gate::Full);
-        assert!(b.failure(&cfg, 0, 2, false));
+        assert!(b.failure(&cfg, 2, false));
         assert_eq!(
             b.state(),
             BreakerState::Open {
@@ -242,7 +224,7 @@ mod tests {
         assert_eq!(b.skipped(), 7);
         // Clock 10 probes; a failed probe re-opens with doubled backoff.
         assert_eq!(b.gate(10), Gate::Probe);
-        assert!(b.failure(&cfg, 0, 10, true));
+        assert!(b.failure(&cfg, 10, true));
         assert_eq!(
             b.state(),
             BreakerState::Open {
@@ -253,7 +235,7 @@ mod tests {
         assert_eq!(b.probes(), 1);
         // Backoff caps at max_quarantine.
         for _ in 0..4 {
-            b.open(&cfg, 0, 0);
+            b.open(&cfg, 0);
         }
         let BreakerState::Open { backoff, .. } = b.state() else {
             panic!("must stay open");
@@ -265,47 +247,11 @@ mod tests {
     fn probe_success_recloses_and_resets_streak() {
         let cfg = exact(1);
         let mut b = Breaker::new();
-        assert!(b.failure(&cfg, 0, 0, false));
+        assert!(b.failure(&cfg, 0, false));
         assert_eq!(b.gate(8), Gate::Probe);
         b.success();
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.consecutive_failures(), 0);
         assert_eq!(b.gate(9), Gate::Full);
-    }
-
-    /// Exact-value pin: the jitter draw must reproduce the formula the
-    /// executor carried inline before the extraction —
-    /// `SplitMix64(seed + idx·GOLDEN + (quarantines << 1)).below(jitter + 1)`.
-    #[test]
-    fn jitter_draw_matches_the_legacy_splitmix_formula() {
-        let cfg = BreakerConfig {
-            failure_threshold: 1,
-            base_quarantine: 8,
-            max_quarantine: 64,
-            jitter: 5,
-            jitter_seed: 0xfeed_beef,
-        };
-        for stream in [0u64, 1, 3, 17] {
-            let mut b = Breaker::new();
-            for reopen in 0u64..6 {
-                let clock = reopen * 100;
-                b.open(&cfg, stream, clock);
-                let legacy = SplitMix64(
-                    cfg.jitter_seed
-                        .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                        .wrapping_add(reopen << 1),
-                )
-                .below(cfg.jitter.saturating_add(1));
-                let expect_backoff = 8u64.saturating_mul(1 << reopen.min(3)).min(64);
-                assert_eq!(
-                    b.state(),
-                    BreakerState::Open {
-                        until: clock + expect_backoff + legacy,
-                        backoff: expect_backoff,
-                    },
-                    "stream {stream}, reopen {reopen}"
-                );
-            }
-        }
     }
 }

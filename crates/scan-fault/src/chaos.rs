@@ -176,6 +176,7 @@ impl<B: PrimitiveScans> ChaosBackend<B> {
         self.calls.set(call);
         match self.plan.event_for(call) {
             ChaosEvent::Panic => panic!("chaos: injected panic at call {call}"),
+            // xtask-allow: no-raw-clock an injected delay is a scheduled fault, and it has to take wall time to be one
             ChaosEvent::Delay(d) => std::thread::sleep(d),
             // Shard events never fire from `event_for`; they are
             // scheduled by `shard_event_for` and delivered by the
@@ -228,6 +229,7 @@ where
         let call = calls.fetch_add(1, Ordering::Relaxed) + 1;
         match plan.event_for(call) {
             ChaosEvent::Panic => panic!("chaos: injected operator panic at application {call}"),
+            // xtask-allow: no-raw-clock an injected delay is a scheduled fault, and it has to take wall time to be one
             ChaosEvent::Delay(d) => std::thread::sleep(d),
             ChaosEvent::None
             | ChaosEvent::Lie

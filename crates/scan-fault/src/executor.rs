@@ -18,9 +18,8 @@
 //!   measured on the executor's logical scan clock. When the
 //!   quarantine elapses the next scan is a single **probation probe**
 //!   — success re-admits the backend, failure re-opens it with
-//!   exponentially doubled (capped) backoff. Each quarantine end is
-//!   spread by deterministic seeded jitter so breakers opened by one
-//!   incident do not re-probe in lockstep.
+//!   exponentially doubled (capped) backoff. A quarantine ends at
+//!   exactly `clock + backoff`.
 //! - **Panic containment**: every backend invocation runs under
 //!   `catch_unwind`; a panicking backend counts as a failed attempt
 //!   (and trips the breaker) instead of unwinding through the caller.
@@ -259,7 +258,6 @@ impl CheckedExecutor {
                     None => {
                         let opened = self.health.borrow_mut()[b_idx].breaker.failure(
                             &self.breaker,
-                            b_idx as u64,
                             clock,
                             gate == Gate::Probe,
                         );
@@ -397,8 +395,6 @@ mod tests {
                 failure_threshold: 3,
                 base_quarantine: 8,
                 max_quarantine: 64,
-                jitter: 0, // exact-value assertions below
-                jitter_seed: 0,
             });
         let a: Vec<u64> = (0..16).collect();
         let good = scan_core::scan::<Sum, _>(&a);
@@ -440,74 +436,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quarantine_jitter_is_deterministic_and_bounded() {
-        let cfg = BreakerConfig {
-            failure_threshold: 1,
-            base_quarantine: 8,
-            max_quarantine: 64,
-            jitter: 5,
-            jitter_seed: 0xfeed_beef,
-        };
-        let open_state = |cfg: BreakerConfig| {
-            let ex = CheckedExecutor::new(Box::new(AlwaysWrong))
-                .with_fallback(Box::new(SoftwareScans))
-                .with_retries(0)
-                .with_breaker(cfg);
-            let a: Vec<u64> = (0..8).collect();
-            // Clock 0: the only failure needed to open the breaker.
-            ex.checked_plus_scan(&a).unwrap();
-            ex.backend_health(0).state
-        };
-        // Deterministic: the same seed and failure history reproduce
-        // the same quarantine schedule.
-        assert_eq!(open_state(cfg), open_state(cfg));
-        // Bounded: the stored backoff stays exact; only the end point
-        // moves, by at most `jitter` scans.
-        let BreakerState::Open { until, backoff } = open_state(cfg) else {
-            panic!("breaker must be open after a failure at threshold 1");
-        };
-        assert_eq!(backoff, 8, "jitter must not distort the doubling base");
-        assert!(
-            (8..=8 + cfg.jitter).contains(&until),
-            "until {until} outside the jitter envelope"
-        );
-    }
-
-    #[test]
-    fn jitter_schedule_replays_identically_across_executors() {
-        let mk = || {
-            CheckedExecutor::new(Box::new(AlwaysWrong))
-                .with_fallback(Box::new(SoftwareScans))
-                .with_retries(0)
-                .with_breaker(BreakerConfig {
-                    failure_threshold: 1,
-                    base_quarantine: 2,
-                    max_quarantine: 16,
-                    jitter: 7,
-                    jitter_seed: 42,
-                })
-        };
-        let a: Vec<u64> = (0..8).collect();
-        let run = |ex: &CheckedExecutor| {
-            let mut schedule = Vec::new();
-            for _ in 0..40 {
-                ex.checked_plus_scan(&a).unwrap();
-                schedule.push(ex.backend_health(0).state);
-            }
-            schedule
-        };
-        let (ex1, ex2) = (mk(), mk());
-        assert_eq!(
-            run(&ex1),
-            run(&ex2),
-            "same seed + same failures must replay the same schedule"
-        );
-        // The walk covered several re-openings, so the equality above
-        // pinned multiple independent jitter draws.
-        assert!(ex1.backend_health(0).quarantines >= 3);
-    }
-
     /// Wrong for the first `bad_calls` invocations, correct afterwards.
     struct HealsAfter {
         bad_calls: u64,
@@ -540,8 +468,6 @@ mod tests {
             failure_threshold: 1,
             base_quarantine: 2,
             max_quarantine: 8,
-            jitter: 0, // exact-value assertions below
-            jitter_seed: 0,
         });
         let a: Vec<u64> = (0..12).collect();
         let good = scan_core::scan::<Sum, _>(&a);

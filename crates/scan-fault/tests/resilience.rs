@@ -168,8 +168,6 @@ fn lying_backend_is_quarantined_then_readmitted_after_healing() {
             failure_threshold: 2,
             base_quarantine: 3,
             max_quarantine: 16,
-            jitter: 0, // the clock walkthrough below assumes exact quarantines
-            jitter_seed: 0,
         });
 
         let a: Vec<u64> = (0..64).map(|i| (i * 9) % 41).collect();

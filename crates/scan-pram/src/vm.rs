@@ -354,8 +354,14 @@ impl Vm {
             Permute { dst, src, idx } => {
                 let (s, ix) = self.pair(src, idx)?;
                 let indices: Vec<usize> = ix.iter().map(|&x| x as usize).collect();
-                let out = scan_core::ops::try_permute(&s, &indices)
-                    .map_err(|_| VmError::BadPermutation)?;
+                // Only a malformed index vector is a bad permutation; a
+                // deadline or cancellation stays a typed core error.
+                let out = scan_core::ops::try_permute(&s, &indices).map_err(|e| match e {
+                    scan_core::Error::IndexOutOfBounds { .. }
+                    | scan_core::Error::DuplicateIndex { .. }
+                    | scan_core::Error::LengthMismatch { .. } => VmError::BadPermutation,
+                    e => VmError::Core(e),
+                })?;
                 self.ctx.charge_permute_op(s.len());
                 self.regs.insert(dst, out);
             }
@@ -595,6 +601,32 @@ mod tests {
             }),
             Err(VmError::BadPermutation)
         );
+    }
+
+    #[test]
+    fn cancelled_deadline_is_a_core_error_for_permute_and_gather() {
+        let mut vm = Vm::new(Model::Scan);
+        vm.load("a", vec![10, 20, 30]);
+        vm.load("idx", vec![2, 0, 1]);
+        let d = scan_core::ScanDeadline::manual();
+        d.cancel();
+        let cancelled = Err(VmError::Core(scan_core::Error::Exec(
+            scan_core::ExecError::Cancelled,
+        )));
+        scan_core::deadline::with_deadline(&d, || {
+            let permute = vm.step(Instr::Permute {
+                dst: "p",
+                src: "a",
+                idx: "idx",
+            });
+            assert_eq!(permute, cancelled);
+            let gather = vm.step(Instr::Gather {
+                dst: "g",
+                src: "a",
+                idx: "idx",
+            });
+            assert_eq!(gather, cancelled);
+        });
     }
 
     #[test]

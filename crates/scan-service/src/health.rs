@@ -42,8 +42,8 @@ pub struct CoalescerHealth {
     pub quarantine: u64,
     /// Times the breaker opened (entered Degraded).
     pub times_degraded: u64,
-    /// Coalesced batches that only succeeded after at least one
-    /// jittered-backoff retry.
+    /// Coalesced batches that needed at least one immediate retry of a
+    /// segmented scan, whether or not a retry then succeeded.
     pub batches_retried: u64,
 }
 

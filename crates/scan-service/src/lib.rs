@@ -26,10 +26,10 @@
 //! - **Weighted fairness** — per-tenant deficit-round-robin with a
 //!   provable starvation bound ([`queue::starvation_bound`]),
 //!   property-tested under arbitrary tenant mixes.
-//! - **Graceful degradation** — contained worker panics trigger
-//!   jittered-backoff batch retries, then per-request fallback; a
-//!   breaker quarantines the coalescer itself (one-request-one-kernel
-//!   mode) when batches fail persistently.
+//! - **Graceful degradation** — a contained worker panic re-runs the
+//!   batch at once (up to `batch_retries` times), then falls back to
+//!   per-request kernels; a breaker quarantines the coalescer itself
+//!   (one-request-one-kernel mode) when batches fail persistently.
 //! - **Observability** — [`ServiceHealth`] snapshots queue depth,
 //!   shed counts, batch occupancy, per-tenant counters, and the
 //!   coalescer breaker, and is the contract the chaos suite drains

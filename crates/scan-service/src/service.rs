@@ -24,10 +24,12 @@
 //! # Robustness ladder
 //!
 //! 1. Coalesced segmented scan, with a batch deadline equal to the
-//!    most generous member deadline (capped by `max_batch_duration`)
-//!    so one short-fused member can never poison its batchmates.
-//! 2. On a contained worker panic, jittered exponential backoff and
-//!    retry of the whole batch (bounded by `batch_retries`).
+//!    most generous member deadline (capped at two seconds) so one
+//!    short-fused member can never poison its batchmates.
+//! 2. On a contained worker panic, the whole batch is retried at once
+//!    (bounded by `batch_retries`). There is nothing to wait out: the
+//!    pool caught the panic on a worker that keeps running, and no
+//!    other leader is competing for it.
 //! 3. On persistent batch failure or a member that fails the O(n)
 //!    postcondition check, the affected members re-run individually
 //!    (one-request-one-kernel), each under its own deadline.
@@ -63,6 +65,9 @@ const WAIT_TICK: Duration = Duration::from_millis(1);
 /// window behind an active leader degrades to a bounded poll instead
 /// of a spin.
 const MIN_WAIT: Duration = Duration::from_micros(50);
+/// Hard cap on any batch's execution deadline, so members without
+/// deadlines cannot keep a wedged batch alive forever.
+const MAX_BATCH_DURATION: Duration = Duration::from_secs(2);
 
 /// Tuning knobs of the front door. All fields are public; start from
 /// [`ServiceConfig::default`] and override.
@@ -84,23 +89,12 @@ pub struct ServiceConfig {
     /// Per-request payload bound; larger requests are rejected with
     /// [`ServiceError::RequestTooLarge`].
     pub max_request_len: usize,
-    /// Hard cap on any batch's execution deadline, so members without
-    /// deadlines cannot keep a wedged batch alive forever.
-    pub max_batch_duration: Duration,
-    /// Whole-batch retries after contained worker panics.
+    /// Immediate retries of a batch (or of a solo request) after a
+    /// contained worker panic or a rejected output.
     pub batch_retries: u32,
-    /// Base of the exponential retry backoff.
-    pub backoff_base: Duration,
-    /// Upper bound of the uniform jitter added to each backoff.
-    pub backoff_jitter: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
-    /// Consecutive coalesced-batch failures that open the breaker.
-    pub failure_threshold: u32,
-    /// Initial breaker quarantine, in batch dispatches.
-    pub base_quarantine: u64,
-    /// Quarantine cap; failed probes double up to this.
-    pub max_quarantine: u64,
+    /// The coalescer breaker: consecutive coalesced-batch failures
+    /// that open it, and its quarantine in batch dispatches.
+    pub breaker: BreakerConfig,
     /// Fairness weight for tenants absent from `weights`.
     pub default_weight: u32,
     /// Per-tenant fairness weights (share of each batch rotation).
@@ -116,14 +110,12 @@ impl Default for ServiceConfig {
             close_target: 64,
             window: Duration::from_micros(200),
             max_request_len: 1 << 20,
-            max_batch_duration: Duration::from_secs(2),
             batch_retries: 2,
-            backoff_base: Duration::from_micros(50),
-            backoff_jitter: Duration::from_micros(100),
-            jitter_seed: 0x5cad_0001,
-            failure_threshold: 3,
-            base_quarantine: 8,
-            max_quarantine: 256,
+            breaker: BreakerConfig {
+                failure_threshold: 3,
+                base_quarantine: 8,
+                max_quarantine: 256,
+            },
             default_weight: 1,
             weights: BTreeMap::new(),
         }
@@ -446,7 +438,7 @@ impl<B: BatchBackend> ScanService<B> {
             armed: true,
         };
         let outcome = if self.cfg.batch_capacity > 1 && coalesce_allowed {
-            self.execute_coalesced(&batch, dispatch)
+            self.execute_coalesced(&batch)
         } else {
             self.execute_solo(&batch)
         };
@@ -479,22 +471,10 @@ impl<B: BatchBackend> ScanService<B> {
             // degradation.
             let opened = st
                 .breaker
-                .failure(&self.breaker_config(), 0, st.dispatches, probing);
+                .failure(&self.cfg.breaker, st.dispatches, probing);
             st.times_degraded += u64::from(opened && !probing);
         } else {
             st.breaker.success();
-        }
-    }
-
-    /// The coalescer breaker's tuning, in batch dispatches, without
-    /// jitter: one breaker has no fleet to spread out.
-    fn breaker_config(&self) -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: self.cfg.failure_threshold,
-            base_quarantine: self.cfg.base_quarantine,
-            max_quarantine: self.cfg.max_quarantine,
-            jitter: 0,
-            jitter_seed: 0,
         }
     }
 
@@ -513,7 +493,7 @@ impl<B: BatchBackend> ScanService<B> {
 
     /// Execute a batch as one segmented scan per scan kind, with the
     /// full robustness ladder.
-    fn execute_coalesced(&self, batch: &[Arc<Entry>], dispatch: u64) -> BatchOutcome {
+    fn execute_coalesced(&self, batch: &[Arc<Entry>]) -> BatchOutcome {
         let mut out = BatchOutcome {
             coalesced: true,
             ..BatchOutcome::default()
@@ -546,9 +526,9 @@ impl<B: BatchBackend> ScanService<B> {
             }
         }
         let budget = if unbounded {
-            self.cfg.max_batch_duration
+            MAX_BATCH_DURATION
         } else {
-            span.min(self.cfg.max_batch_duration)
+            span.min(MAX_BATCH_DURATION)
         };
 
         // Group by scan kind and run one segmented scan per group.
@@ -571,8 +551,12 @@ impl<B: BatchBackend> ScanService<B> {
             let segs = Segments::from_lengths(&lengths);
             let token = ScanDeadline::after(budget);
 
-            let scanned =
-                self.seg_scan_with_retries(kind, &values, &segs, &token, dispatch, &mut out);
+            let scanned = self.with_retries(
+                0,
+                &mut out.retried,
+                || self.backend.seg_scan(kind, &values, &segs, Some(&token)),
+                |scanned| scanned.len() == values.len(),
+            );
             match scanned {
                 Ok(scanned) => {
                     self.demux(kind, &members, &inputs, &lengths, &scanned, &mut out);
@@ -594,57 +578,35 @@ impl<B: BatchBackend> ScanService<B> {
         out
     }
 
-    /// One segmented scan with jittered-exponential-backoff retries on
-    /// contained worker panics.
-    fn seg_scan_with_retries(
+    /// One backend call under the service's retry discipline: a
+    /// contained worker panic, or an output that `accept` rejects, is
+    /// retried at once, at most `batch_retries` times. `prior` counts
+    /// rejections already charged to the request on an earlier rung;
+    /// `retried` is raised when a retry runs.
+    fn with_retries(
         &self,
-        kind: ScanKind,
-        values: &[u64],
-        segs: &Segments,
-        token: &ScanDeadline,
-        dispatch: u64,
-        out: &mut BatchOutcome,
-    ) -> core::result::Result<Vec<u64>, ServiceError> {
-        if values.is_empty() {
-            return Ok(Vec::new());
-        }
+        prior: u32,
+        retried: &mut bool,
+        call: impl Fn() -> scan_core::Result<Vec<u64>>,
+        accept: impl Fn(&[u64]) -> bool,
+    ) -> Result<Vec<u64>> {
         let mut attempt: u32 = 0;
         loop {
-            match self.backend.seg_scan(kind, values, segs, Some(token)) {
-                Ok(scanned) if scanned.len() == values.len() => return Ok(scanned),
+            match call() {
+                Ok(out) if accept(&out) => return Ok(out),
                 Ok(_) | Err(scan_core::Error::Exec(ExecError::WorkerLost { .. }))
-                    if attempt < self.cfg.batch_retries =>
-                {
-                    attempt += 1;
-                    out.retried = true;
-                    std::thread::sleep(self.backoff(dispatch, attempt, kind));
-                }
-                Ok(short) => {
-                    // Wrong-length output even after retries: treat as
-                    // a lying backend at the batch level.
-                    debug_assert_ne!(short.len(), values.len());
+                    if attempt < self.cfg.batch_retries => {}
+                Ok(_) => {
                     return Err(ServiceError::Corrupted {
-                        attempts: attempt + 1,
+                        attempts: prior + attempt + 1,
                     });
                 }
                 Err(scan_core::Error::Exec(e)) => return Err(ServiceError::Exec(e)),
                 Err(e) => return Err(ServiceError::Invalid(e)),
             }
+            attempt += 1;
+            *retried = true;
         }
-    }
-
-    /// Deterministic backoff: `base · 2^(attempt-1)` plus seeded
-    /// uniform jitter so co-located retry storms decorrelate while
-    /// tests stay reproducible. The dispatch counter is the jitter
-    /// stream and the scan kind is the salt, so the two per-kind
-    /// groups of one batch back off on decorrelated schedules.
-    fn backoff(&self, dispatch: u64, attempt: u32, kind: ScanKind) -> Duration {
-        let policy = scan_core::backoff::Backoff {
-            base: self.cfg.backoff_base,
-            jitter: self.cfg.backoff_jitter,
-            seed: self.cfg.jitter_seed,
-        };
-        policy.delay(dispatch, attempt, matches!(kind, ScanKind::Max) as u64)
     }
 
     /// Slice one group's scanned output back into per-member results,
@@ -687,41 +649,21 @@ impl<B: BatchBackend> ScanService<B> {
     /// The ladder's bottom rung: one request, one kernel, own
     /// deadline, with the same retry/verify discipline.
     /// `prior_corruptions` carries verification failures already
-    /// charged to this request on the coalesced path.
+    /// charged to this request on the coalesced path. Its retries do
+    /// not count as batch retries.
     fn exec_one(&self, e: &Entry, prior_corruptions: u32) -> Result<Vec<u64>> {
         if let Some(d) = &e.deadline {
             d.check()?;
         }
         let kind = e.op.kind();
         let input = e.op.scan_input();
-        if input.is_empty() {
-            return Ok(e.op.finish(&[]));
-        }
-        let mut attempt: u32 = 0;
-        loop {
-            match self.backend.scan_one(kind, &input, e.deadline.as_ref()) {
-                Ok(scanned) if scanned.len() == input.len() && verifies(kind, &input, &scanned) => {
-                    return Ok(e.op.finish(&scanned));
-                }
-                Ok(_) if attempt < self.cfg.batch_retries => {
-                    attempt += 1;
-                    std::thread::sleep(self.backoff(e.enqueued_dispatch, attempt, kind));
-                }
-                Ok(_) => {
-                    return Err(ServiceError::Corrupted {
-                        attempts: prior_corruptions + attempt + 1,
-                    });
-                }
-                Err(scan_core::Error::Exec(ExecError::WorkerLost { .. }))
-                    if attempt < self.cfg.batch_retries =>
-                {
-                    attempt += 1;
-                    std::thread::sleep(self.backoff(e.enqueued_dispatch, attempt, kind));
-                }
-                Err(scan_core::Error::Exec(err)) => return Err(ServiceError::Exec(err)),
-                Err(err) => return Err(ServiceError::Invalid(err)),
-            }
-        }
+        let scanned = self.with_retries(
+            prior_corruptions,
+            &mut false,
+            || self.backend.scan_one(kind, &input, e.deadline.as_ref()),
+            |scanned| scanned.len() == input.len() && verifies(kind, &input, scanned),
+        )?;
+        Ok(e.op.finish(&scanned))
     }
 
     /// A consistent point-in-time health snapshot.
@@ -748,7 +690,7 @@ impl<B: BatchBackend> ScanService<B> {
                 consecutive_failures: st.breaker.consecutive_failures(),
                 quarantine: match st.breaker.state() {
                     BreakerState::Open { backoff, .. } => backoff,
-                    BreakerState::Closed => self.cfg.base_quarantine.max(1),
+                    BreakerState::Closed => self.cfg.breaker.base_quarantine.max(1),
                 },
                 times_degraded: st.times_degraded,
                 batches_retried: st.batches_retried,
@@ -806,8 +748,6 @@ mod tests {
         ServiceConfig {
             window: Duration::ZERO,
             close_target: 1,
-            backoff_base: Duration::ZERO,
-            backoff_jitter: Duration::ZERO,
             ..ServiceConfig::default()
         }
     }
@@ -967,9 +907,11 @@ mod tests {
     fn breaker_opens_degrades_probes_and_heals() {
         let cfg = ServiceConfig {
             batch_retries: 0,
-            failure_threshold: 2,
-            base_quarantine: 2,
-            max_quarantine: 8,
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                base_quarantine: 2,
+                max_quarantine: 8,
+            },
             ..quick()
         };
         // Enough seg failures to trip the breaker and fail one probe.
@@ -1063,84 +1005,10 @@ mod tests {
 
     #[test]
     fn uncoalesced_config_runs_one_request_one_kernel() {
-        let svc = ScanService::new(ServiceConfig {
-            backoff_base: Duration::ZERO,
-            backoff_jitter: Duration::ZERO,
-            ..ServiceConfig::uncoalesced()
-        });
+        let svc = ScanService::new(ServiceConfig::uncoalesced());
         assert_eq!(svc.submit(plus(&[4, 4])).unwrap(), vec![0, 4]);
         let h = svc.health();
         assert_eq!(h.solo_requests, 1);
         assert_eq!(h.batches, 0);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let svc = ScanService::new(quick());
-        let a = svc.backoff(7, 1, ScanKind::Sum);
-        let b = svc.backoff(7, 1, ScanKind::Sum);
-        assert_eq!(a, b);
-        // Different dispatch → (almost surely) different jitter, but
-        // always within base·2^(k−1) + jitter bound.
-        let cfg = ServiceConfig::default();
-        for d in 0..20u64 {
-            for attempt in 1..=3u32 {
-                let got = svc_backoff(&cfg, d, attempt);
-                let cap = cfg.backoff_base * (1 << (attempt - 1)) + cfg.backoff_jitter;
-                assert!(got <= cap, "backoff {got:?} above cap {cap:?}");
-            }
-        }
-    }
-
-    fn svc_backoff(cfg: &ServiceConfig, dispatch: u64, attempt: u32) -> Duration {
-        let svc = ScanService::new(cfg.clone());
-        svc.backoff(dispatch, attempt, ScanKind::Sum)
-    }
-
-    /// Exact-value pin: the shared `scan_core::backoff` module must
-    /// reproduce the formula this file carried inline before the
-    /// extraction, nanosecond for nanosecond.
-    #[test]
-    fn backoff_matches_the_legacy_inline_formula_exactly() {
-        fn legacy_mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        fn legacy(cfg: &ServiceConfig, dispatch: u64, attempt: u32, kind: ScanKind) -> Duration {
-            let exp = cfg
-                .backoff_base
-                .saturating_mul(1u32 << (attempt - 1).min(10));
-            let jitter_ns = cfg.backoff_jitter.as_nanos() as u64;
-            if jitter_ns == 0 {
-                return exp;
-            }
-            let stream = cfg
-                .jitter_seed
-                .wrapping_add(dispatch.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .wrapping_add(u64::from(attempt) << 1)
-                .wrapping_add(matches!(kind, ScanKind::Max) as u64);
-            exp + Duration::from_nanos(legacy_mix(stream) % jitter_ns)
-        }
-        let cfg = ServiceConfig::default();
-        let svc = ScanService::new(cfg.clone());
-        for dispatch in [0u64, 1, 7, 4096] {
-            for attempt in 1..=4u32 {
-                for kind in [ScanKind::Sum, ScanKind::Max] {
-                    assert_eq!(
-                        svc.backoff(dispatch, attempt, kind),
-                        legacy(&cfg, dispatch, attempt, kind)
-                    );
-                }
-            }
-        }
-        // The zero-jitter early return too.
-        let cfg = quick();
-        let svc = ScanService::new(cfg.clone());
-        assert_eq!(
-            svc.backoff(3, 2, ScanKind::Sum),
-            legacy(&cfg, 3, 2, ScanKind::Sum)
-        );
     }
 }

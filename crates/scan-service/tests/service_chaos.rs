@@ -103,8 +103,6 @@ fn storm_config() -> ServiceConfig {
     ServiceConfig {
         close_target: 8,
         window: Duration::from_micros(100),
-        backoff_base: Duration::from_micros(10),
-        backoff_jitter: Duration::from_micros(20),
         ..ServiceConfig::default()
     }
 }
@@ -157,10 +155,8 @@ fn worker_panic_storm_never_corrupts_or_hangs() {
 #[test]
 fn lying_backend_storm_is_caught_and_survived() {
     with_timeout(Duration::from_secs(60), || {
-        let cfg = ServiceConfig {
-            failure_threshold: 2,
-            ..storm_config()
-        };
+        let mut cfg = storm_config();
+        cfg.breaker.failure_threshold = 2;
         // Every coalesced call lies; only verification and the honest
         // solo rung stand between the backend and the callers.
         let svc = Arc::new(ScanService::with_backend(cfg, ChaosSeg::new(0, 1)));

@@ -35,7 +35,8 @@
 //!
 //! Determinism: given a fixed [`ChaosPlan`] and config, the whole
 //! failure/recovery schedule is reproducible — jobs are numbered in
-//! issue order on one counter, and every jitter draw is seeded.
+//! issue order on one counter, and every quarantine ends at exactly
+//! `clock + backoff` on the executor's run clock.
 
 use std::ops::Range;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -467,7 +468,7 @@ fn lose(
         LossCause::Lied => inner.stats[shard].lies += 1,
         LossCause::Disconnected => inner.stats[shard].disconnects += 1,
     }
-    inner.breakers[shard].failure(&inner.cfg.breaker, shard as u64, clock, probing[shard]);
+    inner.breakers[shard].failure(&inner.cfg.breaker, clock, probing[shard]);
 }
 
 /// Attribute a verification failure to `producer` (no-op for

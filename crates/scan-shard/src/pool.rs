@@ -145,6 +145,7 @@ fn shard_loop(rx: Receiver<Job>) {
             // Hard crash: exit without replying. The job's reply
             // channel closes, which is how the executor learns.
             ChaosEvent::ShardKill => return,
+            // xtask-allow: no-raw-clock a chaos stall must outlast the executor's watchdog in wall time
             ChaosEvent::Delay(d) => thread::sleep(d),
             ChaosEvent::Panic => {
                 // A kernel panic inside the job: the engine's fallible

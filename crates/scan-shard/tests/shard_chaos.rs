@@ -152,7 +152,6 @@ fn lying_shard_is_quarantined_then_probed_back() {
         breaker: BreakerConfig {
             failure_threshold: 1,
             base_quarantine: 2,
-            jitter: 0,
             ..BreakerConfig::default()
         },
         ..cfg(2, plan)
@@ -277,7 +276,6 @@ fn health_reports_breaker_state() {
         breaker: BreakerConfig {
             failure_threshold: 1,
             base_quarantine: 1000,
-            jitter: 0,
             ..BreakerConfig::default()
         },
         ..cfg(

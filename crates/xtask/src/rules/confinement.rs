@@ -108,18 +108,24 @@ pub fn check(ws: &Workspace, out: &mut Report) {
             }
         }
 
+        // R4: wall-clock reads and wall-clock waits. A library path
+        // times itself through `ScanDeadline` and waits on a condvar
+        // or a channel, never on a fixed sleep.
         if rel != CLOCK_ALLOWLIST {
-            for &(l, c) in &lx.path_spans("Instant::now") {
-                if !in_test[l] {
-                    out.violations.push(Violation::error(
-                        "no-raw-clock",
-                        rel,
-                        l + 1,
-                        c + 1,
-                        format!(
-                            "`Instant::now` outside {CLOCK_ALLOWLIST}: take time through ScanDeadline"
-                        ),
-                    ));
+            for (pat, fix) in [
+                ("Instant::now", "take time through ScanDeadline"),
+                ("thread::sleep", "wait on a condvar or a channel"),
+            ] {
+                for &(l, c) in &lx.path_spans(pat) {
+                    if !in_test[l] {
+                        out.violations.push(Violation::error(
+                            "no-raw-clock",
+                            rel,
+                            l + 1,
+                            c + 1,
+                            format!("`{pat}` outside {CLOCK_ALLOWLIST}: {fix}"),
+                        ));
+                    }
                 }
             }
         }
@@ -277,6 +283,19 @@ mod tests {
             "#![forbid(unsafe_code)]\npub fn f() { let _ = std::time::Instant::now(); }\n",
         );
         assert_eq!(rules(&t.lint()), vec!["no-raw-clock"]);
+    }
+
+    #[test]
+    fn library_sleep_is_flagged_but_not_in_tests() {
+        let t = Tree::new();
+        t.write(
+            "crates/demo/src/lib.rs",
+            "#![forbid(unsafe_code)]\npub fn f() { std::thread::sleep(std::time::Duration::from_micros(50)); }\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { std::thread::sleep(std::time::Duration::ZERO); }\n}\n",
+        );
+        let vs = t.lint();
+        assert_eq!(rules(&vs), vec!["no-raw-clock"]);
+        assert_eq!(vs[0].line, 2);
+        assert!(vs[0].msg.contains("`thread::sleep`"), "{}", vs[0].msg);
     }
 
     #[test]

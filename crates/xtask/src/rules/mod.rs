@@ -5,7 +5,7 @@
 //! | R1 | `safety-comment` | every `unsafe` has an adjacent `// SAFETY:` |
 //! | R2 | `unsafe-allowlist` | `unsafe` only in audited kernel modules |
 //! | R3 | `no-raw-spawn` | threads only from the worker/shard pools |
-//! | R4 | `no-raw-clock` | wall time only through the deadline module |
+//! | R4 | `no-raw-clock` | clock reads and sleeps only in the deadline module |
 //! | R5 | `crate-lints` | crate roots pin deny/forbid lint attributes |
 //! | R6 | `simd-confinement` | ISA detection only in `simd.rs` |
 //! | R7 | `panic-reachability` | `pub fn try_*` cannot reach a panic |
