@@ -438,8 +438,8 @@ fn main() {
         });
 
         // The fused multi_split sort (two 8-bit digits for these 16-bit
-        // keys at every size; only wider keys, staged, take 11-bit
-        // ones): old = this run's legacy engine sort, new = fused — so
+        // keys: every size here is below the split-first cutoff of 2^21
+        // keys): old = this run's legacy engine sort, new = fused — so
         // the row's speedup IS the fused-vs-legacy ratio on this
         // machine. Equality against the legacy path (and std) is
         // asserted before the timing counts.
@@ -483,21 +483,39 @@ fn main() {
 
     // `multi_split` stages and streams its scatter's output lines only
     // from a 16 MiB destination on, and only when the dispatcher picks
-    // AVX2: one sort that large, which CI runs under both SIMD pins
+    // AVX2: sorts that large, which CI runs under both SIMD pins
     // (streamed lines, or the direct scatter). Streamed, the default
-    // sort takes three 11-bit passes, and it must agree with four 8-bit
-    // ones on the same keys; under the `0` pin both take 8-bit digits.
+    // sort splits first: one 2048-bucket split on the top digit, then
+    // every bucket sorted in cache. Keys that share one top digit take
+    // the big-bucket fallback (pooled 11-bit passes over the bucket),
+    // and u32-range keys declared 64 bits place the top digit at their
+    // OR's highest bit. Each must agree with 8-bit passes on the same
+    // keys; under the `0` pin both take 8-bit digits.
     if smoke {
-        let keys = random_keys(1 << 21, 32, 0x5027);
-        let mut expect = keys.clone();
-        expect.sort_unstable();
-        let sorted = fused_radix_sort(&keys, 32);
-        assert_eq!(sorted, expect, "fused sort wrong on the staged scatter");
-        assert_eq!(
-            sorted,
-            fused_radix_sort_digits(&keys, 32, 8),
-            "default-width and 8-bit fused sorts disagree on the staged scatter"
-        );
+        let uniform = random_keys(1 << 21, 32, 0x5027);
+        let one_top_digit: Vec<u64> = random_keys(1 << 21, 21, 0x70D1)
+            .into_iter()
+            .map(|k| 0x5A5 << 21 | k)
+            .collect();
+        let declared_wide = random_keys(1 << 21, 32, 0x64B);
+        for (what, keys, bits) in [
+            ("uniform 32-bit keys", &uniform, 32),
+            ("keys sharing one top digit", &one_top_digit, 32),
+            ("u32-range keys declared 64 bits", &declared_wide, 64),
+        ] {
+            let mut expect = keys.clone();
+            expect.sort_unstable();
+            let sorted = fused_radix_sort(keys, bits);
+            assert_eq!(
+                sorted, expect,
+                "fused sort wrong on the staged scatter: {what}"
+            );
+            assert_eq!(
+                sorted,
+                fused_radix_sort_digits(keys, bits, 8),
+                "default and 8-bit fused sorts disagree on the staged scatter: {what}"
+            );
+        }
     }
 
     // Streaming and sharded execution against the in-RAM kernel on

@@ -48,7 +48,7 @@ use core::ptr;
 pub const MAX_BUCKETS: usize = 1 << 16;
 
 /// Most buckets the staged scatter serves: 2048, a radix sort's 11-bit
-/// digits, which sort 32-bit keys in three passes instead of four. The
+/// digits, the top digit its split-first sort splits 32-bit keys on. The
 /// staging lines, 64 bytes per bucket, then take 128 KiB per block and
 /// stay in L2. Measured at 256 and 2048 buckets only (DESIGN.md §11):
 /// a staged 2048-bucket pass costs about 1.2× a staged 256-bucket one,
@@ -79,7 +79,7 @@ const _: () = assert!(align_of::<Line>() == LINE);
 /// `stream` holds. Staging without streaming stores gains nothing, so
 /// other hosts and inputs take the direct scatter. A `dst` must also be
 /// aligned to the element size, which a `Vec<T>` always is. A radix
-/// sort reads this to pick its digit width.
+/// sort reads this to pick its digit width, and whether to split first.
 pub fn stages<T>(len: usize, nbuckets: usize, stream: bool) -> bool {
     let size = size_of::<T>();
     size.is_power_of_two()
@@ -131,7 +131,8 @@ fn for_each_digit<T: Copy, B: Budget>(
 /// Reusable scratch for [`multi_split_into`]: the per-element digit
 /// cache and the `blocks × buckets` count matrix. Hoisting the scratch
 /// across the passes of a radix sort removes all per-pass allocation
-/// beyond the ping-pong buffers themselves.
+/// beyond the ping-pong buffers themselves; a reused digit cache is
+/// overwritten, not zeroed again.
 #[derive(Debug, Default)]
 pub struct MultiSplitScratch {
     digits: Vec<u16>,
@@ -191,7 +192,9 @@ where
         sched
     };
 
-    scratch.digits.clear();
+    // Phase 1 writes every digit phase 3 reads, and every error returns
+    // before phase 3, so the cache is not re-zeroed: `resize` fills only
+    // what it grows, and a reused scratch pays nothing.
     scratch.digits.resize(n, 0);
     scratch.counts.clear();
     scratch.counts.resize(nblocks * nbuckets, 0);
@@ -582,6 +585,29 @@ mod tests {
             let (want, want_counts) = reference(&a, nbuckets, key);
             assert_eq!(dst, want);
             assert_eq!(counts, want_counts);
+        }
+        // Two failing calls leave the digit cache part-written (phase 1
+        // of the first stops at an out-of-range bucket, the second never
+        // starts); a smaller and then a larger shape must not read what
+        // they left.
+        let a = keys(0xFA11, 5000, 32);
+        let mut dst = vec![0u64; a.len()];
+        let oob = try_multi_split_into(&a, &mut dst, 4, |k| (k % 5) as usize, &mut scratch);
+        assert!(matches!(oob, Err(Error::IndexOutOfBounds { len: 4, .. })));
+        let d = ScanDeadline::manual();
+        d.cancel();
+        let cancelled = deadline::with_deadline(&d, || {
+            try_multi_split_into(&a, &mut dst, 8, |k| (k % 8) as usize, &mut scratch)
+        });
+        assert_eq!(cancelled, Err(Error::Exec(ExecError::Cancelled)));
+        for (n, nbuckets) in [(1000usize, 16usize), (9000, 64)] {
+            let a = keys(n as u64 * 17 + nbuckets as u64, n, 32);
+            let key = move |k: u64| (k as usize) % nbuckets;
+            let mut dst = vec![0u64; n];
+            let counts = multi_split_into(&a, &mut dst, nbuckets, key, &mut scratch);
+            let (want, want_counts) = reference(&a, nbuckets, key);
+            assert_eq!(dst, want, "n={n} buckets={nbuckets}");
+            assert_eq!(counts, want_counts, "n={n} buckets={nbuckets}");
         }
     }
 
