@@ -193,9 +193,12 @@ where
     };
 
     // Phase 1 writes every digit phase 3 reads, and every error returns
-    // before phase 3, so the cache is not re-zeroed: `resize` fills only
-    // what it grows, and a reused scratch pays nothing.
-    scratch.digits.resize(n, 0);
+    // before phase 3, so the cache is never zero-filled: it is only
+    // reserved here (a reused scratch pays nothing), phase 1 writes it
+    // through its pointer, and its length is set once phase 1's checks
+    // pass.
+    scratch.digits.clear();
+    scratch.digits.reserve(n);
     scratch.counts.clear();
     scratch.counts.resize(nblocks * nbuckets, 0);
 
@@ -245,6 +248,12 @@ where
         });
     }
     budget.check().map_err(B::exec_error)?;
+    // SAFETY: the capacity is at least `n` (reserved above), and every
+    // block ran its whole range: a block stops early only on an
+    // out-of-range digit or a failed budget check, and both return
+    // above (a deadline or cancellation, once seen, stays seen). So
+    // digits `0..n` are all written.
+    unsafe { scratch.digits.set_len(n) };
 
     // Phase 2: ONE exclusive +-scan over the flat column-major matrix.
     // Memory order is bucket-major then block-major, so the scanned

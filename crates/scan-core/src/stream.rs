@@ -3,7 +3,9 @@
 //!
 //! Everything else in this crate scans one in-RAM slice. A
 //! [`ScanStream`] instead pulls fixed-size chunks from a
-//! [`ChunkSource`] and scans each chunk on the parallel engine with
+//! [`ChunkSource`] (or borrows them, from a source that holds its input
+//! in memory and [lends](ChunkSource::lend) them, such as
+//! [`SliceSource`]) and scans each chunk on the parallel engine with
 //! the running **carry** folded in through the engine's emit hook, so
 //! the concatenated chunk outputs equal the whole-input scan while
 //! peak scratch stays proportional to one chunk — constant memory over
@@ -22,11 +24,12 @@
 //! the source and continues from that chunk boundary instead of
 //! rescanning from element zero; the digest check turns a corrupted
 //! checkpoint into a typed [`Error::CheckpointCorrupt`] instead of a
-//! silently mis-seeded tail. A failed [`ScanStream::step`] keeps the
-//! pulled chunk buffered, so an in-place retry re-scans the same chunk
+//! silently mis-seeded tail. A failed [`ScanStream::step`] leaves its
+//! chunk uncommitted — a pulled chunk stays buffered, a lent one is
+//! borrowed again — so an in-place retry re-scans the same chunk
 //! **without re-pulling it** — the chunk-pull counter
-//! ([`ScanStream::pulls`]) is how tests assert that recovery did not
-//! restart from zero.
+//! ([`ScanStream::pulls`]), which counts a lent chunk once, is how
+//! tests assert that recovery did not restart from zero.
 //!
 //! # Directions
 //!
@@ -74,6 +77,12 @@ fn mix(mut z: u64) -> u64 {
 /// call to call (a network source delivers what it has), but a given
 /// chunk index must always denote the same elements — that stability
 /// is what makes [`seek`](Self::seek)-based resume sound.
+///
+/// A source that already holds its input in memory can instead
+/// [`lend`](Self::lend) each chunk by index, and the stream then scans
+/// the borrow with no copy. A source lends either every chunk or none:
+/// the stream asks `lend` first at every step and pulls through
+/// `next_chunk` only when it declines.
 pub trait ChunkSource<T> {
     /// Append the next chunk to `buf` (already cleared) and return its
     /// length; `0` ends the stream.
@@ -88,10 +97,21 @@ pub trait ChunkSource<T> {
         let _ = chunk;
         false
     }
+
+    /// Lend chunk `chunk` (0-based, the index [`seek`](Self::seek)
+    /// takes) as a borrowed slice; an empty slice ends the stream.
+    /// `None` (the default) declines, and the stream pulls through
+    /// [`next_chunk`](Self::next_chunk) instead. The stream may ask for
+    /// the same chunk again when a step over it fails.
+    fn lend(&self, chunk: u64) -> Option<&[T]> {
+        let _ = chunk;
+        None
+    }
 }
 
 /// A [`ChunkSource`] over an in-RAM slice, split into fixed-length
-/// chunks (the final chunk may be shorter). Seekable.
+/// chunks (the final chunk may be shorter). Seekable, and it lends
+/// every chunk, so a stream over it scans the slice in place.
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a, T> {
     data: &'a [T],
@@ -128,6 +148,98 @@ impl<T: Copy> ChunkSource<T> for SliceSource<'_, T> {
             }
             _ => false,
         }
+    }
+
+    fn lend(&self, chunk: u64) -> Option<&[T]> {
+        let len = self.data.len();
+        let start = (chunk as usize)
+            .checked_mul(self.chunk_len)
+            .map_or(len, |s| s.min(len));
+        Some(&self.data[start..start + self.chunk_len.min(len - start)])
+    }
+}
+
+/// The pull–commit state both streams share: the source, the pull
+/// buffer of a source that does not lend, and the chunk counters.
+struct Puller<E, C> {
+    source: C,
+    buf: Vec<E>,
+    /// Chunks committed so far: the index of the next chunk.
+    chunk: u64,
+    /// Chunk `chunk` has been pulled or lent (and counted) but not
+    /// committed: set across a failed step, so the retry neither pulls
+    /// it again nor counts it twice.
+    pulled: bool,
+    done: bool,
+    pulls: u64,
+}
+
+impl<E: Copy, C: ChunkSource<E>> Puller<E, C> {
+    fn new(source: C) -> Self {
+        Puller {
+            source,
+            buf: Vec::new(),
+            chunk: 0,
+            pulled: false,
+            done: false,
+            pulls: 0,
+        }
+    }
+
+    /// Run `scan` over chunk `self.chunk`, passing it the chunk and its
+    /// index, and commit the chunk only when `scan` succeeds. The chunk
+    /// is lent by the source, or pulled into `buf` when it does not
+    /// lend. Every call starts with a [`deadline::checkpoint`]. On any
+    /// error the chunk stays uncommitted: the next call scans it again,
+    /// lent again or from `buf`, without counting a second pull.
+    /// `Ok(None)` once the source is exhausted.
+    fn step<R, X>(
+        &mut self,
+        scan: impl FnOnce(&[E], u64) -> core::result::Result<R, X>,
+    ) -> Result<Option<R>>
+    where
+        Error: From<X>,
+    {
+        if self.done {
+            return Ok(None);
+        }
+        deadline::checkpoint()?;
+        let chunk = match self.source.lend(self.chunk) {
+            Some(lent) => lent,
+            None => {
+                if !self.pulled {
+                    self.buf.clear();
+                    let n = self.source.next_chunk(&mut self.buf);
+                    debug_assert_eq!(n, self.buf.len(), "source must append exactly its count");
+                }
+                &self.buf
+            }
+        };
+        if chunk.is_empty() {
+            self.done = true;
+            return Ok(None);
+        }
+        if !self.pulled {
+            self.pulled = true;
+            self.pulls += 1;
+        }
+        let out = scan(chunk, self.chunk)?;
+        // Commit: the chunk is now folded into the stream state.
+        self.chunk += 1;
+        self.pulled = false;
+        Ok(Some(out))
+    }
+
+    /// Seek the source to checkpointed chunk `chunk`, after the
+    /// caller verified the checkpoint.
+    fn seek(&mut self, chunk: u64) -> Result<()> {
+        if !self.source.seek(chunk) && chunk > 0 {
+            return Err(Error::SeekUnsupported { chunk });
+        }
+        self.chunk = chunk;
+        self.pulled = false;
+        self.done = false;
+        Ok(())
     }
 }
 
@@ -257,17 +369,10 @@ impl<T: Copy + CarryDigest> CarryCheckpoint<T> {
 /// by the carry, hand out the output chunk, repeat. See the module
 /// docs for the restart and direction protocols.
 pub struct ScanStream<O, T, C> {
-    source: C,
+    pull: Puller<T, C>,
     scan: Scan<'static, Typed<O>, T>,
-    buf: Vec<T>,
     out: Vec<T>,
     carry: T,
-    chunk: u64,
-    /// `buf` holds a pulled-but-uncommitted chunk (set across a failed
-    /// `step`, so the retry does not re-pull).
-    pulled: bool,
-    done: bool,
-    pulls: u64,
 }
 
 impl<O, T, C> ScanStream<O, T, C>
@@ -278,15 +383,10 @@ where
 {
     fn with(source: C, scan: Scan<'static, Typed<O>, T>) -> Self {
         ScanStream {
-            source,
+            pull: Puller::new(source),
             scan,
-            buf: Vec::new(),
             out: Vec::new(),
             carry: O::identity(),
-            chunk: 0,
-            pulled: false,
-            done: false,
-            pulls: 0,
         }
     }
 
@@ -313,38 +413,27 @@ where
     }
 
     /// Scan the next chunk and return its output slice, or `Ok(None)`
-    /// once the source is exhausted.
+    /// once the source is exhausted. A chunk the source
+    /// [lends](ChunkSource::lend) is scanned straight from the borrow;
+    /// any other is pulled into the stream's buffer first.
     ///
     /// Each call starts with a [`deadline::checkpoint`], so an expired
     /// or cancelled ambient [`crate::ScanDeadline`] surfaces between
     /// chunks as a typed error — never mid-buffer corruption. On any
-    /// error the pulled chunk stays buffered and **uncommitted**:
-    /// calling `step` again retries the same chunk without touching
-    /// the source, and the carry still describes the last committed
-    /// boundary (so a checkpoint taken now is valid).
+    /// error the chunk stays **uncommitted**: calling `step` again
+    /// retries the same chunk without pulling it again (a pulled chunk
+    /// stays buffered, a lent one is borrowed again), and the carry
+    /// still describes the last committed boundary (so a checkpoint
+    /// taken now is valid).
     pub fn step(&mut self) -> Result<Option<&[T]>> {
-        if self.done {
+        let (scan, carry) = (self.scan, self.carry);
+        let Some((out, carry)) = self
+            .pull
+            .step(|chunk, _| scan.carry(carry).try_run(chunk))?
+        else {
             return Ok(None);
-        }
-        deadline::checkpoint()?;
-        if !self.pulled {
-            self.buf.clear();
-            let n = self.source.next_chunk(&mut self.buf);
-            debug_assert_eq!(n, self.buf.len(), "source must append exactly its count");
-            if n == 0 {
-                self.done = true;
-                return Ok(None);
-            }
-            self.pulled = true;
-            self.pulls += 1;
-        }
-
-        let (out, carry) = self.scan.carry(self.carry).try_run(&self.buf)?;
-
-        // Commit: the chunk is now folded into the stream state.
+        };
         self.carry = carry;
-        self.chunk += 1;
-        self.pulled = false;
         self.out = out;
         Ok(Some(&self.out))
     }
@@ -357,7 +446,7 @@ where
         while let Some(chunk) = self.step()? {
             sink(chunk);
         }
-        Ok((self.carry, self.chunk))
+        Ok((self.carry, self.pull.chunk))
     }
 
     /// The running carry: the fold of every committed chunk.
@@ -367,21 +456,22 @@ where
 
     /// Chunks committed so far.
     pub fn chunks_done(&self) -> u64 {
-        self.chunk
+        self.pull.chunk
     }
 
-    /// Chunks pulled from the source so far. A retried chunk is pulled
-    /// once — recovery tests pin on this counter to prove a restart
-    /// did not re-read the stream from zero.
+    /// Chunks pulled or lent so far, each counted once: a retried chunk
+    /// is not counted again — recovery tests pin on this counter to
+    /// prove a restart did not re-read the stream from zero.
     pub fn pulls(&self) -> u64 {
-        self.pulls
+        self.pull.pulls
     }
 
     /// Bytes-free view of current scratch: the stream's peak resident
-    /// state is these two buffers, whose capacity tracks the largest
-    /// chunk seen — never the total input length.
+    /// state is its output buffer plus, for a source that does not
+    /// lend, its pull buffer. Their capacity tracks the largest chunk
+    /// seen — never the total input length.
     pub fn scratch_len(&self) -> usize {
-        self.buf.capacity() + self.out.capacity()
+        self.pull.buf.capacity() + self.out.capacity()
     }
 }
 
@@ -394,7 +484,7 @@ where
     /// Checkpoint of the last committed chunk boundary. Cheap (O(1));
     /// taking one after every chunk is the intended cadence.
     pub fn checkpoint(&self) -> CarryCheckpoint<T> {
-        CarryCheckpoint::new(self.chunk, self.carry)
+        CarryCheckpoint::new(self.pull.chunk, self.carry)
     }
 
     /// Resume this (freshly built) stream from `ckpt`: verify the
@@ -406,13 +496,8 @@ where
         if !ckpt.verify() {
             return Err(Error::CheckpointCorrupt { chunk: ckpt.chunk });
         }
-        if !self.source.seek(ckpt.chunk) && ckpt.chunk > 0 {
-            return Err(Error::SeekUnsupported { chunk: ckpt.chunk });
-        }
+        self.pull.seek(ckpt.chunk)?;
         self.carry = ckpt.carry;
-        self.chunk = ckpt.chunk;
-        self.pulled = false;
-        self.done = false;
         Ok(self)
     }
 }
@@ -424,14 +509,9 @@ where
 /// the global first element is always a segment head whether or not
 /// its flag is set, as everywhere in this crate.
 pub struct SegScanStream<O, T, C> {
-    source: C,
-    buf: Vec<(T, bool)>,
+    pull: Puller<(T, bool), C>,
     out: Vec<T>,
     carry: (T, bool),
-    chunk: u64,
-    pulled: bool,
-    done: bool,
-    pulls: u64,
     _op: PhantomData<O>,
 }
 
@@ -444,14 +524,9 @@ where
     /// Streaming segmented exclusive scan over `source`.
     pub fn new(source: C) -> Self {
         SegScanStream {
-            source,
-            buf: Vec::new(),
+            pull: Puller::new(source),
             out: Vec::new(),
             carry: (O::identity(), false),
-            chunk: 0,
-            pulled: false,
-            done: false,
-            pulls: 0,
             _op: PhantomData,
         }
     }
@@ -459,34 +534,17 @@ where
     /// Scan the next chunk of pairs; same contract as
     /// [`ScanStream::step`].
     pub fn step(&mut self) -> Result<Option<&[T]>> {
-        if self.done {
+        let carry = self.carry;
+        let Some((out, carry)) = self.pull.step(|buf, chunk| {
+            // The global first element is forced to be a head.
+            let restart = move |i: usize| buf[i].1 || (chunk == 0 && i == 0);
+            let scan = Scan::op::<O, T>();
+            scan.contained(|d| scan.pairs(buf.len(), move |i| buf[i].0, restart, Some(carry), d))
+        })?
+        else {
             return Ok(None);
-        }
-        deadline::checkpoint()?;
-        if !self.pulled {
-            self.buf.clear();
-            let n = self.source.next_chunk(&mut self.buf);
-            debug_assert_eq!(n, self.buf.len(), "source must append exactly its count");
-            if n == 0 {
-                self.done = true;
-                return Ok(None);
-            }
-            self.pulled = true;
-            self.pulls += 1;
-        }
-
-        let first_chunk = self.chunk == 0;
-        let buf = &self.buf;
-        // The global first element is forced to be a head.
-        let restart = move |i: usize| buf[i].1 || (first_chunk && i == 0);
-        let scan = Scan::op::<O, T>();
-        let (out, carry) = scan.contained(|d| {
-            scan.pairs(buf.len(), move |i| buf[i].0, restart, Some(self.carry), d)
-        })?;
-
+        };
         self.carry = carry;
-        self.chunk += 1;
-        self.pulled = false;
         self.out = out;
         Ok(Some(&self.out))
     }
@@ -496,7 +554,7 @@ where
         while let Some(chunk) = self.step()? {
             sink(chunk);
         }
-        Ok((self.carry, self.chunk))
+        Ok((self.carry, self.pull.chunk))
     }
 
     /// The running segmented carry pair.
@@ -506,12 +564,12 @@ where
 
     /// Chunks committed so far.
     pub fn chunks_done(&self) -> u64 {
-        self.chunk
+        self.pull.chunk
     }
 
-    /// Chunks pulled from the source so far (see [`ScanStream::pulls`]).
+    /// Chunks pulled or lent so far (see [`ScanStream::pulls`]).
     pub fn pulls(&self) -> u64 {
-        self.pulls
+        self.pull.pulls
     }
 }
 
@@ -523,7 +581,7 @@ where
 {
     /// Checkpoint of the last committed chunk boundary.
     pub fn checkpoint(&self) -> CarryCheckpoint<(T, bool)> {
-        CarryCheckpoint::new(self.chunk, self.carry)
+        CarryCheckpoint::new(self.pull.chunk, self.carry)
     }
 
     /// Resume from a checkpoint; same contract as
@@ -532,13 +590,8 @@ where
         if !ckpt.verify() {
             return Err(Error::CheckpointCorrupt { chunk: ckpt.chunk });
         }
-        if !self.source.seek(ckpt.chunk) && ckpt.chunk > 0 {
-            return Err(Error::SeekUnsupported { chunk: ckpt.chunk });
-        }
+        self.pull.seek(ckpt.chunk)?;
         self.carry = ckpt.carry;
-        self.chunk = ckpt.chunk;
-        self.pulled = false;
-        self.done = false;
         Ok(self)
     }
 }
@@ -758,6 +811,74 @@ mod tests {
         assert_eq!(s.pulls(), 4, "chunk 1 was pulled once despite the retry");
         assert_eq!(carry, crate::reduce::<Sum, _>(&a));
         assert_eq!(rest.len(), 48, "chunks 1..4 re-emitted after the retry");
+    }
+
+    /// Lending twin of [`Sabotage`]: lends from a slice and cancels the
+    /// ambient deadline while lending one chosen chunk.
+    struct LendSabotage<'a> {
+        inner: SliceSource<'a, u64>,
+        cancel_on_lend: u64,
+    }
+    impl ChunkSource<u64> for LendSabotage<'_> {
+        fn next_chunk(&mut self, _buf: &mut Vec<u64>) -> usize {
+            panic!("a lending source is never pulled")
+        }
+        fn lend(&self, chunk: u64) -> Option<&[u64]> {
+            if chunk == self.cancel_on_lend {
+                if let Some(d) = deadline::current() {
+                    d.cancel();
+                }
+            }
+            self.inner.lend(chunk)
+        }
+    }
+
+    #[test]
+    fn failed_lent_step_retries_the_same_chunk_and_counts_it_once() {
+        let a: Vec<u64> = (0..64).map(|i| i * 5 + 1).collect();
+        let src = LendSabotage {
+            inner: SliceSource::new(&a, 16),
+            cancel_on_lend: 1, // second chunk's engine run dies
+        };
+        let mut s = ScanStream::<Sum, _, _>::exclusive(src);
+        let d = crate::ScanDeadline::manual();
+        let first = deadline::with_deadline(&d, || s.step().map(|c| c.map(<[u64]>::to_vec)));
+        assert_eq!(first.unwrap().unwrap(), crate::scan::<Sum, _>(&a[..16]));
+        assert_eq!((s.pulls(), s.chunks_done()), (1, 1));
+        // Chunk 1 is lent, then the engine run is cancelled: it stays
+        // uncommitted, and the carry and the checkpoint are those of
+        // the boundary after chunk 0.
+        let err = deadline::with_deadline(&d, || s.step().map(|_| ()).unwrap_err());
+        assert_eq!(err, Error::Exec(crate::ExecError::Cancelled));
+        assert_eq!((s.pulls(), s.chunks_done()), (2, 1));
+        let boundary = crate::reduce::<Sum, _>(&a[..16]);
+        assert_eq!(s.carry(), boundary);
+        assert_eq!(s.checkpoint(), CarryCheckpoint::new(1, boundary));
+        // The retry borrows chunk 1 again, counted once.
+        let mut rest = Vec::new();
+        let (carry, chunks) = s.process(|c| rest.extend_from_slice(c)).unwrap();
+        assert_eq!((chunks, s.pulls()), (4, 4));
+        assert_eq!(carry, crate::reduce::<Sum, _>(&a));
+        assert_eq!(rest, crate::scan::<Sum, _>(&a)[16..]);
+    }
+
+    #[test]
+    fn slice_source_lends_every_chunk_by_index() {
+        let a: Vec<u64> = (0..10).collect();
+        let src = SliceSource::new(&a, 4);
+        assert_eq!(src.lend(0), Some(&a[0..4]));
+        assert_eq!(src.lend(2), Some(&a[8..10]));
+        for past in [3, u64::MAX] {
+            assert_eq!(src.lend(past), Some(&[][..]), "chunk {past}");
+        }
+        // Both streams scan the borrows: their pull buffers stay empty.
+        let mut s = ScanStream::<Sum, _, _>::exclusive(src);
+        while s.step().unwrap().is_some() {}
+        assert_eq!((s.pulls(), s.pull.buf.capacity()), (3, 0));
+        let pairs: Vec<(u64, bool)> = a.iter().map(|&v| (v, v == 5)).collect();
+        let mut s = SegScanStream::<Sum, u64, _>::new(SliceSource::new(&pairs, 4));
+        while s.step().unwrap().is_some() {}
+        assert_eq!((s.pulls(), s.pull.buf.capacity()), (3, 0));
     }
 
     #[test]

@@ -541,3 +541,101 @@ fn streaming_is_constant_memory_4m() {
 fn streaming_is_constant_memory_256m() {
     constant_memory_run(1 << 28, 1 << 20);
 }
+
+/// Forwards only `next_chunk` and `seek`, so a stream over it copies
+/// every chunk into its pull buffer even when the inner source lends.
+struct CopyOnly<C>(C);
+
+impl<T, C: ChunkSource<T>> ChunkSource<T> for CopyOnly<C> {
+    fn next_chunk(&mut self, buf: &mut Vec<T>) -> usize {
+        self.0.next_chunk(buf)
+    }
+
+    fn seek(&mut self, chunk: u64) -> bool {
+        self.0.seek(chunk)
+    }
+}
+
+/// Step a stream to exhaustion, recording after every step the output
+/// chunk, the carry, `chunks_done`, `pulls` and the checkpoint.
+macro_rules! steps {
+    ($s:expr) => {{
+        let s = &mut $s;
+        let mut steps = Vec::new();
+        while let Some(c) = s.step().unwrap() {
+            let c = c.to_vec();
+            steps.push((c, s.carry(), s.chunks_done(), s.pulls(), s.checkpoint()));
+        }
+        steps
+    }};
+}
+
+/// Run the stream built by `$lend` (over a lending `SliceSource`) and
+/// by `$copy` (the same source behind `CopyOnly`) side by side: every
+/// step must match, and so must a resume of each from the checkpoint
+/// in the middle. Returns the concatenated output.
+macro_rules! lend_vs_copy {
+    ($ctx:expr, $lend:expr, $copy:expr) => {{
+        let (mut lend, mut copy) = ($lend, $copy);
+        let (full, copied) = (steps!(lend), steps!(copy));
+        assert!(full == copied, "{}: full pass", $ctx);
+        let ckpt = match full.len() / 2 {
+            0 => $lend.checkpoint(),
+            mid => full[mid - 1].4,
+        };
+        let mut lend = $lend.resume(&ckpt).unwrap();
+        let mut copy = $copy.resume(&ckpt).unwrap();
+        let (tail, copied) = (steps!(lend), steps!(copy));
+        assert!(tail == copied, "{}: resumed at {}", $ctx, ckpt.chunk());
+        let skip = ckpt.chunk() as usize;
+        assert_eq!(tail.len(), full.len() - skip, "{}", $ctx);
+        for (k, (t, f)) in tail.iter().zip(&full[skip..]).enumerate() {
+            assert!(
+                (&t.0, t.1, t.2) == (&f.0, f.1, f.2),
+                "{}: chunk {}",
+                $ctx,
+                k
+            );
+            assert_eq!(t.3, k as u64 + 1, "{}: pulls after resume", $ctx);
+        }
+        full.into_iter().flat_map(|s| s.0).collect::<Vec<u64>>()
+    }};
+}
+
+/// A stream over a lending `SliceSource` and one over the same slice
+/// through a copy-only wrapper are indistinguishable, step by step:
+/// the same chunks, carries, `chunks_done`, `pulls` and checkpoints,
+/// also after a resume from a mid-stream checkpoint — for chunks of 1,
+/// 7, `PAR_THRESHOLD ± 1`, `n` and more than `n` elements, and for an
+/// empty input.
+#[test]
+fn lending_and_copying_streams_agree_step_by_step() {
+    for n in [0, 2 * PAR_THRESHOLD + 3] {
+        let data: Vec<u64> = (0..n as u64).map(|i| (i * 7919 + 13) % 1009).collect();
+        let flags: Vec<bool> = (0..n).map(|i| i % 97 == 5).collect();
+        let pairs: Vec<(u64, bool)> = data.iter().copied().zip(flags.iter().copied()).collect();
+        let segs = Segments::from_flags(flags.clone());
+        for len in [1, 7, PAR_THRESHOLD - 1, PAR_THRESHOLD + 1, n, n + 5] {
+            let src = || SliceSource::new(&data, len);
+            let ctx = format!("n={n} len={len}");
+            let got = lend_vs_copy!(
+                format!("{ctx} exclusive"),
+                ScanStream::<Sum, u64, _>::exclusive(src()),
+                ScanStream::<Sum, u64, _>::exclusive(CopyOnly(src()))
+            );
+            assert_eq!(got, scan_core::scan::<Sum, _>(&data), "{ctx}");
+            let got = lend_vs_copy!(
+                format!("{ctx} inclusive"),
+                ScanStream::<Max, u64, _>::inclusive(src()),
+                ScanStream::<Max, u64, _>::inclusive(CopyOnly(src()))
+            );
+            assert_eq!(got, scan_core::inclusive_scan::<Max, _>(&data), "{ctx}");
+            let got = lend_vs_copy!(
+                format!("{ctx} segmented"),
+                SegScanStream::<Sum, u64, _>::new(SliceSource::new(&pairs, len)),
+                SegScanStream::<Sum, u64, _>::new(CopyOnly(SliceSource::new(&pairs, len)))
+            );
+            assert_eq!(got, scan_core::seg_scan::<Sum, u64>(&data, &segs), "{ctx}");
+        }
+    }
+}

@@ -47,9 +47,13 @@ pub enum ChaosEvent {
     /// dead-shard detection and the executor's inline recomputation of
     /// the lost range are what get exercised).
     ShardKill,
-    /// Corrupt the carry a shard reports upward (the per-shard total
-    /// feeding the exclusive tree combine), so the O(n) verify and the
-    /// breaker quarantine paths are what get exercised.
+    /// Corrupt the last element of the piece a shard returns (its
+    /// range's scan from the identity). The executor reads the range's
+    /// claimed total off that element, so the lie reaches the carries
+    /// of every later range as well: the assembly pass's check, its
+    /// inline recomputation of the liar's range, its re-application of
+    /// the true carry to the later ranges, and the breaker quarantine
+    /// are what get exercised.
     CarryCorrupt,
 }
 
@@ -79,7 +83,8 @@ pub struct ChaosPlan {
     /// delay length reuses `delay_us`. Only consulted by
     /// [`ChaosPlan::shard_event_for`].
     pub shard_delay_every: u64,
-    /// Corrupt a shard's reported carry every this many shard jobs
+    /// Corrupt the last element of a shard's piece, the one its
+    /// claimed total is read from, every this many shard jobs
     /// (0 = never). Only consulted by [`ChaosPlan::shard_event_for`].
     pub carry_corrupt_every: u64,
 }

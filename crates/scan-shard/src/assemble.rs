@@ -1,27 +1,35 @@
 //! Assembly and verification of a sharded scan's output, in one
 //! parallel pass.
 //!
-//! After round 2 the executor holds, per range, a claimed pair total
-//! (round 1) and a piece claimed to be the range's exclusive scan
-//! seeded with its carry (round 2). Any of them may be a lie.
-//! [`assemble`] checks every one of them while it builds the output:
+//! After its one round the executor holds, per range, a piece claimed
+//! to be the range's exclusive scan from the identity. Any piece may be
+//! a lie. [`assemble`] applies each range's carry while it checks every
+//! element of every piece:
 //!
-//! 1. **Fused pass** — one task per range on scan-core's global pool.
-//!    In one loop over its range, a task copies the piece into the
-//!    range's own slice of a fresh output, checks the piece's local
-//!    recurrence `out[i] = head[i] ? id : out[i-1] ⊕ x[i-1]` at every
-//!    element after the first, and folds the range's true pair total.
-//! 2. **Carry pass** — k steps in range order: the true carries are the
-//!    exclusive fold of the true totals, each range's first element is
-//!    checked against its true carry, and a failing range is recomputed
-//!    from its true carry with the rescue kernel.
+//! 1. **Claimed carries** — each range's claimed total is read off its
+//!    piece: `piece[last] ⊕ x[last]`, or `x[last]` when `last` is a
+//!    head, flagged when the range holds a head. The exclusive tree
+//!    combine ([`crate::combine`]) turns the claimed totals into claimed
+//!    carries.
+//! 2. **Fused pass** — one task per range on scan-core's global pool.
+//!    In one loop over its range, a task writes `carry ⊕ piece[i]` into
+//!    the range's own slice of a fresh output (the piece alone from the
+//!    range's first head on), checks `piece[0] = id` and the local
+//!    recurrence `piece[i] = head[i] ? id : piece[i-1] ⊕ x[i-1]` at
+//!    every later element, and folds the range's true pair total.
+//! 3. **Repair pass** — k steps in range order: the true carries are
+//!    the exclusive fold of the true totals. A range whose piece failed
+//!    is recomputed from its true carry with the rescue kernel; a range
+//!    whose piece passed under a wrong claimed carry (an upstream lie)
+//!    gets its true carry applied again.
 //!
 //! The check is complete, by the induction of `scan_fault::verify`: a
-//! piece whose first element matches its true carry and whose every
-//! later element satisfies the recurrence equals the true scan element
-//! by element, and the true scan passes both checks. So a range is
-//! flagged exactly when its piece differs from the true scan. Nothing
-//! is sampled: every element is checked on every run.
+//! piece that starts at the identity and holds the recurrence at every
+//! later element is the true local scan element by element, so its
+//! claimed total is the true total; and the true local scan passes. So
+//! a range is flagged exactly when its piece differs from the true
+//! local scan, and the output is always the true scan. Nothing is
+//! sampled: every element is checked on every run.
 
 use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
@@ -30,45 +38,47 @@ use scan_core::parallel::advise_huge_pages;
 use scan_core::segmented::seg_combine;
 use scan_core::{ExecError, ScanOp};
 
-use crate::combine::range_scan;
-
-/// What the pass found for one range.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Verdict {
-    /// The piece differed from the true scan and was recomputed inline.
-    pub rescued: bool,
-    /// The claimed total was wrong: a lie by the range's round-1
-    /// producer.
-    pub total_lied: bool,
-    /// The piece was wrong under a correct carry: a lie by the range's
-    /// round-2 producer. (Under a wrong carry the mismatch is the
-    /// upstream liar's, blamed through its total.)
-    pub piece_lied: bool,
-}
+use crate::combine::{exclusive_combine, range_scan};
 
 /// Build the exclusive scan of `data` (restarting at `heads`) from the
-/// per-range `pieces`, checking them and the claimed `totals` against
-/// the input; `carries` are the carries the pieces were seeded with.
+/// per-range `pieces`, each claimed to be its range's exclusive scan
+/// from the identity, and check every one of them against the input.
 /// Every `pieces[s]` has `ranges[s]`'s length, and the ranges are
 /// non-empty and tile `0..data.len()` in order.
 ///
-/// The output is always the true scan; the verdicts say, per range,
-/// what was wrong with what the shards claimed.
+/// The output is always the true scan; the flags say, per range,
+/// whether its piece was wrong (and so was recomputed inline).
 pub(crate) fn assemble<O: ScanOp<u64>>(
     data: &[u64],
     heads: Option<&[bool]>,
     ranges: &[Range<usize>],
     pieces: Vec<Vec<u64>>,
-    totals: &[(u64, bool)],
-    carries: &[(u64, bool)],
-) -> Result<(Vec<u64>, Vec<Verdict>), ExecError> {
+) -> Result<(Vec<u64>, Vec<bool>), ExecError> {
     let identity = (O::identity(), false);
+    let head = |i: usize| heads.is_some_and(|h| h[i]);
+    // Each range's claimed total, read off its piece. A lying piece
+    // makes the claimed carries of later ranges wrong too; the repair
+    // pass below mends those from the true carries.
+    let totals: Vec<(u64, bool)> = ranges
+        .iter()
+        .zip(&pieces)
+        .map(|(r, piece)| {
+            let last = r.end - 1;
+            let value = if head(last) {
+                data[last]
+            } else {
+                O::combine(piece[last - r.start], data[last])
+            };
+            (value, heads.is_some_and(|h| h[r.clone()].contains(&true)))
+        })
+        .collect();
+    let carries = exclusive_combine(&totals, identity, seg_combine::<O, u64>);
     // Zeroed, not written: each task faults in its own slice's pages,
     // whole 2 MiB pages where the advice took.
     let mut out = vec![0; data.len()];
     advise_huge_pages(&mut out);
     // Per range: its own slice of the output, then whether its piece
-    // held the recurrence, and its true pair total.
+    // held the check, and its true pair total.
     let mut lanes = Vec::with_capacity(ranges.len());
     let mut rest = out.as_mut_slice();
     for r in ranges {
@@ -81,65 +91,71 @@ pub(crate) fn assemble<O: ScanOp<u64>>(
     scan_core::pool::global().run(ranges.len(), |slot| {
         let mut lane = lanes[slot].lock().unwrap_or_else(PoisonError::into_inner);
         let r = ranges[slot].clone();
-        let (piece, x) = (&pieces[slot], &data[r.clone()]);
+        let (piece, x, carry) = (&pieces[slot], &data[r.clone()], carries[slot].0);
         (lane.1, lane.2) = match heads {
-            None => fused::<O>(lane.0, piece, x, |_| false),
+            None => fused::<O>(lane.0, piece, x, carry, |_| false),
             Some(h) => {
                 let h = &h[r];
-                fused::<O>(lane.0, piece, x, |i| h[i])
+                fused::<O>(lane.0, piece, x, carry, |i| h[i])
             }
         };
     });
-    drop(pieces);
 
+    // The repair pass, on the true carries: the fold of the true
+    // totals.
     let mut carry = identity;
-    let mut verdicts = Vec::with_capacity(ranges.len());
-    for ((slot, r), lane) in ranges.iter().enumerate().zip(lanes) {
+    let mut lied = Vec::with_capacity(ranges.len());
+    for (((r, lane), piece), claimed) in ranges.iter().zip(lanes).zip(&pieces).zip(&carries) {
         let (slice, ok, total) = lane.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let first = if heads.is_some_and(|h| h[r.start]) {
-            O::identity()
-        } else {
-            carry.0
-        };
-        let rescued = !ok || slice[0] != first;
-        if rescued {
+        if !ok {
             slice.copy_from_slice(&range_scan::<O>(data, heads, r.clone(), carry, None)?);
+        } else if claimed.0 != carry.0 {
+            // A verified piece under a lie upstream: the true carry,
+            // up to the range's first head.
+            for (i, (dst, &p)) in r.clone().zip(slice.iter_mut().zip(piece)) {
+                if head(i) {
+                    break;
+                }
+                *dst = O::combine(carry.0, p);
+            }
         }
-        verdicts.push(Verdict {
-            rescued,
-            total_lied: totals[slot] != total,
-            piece_lied: rescued && carries[slot] == carry,
-        });
+        lied.push(!ok);
         carry = seg_combine::<O, u64>(carry, total);
     }
-    Ok((out, verdicts))
+    Ok((out, lied))
 }
 
-/// One range of the fused pass: copy `piece` into `dst`, check the
-/// recurrence at every element after the first, and fold `x`'s pair
-/// total, in one loop over the non-empty range. Returns whether the
-/// check held, and the total. Mismatches accumulate as an OR of
-/// differences, so the loop carries no branch.
+/// One range of the fused pass: write `carry ⊕ piece[i]` into `dst`
+/// (the piece alone from the range's first head on), check that the
+/// piece starts at the identity and holds the recurrence at every later
+/// element, and fold `x`'s pair total, in one loop over the non-empty
+/// range. Returns whether the check held, and the total. Mismatches
+/// accumulate as an OR of differences, so the check carries no branch.
 fn fused<O: ScanOp<u64>>(
     dst: &mut [u64],
     piece: &[u64],
     x: &[u64],
+    carry: u64,
     is_head: impl Fn(usize) -> bool,
 ) -> (bool, (u64, bool)) {
     let n = dst.len();
     let (piece, x) = (&piece[..n], &x[..n]);
-    let mut total = seg_combine::<O, u64>((O::identity(), false), (x[0], is_head(0)));
-    dst[0] = piece[0];
-    let mut diff = 0;
+    let apply = |seen: bool, p: u64| if seen { p } else { O::combine(carry, p) };
+    let mut seen = is_head(0);
+    let mut total = seg_combine::<O, u64>((O::identity(), false), (x[0], seen));
+    let mut diff = piece[0] ^ O::identity();
+    dst[0] = apply(seen, piece[0]);
     for i in 1..n {
-        let expect = if is_head(i) {
+        let head = is_head(i);
+        seen |= head;
+        let expect = if head {
             O::identity()
         } else {
             O::combine(piece[i - 1], x[i - 1])
         };
         diff |= piece[i] ^ expect;
-        dst[i] = piece[i];
-        total = seg_combine::<O, u64>(total, (x[i], is_head(i)));
+        dst[i] = apply(seen, piece[i]);
+        total = seg_combine::<O, u64>(total, (x[i], head));
     }
     (diff == 0, total)
 }
@@ -147,7 +163,7 @@ fn fused<O: ScanOp<u64>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::combine::{exclusive_combine, range_total};
+    use crate::combine::piece;
     use scan_core::{Max, Segments, Sum};
 
     const N: usize = 48;
@@ -170,29 +186,13 @@ mod tests {
         (0..k).map(|s| s * N / k..(s + 1) * N / k).collect()
     }
 
-    /// The pieces honest round-2 shards return under `totals`' carries.
-    fn scan_round<O: ScanOp<u64>>(
-        x: &[u64],
-        heads: Option<&[bool]>,
-        ranges: &[Range<usize>],
-        totals: &[(u64, bool)],
-    ) -> (Vec<(u64, bool)>, Vec<Vec<u64>>) {
-        let carries = exclusive_combine(totals, (O::identity(), false), seg_combine::<O, u64>);
-        let pieces = ranges
-            .iter()
-            .zip(&carries)
-            .map(|(r, &c)| range_scan::<O>(x, heads, r.clone(), c, None).unwrap())
-            .collect();
-        (carries, pieces)
-    }
-
-    /// Flip one bit of every element of every piece, then one bit of
-    /// every claimed total (each of its 64 value bits and its head
-    /// flag), for k = 1–4 ranges: the output is always repaired to
-    /// scan-core's answer, a range is flagged exactly when its piece
-    /// differs from the true scan, a flipped element blames only its
-    /// range's round-2 producer, and a flipped total only its range's
-    /// round-1 producer.
+    /// For k = 1–4 ranges, flip one bit of every element of every
+    /// honest piece, then each of the 64 bits of every piece's last
+    /// element, the one its claimed total is read from: the output is
+    /// always scan-core's answer, and exactly the range whose piece
+    /// was flipped is flagged — also when the flip reaches the carries
+    /// of later ranges, whose verified pieces get the true carry
+    /// applied again.
     fn sweep<O: ScanOp<u64>>(segmented: bool) {
         let x = data();
         let flags = heads();
@@ -204,56 +204,30 @@ mod tests {
         };
         for k in 1..=4 {
             let ranges = split(k);
-            let totals: Vec<(u64, bool)> = ranges
+            let honest: Vec<Vec<u64>> = ranges
                 .iter()
-                .map(|r| range_total::<O>(&x, heads, r.clone(), None).unwrap())
+                .map(|r| piece::<O>(&x, heads, r.clone(), None).unwrap())
                 .collect();
-            let (carries, honest) = scan_round::<O>(&x, heads, &ranges, &totals);
             let ctx = format!("{} k={k} segmented={segmented}", O::NAME);
 
-            let (out, verdicts) =
-                assemble::<O>(&x, heads, &ranges, honest.clone(), &totals, &carries).unwrap();
+            let (out, lied) = assemble::<O>(&x, heads, &ranges, honest.clone()).unwrap();
             assert_eq!(out, want, "{ctx}: honest");
-            assert_eq!(verdicts, vec![Verdict::default(); k], "{ctx}: honest");
+            assert_eq!(lied, vec![false; k], "{ctx}: honest");
 
             for (slot, r) in ranges.iter().enumerate() {
-                for pos in 0..r.len() {
+                let last = r.len() - 1;
+                let flips = (0..r.len())
+                    .map(|pos| (pos, 1 << (pos % 64)))
+                    .chain((0..64).map(|bit| (last, 1 << bit)));
+                for (pos, flip) in flips {
                     let mut pieces = honest.clone();
-                    pieces[slot][pos] ^= 1 << (pos % 64);
-                    let (out, verdicts) =
-                        assemble::<O>(&x, heads, &ranges, pieces, &totals, &carries).unwrap();
-                    let mut blame = vec![Verdict::default(); k];
-                    blame[slot] = Verdict {
-                        rescued: true,
-                        total_lied: false,
-                        piece_lied: true,
-                    };
-                    assert_eq!(out, want, "{ctx}: piece {slot} element {pos}");
-                    assert_eq!(verdicts, blame, "{ctx}: piece {slot} element {pos}");
-                }
-            }
-
-            for slot in 0..k {
-                for bit in 0..=64 {
-                    let mut claimed = totals.clone();
-                    match bit {
-                        64 => claimed[slot].1 ^= true,
-                        b => claimed[slot].0 ^= 1 << b,
-                    }
-                    let (carries, pieces) = scan_round::<O>(&x, heads, &ranges, &claimed);
-                    let poisoned: Vec<bool> =
-                        pieces.iter().zip(&honest).map(|(p, h)| p != h).collect();
-                    let (out, verdicts) =
-                        assemble::<O>(&x, heads, &ranges, pieces, &claimed, &carries).unwrap();
-                    let blame: Vec<Verdict> = (0..k)
-                        .map(|s| Verdict {
-                            rescued: poisoned[s],
-                            total_lied: s == slot,
-                            piece_lied: false,
-                        })
-                        .collect();
-                    assert_eq!(out, want, "{ctx}: total {slot} bit {bit}");
-                    assert_eq!(verdicts, blame, "{ctx}: total {slot} bit {bit}");
+                    pieces[slot][pos] ^= flip;
+                    let (out, lied) = assemble::<O>(&x, heads, &ranges, pieces).unwrap();
+                    let mut blame = vec![false; k];
+                    blame[slot] = true;
+                    let ctx = format!("{ctx}: piece {slot} element {pos} flip {flip:#x}");
+                    assert_eq!(out, want, "{ctx}");
+                    assert_eq!(lied, blame, "{ctx}");
                 }
             }
         }

@@ -1,15 +1,17 @@
-//! Exclusive tree combine of per-shard totals.
+//! Exclusive tree combine of per-range totals.
 //!
 //! This is the paper's own balanced-tree exclusive scan (upsweep then
-//! downsweep, §1), applied one level up: the per-shard totals from the
-//! reduce round are combined into the carry each shard's scan round is
-//! seeded with. The shard counts involved are tiny, but using the tree
+//! downsweep, §1), applied one level up: the total each range's piece
+//! claims is combined into the carry the assembly pass applies to the
+//! range, and the true totals are folded the same way into the true
+//! carries. The range counts involved are tiny, but using the tree
 //! keeps the combine associative-only — the same property the paper
 //! demands of the operator — and gives it the usual O(log s) depth.
 //!
-//! The range kernels a shard job runs live here too: they are pure
-//! scan vocabulary, shared by both sides of the channel boundary (the
-//! executor runs them itself for its inline rescues), whereas `pool`
+//! The range kernels live here too: a shard job scans its range from
+//! the identity (`piece`), and the executor runs the same kernels
+//! itself for its inline rescues. They are pure scan vocabulary, shared
+//! by both sides of the channel boundary, whereas `pool`
 //! is the shard-private supervisor machinery the executor must only
 //! reach via messages (`cargo xtask lint` R9).
 
@@ -18,45 +20,20 @@ use std::ops::Range;
 use scan_core::parallel::Schedule;
 use scan_core::{ExecError, Scan, ScanDeadline, ScanOp};
 
-use crate::pool::{Output, Phase};
-
-/// One job's work: `phase` of `data[range]` and its heads, through
-/// scan-core's range kernels, sequentially on the calling thread.
-pub(crate) fn compute<O: ScanOp<u64>>(
-    data: &[u64],
-    heads: Option<&[bool]>,
-    range: Range<usize>,
-    phase: Phase,
-    deadline: Option<&ScanDeadline>,
-) -> Result<Output, ExecError> {
-    match phase {
-        Phase::Reduce => range_total::<O>(data, heads, range, deadline).map(Output::Total),
-        Phase::Scan { carry } => {
-            range_scan::<O>(data, heads, range, carry, deadline).map(Output::Scanned)
-        }
-    }
-}
-
-/// The pair total of `data[range]` and its heads (a round-1 result):
-/// scan-core's range reduce, sequential on the calling thread.
-pub(crate) fn range_total<O: ScanOp<u64>>(
+/// A shard job's work: the range's piece, the exclusive scan of
+/// `data[range]` and its heads from the identity, sequential on the
+/// calling thread.
+pub(crate) fn piece<O: ScanOp<u64>>(
     data: &[u64],
     heads: Option<&[bool]>,
     range: Range<usize>,
     deadline: Option<&ScanDeadline>,
-) -> Result<(u64, bool), ExecError> {
-    let heads = heads.map(|h| &h[range.clone()]);
-    Scan::op::<O, u64>()
-        .schedule(Schedule::Sequential)
-        .heads(heads)
-        .deadline(deadline)
-        .try_total(&data[range])
-        .map_err(exec)
+) -> Result<Vec<u64>, ExecError> {
+    range_scan::<O>(data, heads, range, (O::identity(), false), deadline)
 }
 
-/// The exclusive scan of `data[range]` seeded with the pair `carry` (a
-/// round-2 result): scan-core's range scan, sequential on the calling
-/// thread.
+/// The exclusive scan of `data[range]` seeded with the pair `carry`:
+/// scan-core's range scan, sequential on the calling thread.
 pub(crate) fn range_scan<O: ScanOp<u64>>(
     data: &[u64],
     heads: Option<&[bool]>,
@@ -90,8 +67,8 @@ fn exec(e: scan_core::Error) -> ExecError {
 /// `identity`), via the balanced-tree upsweep/downsweep.
 ///
 /// `out[i]` is the combination of `totals[..i]`, with `out[0] =
-/// identity` — exactly the carry shard `i` must seed its local scan
-/// with.
+/// identity` — exactly the carry that range `i`'s scan from the
+/// identity needs applied.
 pub fn exclusive_combine<E, F>(totals: &[E], identity: E, comb: F) -> Vec<E>
 where
     E: Copy,

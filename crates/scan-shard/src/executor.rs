@@ -2,27 +2,27 @@
 //!
 //! A scan is split into contiguous ranges, one per admitted shard
 //! (each shard being an independent supervisor thread running a
-//! sequential [`scan_core::Scan`] over its range, `crate::pool`), and runs in
-//! two rounds mirroring the paper's two-pass schedule lifted one level
+//! sequential [`scan_core::Scan`] over its range, `crate::pool`), and
+//! runs in one round, the paper's block decomposition lifted one level
 //! up:
 //!
-//! 1. **Reduce**: every shard folds its range to a total.
-//! 2. **Combine**: the executor tree-combines the totals into
-//!    per-shard carries ([`crate::combine`]).
-//! 3. **Scan**: every shard produces the exclusive scan of its range
-//!    seeded with its carry.
-//! 4. **Assemble**: one parallel pass on scan-core's global pool, one
-//!    task per range, copies each piece into the output while checking
-//!    every element of it and folding the range's true total; a k-step
-//!    pass then checks each range against its true carry and
-//!    recomputes any range that fails (`crate::assemble`).
+//! 1. **Scan**: every shard scans its range from the identity and
+//!    sends back the resulting *piece*.
+//! 2. **Assemble**: one parallel pass on scan-core's global pool, one
+//!    task per range, applies each range's carry while it checks every
+//!    element of its piece and folds the range's true total. The
+//!    carries come from the totals the pieces claim, tree-combined
+//!    ([`crate::combine`]); a k-step pass then recomputes any range
+//!    whose piece failed from its true carry, and applies the true
+//!    carry again to a range whose claimed carry was wrong
+//!    (`crate::assemble`).
 //!
 //! Around that schedule sits the robustness machinery:
 //!
 //! - **Loss detection** — a shard is lost for a run when it reports a
 //!   contained worker panic, misses the watchdog window, closes its
-//!   channel (dead supervisor), or returns a total or a piece that the
-//!   assembly pass finds wrong (a *lying* shard).
+//!   channel (dead supervisor), or returns a piece that the assembly
+//!   pass finds wrong (a *lying* shard).
 //! - **Recovery** — the executor recomputes every lost range itself,
 //!   with the sequential range kernel a shard job runs; it never fails
 //!   and is counted in [`ShardHealth::recoveries`].
@@ -35,23 +35,23 @@
 //!
 //! Determinism: given a fixed [`ChaosPlan`] and config, the whole
 //! failure/recovery schedule is reproducible — jobs are numbered in
-//! issue order on one counter, and every quarantine ends at exactly
-//! `clock + backoff` on the executor's run clock.
+//! issue order on one counter, one job per range per run, and every
+//! quarantine ends at exactly `clock + backoff` on the executor's run
+//! clock.
 
 use std::ops::Range;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use scan_core::segmented::seg_combine;
 use scan_core::{ExecError, Max, Scan, ScanDeadline, ScanKind, ScanOp, Sum};
 use scan_fault::{Breaker, BreakerConfig, ChaosEvent, ChaosPlan, Gate};
 
 use crate::assemble::assemble;
-use crate::combine::{compute, exclusive_combine, range_scan, range_total};
+use crate::combine::piece;
 use crate::error::ShardError;
 use crate::health::{ShardHealth, ShardStatus};
-use crate::pool::{Job, Output, Phase, Reply, Shard};
+use crate::pool::{Job, Reply, Shard};
 
 /// Lock a mutex, ignoring poisoning.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -70,7 +70,8 @@ enum LossCause {
     Panic,
     /// No reply within the watchdog window; a late reply is discarded.
     Watchdog,
-    /// A claimed total or piece failed the assembly pass's check.
+    /// A piece failed the assembly pass's check, or came back with the
+    /// wrong length.
     Lied,
     /// The supervisor thread is gone: the shard is dead for good.
     Disconnected,
@@ -301,8 +302,9 @@ impl ShardedExecutor {
         let workers = &live[..k];
         let mut healthy = vec![true; nshards];
 
-        // Round 1: reduce every range to its pair total.
-        let r1 = run_phase::<O>(
+        // One round: every range's piece, its exclusive scan from the
+        // identity.
+        let (pieces, producers): (Vec<_>, Vec<_>) = scan_round::<O>(
             inner,
             kind,
             data,
@@ -313,81 +315,17 @@ impl ShardedExecutor {
             &probing,
             &mut healthy,
             clock,
-            None,
-        )?;
-        let mut totals = Vec::with_capacity(k);
-        let mut producers1 = Vec::with_capacity(k);
-        for (slot, (out, producer)) in r1.into_iter().enumerate() {
-            let t = match out {
-                Output::Total(t) => t,
-                // Defensive: a phase mismatch is recomputed inline.
-                Output::Scanned(_) => {
-                    inner.inline_rescues += 1;
-                    range_total::<O>(data, head_flags, ranges[slot].clone(), None)?
-                }
-            };
-            totals.push(t);
-            producers1.push(producer);
-        }
-        if let Some(d) = &deadline {
-            d.check().map_err(ShardError::from)?;
-        }
+        )?
+        .into_iter()
+        .unzip();
 
-        // Combine: per-shard carries by exclusive tree scan.
-        let carries = exclusive_combine(&totals, identity, seg_combine::<O, u64>);
-
-        // Round 2: each range's exclusive scan, seeded with its carry.
-        let r2 = run_phase::<O>(
-            inner,
-            kind,
-            data,
-            &heads,
-            &deadline,
-            &ranges,
-            workers,
-            &probing,
-            &mut healthy,
-            clock,
-            Some(&carries),
-        )?;
-        let mut pieces = Vec::with_capacity(k);
-        let mut producers2 = Vec::with_capacity(k);
-        for (slot, (piece, producer)) in r2.into_iter().enumerate() {
-            let range = ranges[slot].clone();
-            match piece {
-                Output::Scanned(v) if v.len() == range.len() => {
-                    pieces.push(v);
-                    producers2.push(producer);
-                }
-                // A wrong-length or wrong-phase result is a lie in
-                // shape rather than value: recompute inline, let the
-                // assembly check below settle attribution.
-                _ => {
-                    inner.inline_rescues += 1;
-                    pieces.push(range_scan::<O>(
-                        data,
-                        head_flags,
-                        range,
-                        carries[slot],
-                        None,
-                    )?);
-                    producers2.push(INLINE);
-                }
-            }
-        }
-
-        // Assemble and verify in one parallel pass (`crate::assemble`),
-        // then attribute lies in range order.
-        let (out, verdicts) = assemble::<O>(data, head_flags, &ranges, pieces, &totals, &carries)?;
-        for (slot, v) in verdicts.into_iter().enumerate() {
-            if v.rescued {
+        // Apply the carries and verify in one parallel pass
+        // (`crate::assemble`); a wrong piece blames its producer.
+        let (out, lied) = assemble::<O>(data, head_flags, &ranges, pieces)?;
+        for (producer, lied) in producers.into_iter().zip(lied) {
+            if lied {
                 inner.inline_rescues += 1;
-            }
-            if v.total_lied {
-                blame(inner, &mut healthy, producers1[slot], &probing, clock);
-            }
-            if v.piece_lied {
-                blame(inner, &mut healthy, producers2[slot], &probing, clock);
+                blame(inner, &mut healthy, producer, &probing, clock);
             }
         }
 
@@ -420,7 +358,6 @@ fn partition(n: usize, k: usize) -> Vec<Range<usize>> {
 
 /// Issue one job to `shard`, drawing its chaos event from the plan.
 /// `None` means the shard is unreachable (send failed).
-#[allow(clippy::too_many_arguments)]
 fn issue(
     inner: &mut Inner,
     kind: ScanKind,
@@ -428,7 +365,6 @@ fn issue(
     heads: &Option<Arc<Vec<bool>>>,
     deadline: &Option<ScanDeadline>,
     range: Range<usize>,
-    phase: Phase,
     shard: usize,
 ) -> Option<mpsc::Receiver<Reply>> {
     inner.jobs += 1;
@@ -442,7 +378,6 @@ fn issue(
         data: Arc::clone(data),
         heads: heads.clone(),
         range,
-        phase,
         inject,
         deadline: deadline.clone(),
         reply: tx,
@@ -479,13 +414,13 @@ fn blame(inner: &mut Inner, healthy: &mut [bool], producer: usize, probing: &[bo
     }
 }
 
-/// Run one phase (reduce, or scan when `carries` is given) across the
-/// worker shards, collecting under the watchdog. A slot whose shard is
-/// lost, in this phase or an earlier one, is recomputed inline
-/// ([`rescue`]). Returns each slot's output and its producer shard (or
+/// Run the one round across the worker shards: one job per range, the
+/// range's piece, collected under the watchdog. A range whose shard is
+/// lost, or returns a piece of the wrong length, is recomputed inline
+/// ([`rescue`]). Returns each range's piece and its producer shard (or
 /// [`INLINE`]).
 #[allow(clippy::too_many_arguments)]
-fn run_phase<O: ScanOp<u64>>(
+fn scan_round<O: ScanOp<u64>>(
     inner: &mut Inner,
     kind: ScanKind,
     data: &Arc<Vec<u64>>,
@@ -496,48 +431,31 @@ fn run_phase<O: ScanOp<u64>>(
     probing: &[bool],
     healthy: &mut [bool],
     clock: u64,
-    carries: Option<&[(u64, bool)]>,
-) -> Result<Vec<(Output, usize)>, ShardError> {
-    let phase_for = |slot: usize| match carries {
-        None => Phase::Reduce,
-        Some(c) => Phase::Scan { carry: c[slot] },
-    };
-
-    // Issue every slot's job to its assigned shard. A slot whose shard
-    // was lost in an earlier phase gets no job (the loss is already
-    // recorded); one whose send fails is lost here.
+) -> Result<Vec<(Vec<u64>, usize)>, ShardError> {
+    // Issue every range's job to its shard; one whose send fails is
+    // lost here.
     let mut pending = Vec::with_capacity(ranges.len());
-    for (slot, range) in ranges.iter().enumerate() {
-        let s = workers[slot];
-        let mut rx = None;
-        if healthy[s] && inner.shards[s].alive() {
-            rx = issue(
-                inner,
-                kind,
-                data,
-                heads,
-                deadline,
-                range.clone(),
-                phase_for(slot),
-                s,
-            );
-            if rx.is_none() {
-                lose(inner, healthy, s, LossCause::Disconnected, probing, clock);
-            }
+    for (range, &s) in ranges.iter().zip(workers) {
+        let rx = issue(inner, kind, data, heads, deadline, range.clone(), s);
+        if rx.is_none() {
+            lose(inner, healthy, s, LossCause::Disconnected, probing, clock);
         }
         pending.push(rx);
     }
 
-    // Collect under the watchdog; every lost slot is recomputed inline.
+    // Collect under the watchdog; every lost range is recomputed inline.
     let mut done = Vec::with_capacity(ranges.len());
-    for ((slot, rx), &s) in pending.into_iter().enumerate().zip(workers) {
+    for ((rx, range), &s) in pending.into_iter().zip(ranges).zip(workers) {
         let cause = match rx.map(|rx| rx.recv_timeout(inner.cfg.watchdog)) {
             None => None,
-            Some(Ok(Reply { result: Ok(out) })) => {
+            Some(Ok(Reply { result: Ok(piece) })) if piece.len() == range.len() => {
                 inner.stats[s].served += 1;
-                done.push((out, s));
+                done.push((piece, s));
                 continue;
             }
+            // A piece of the wrong shape is a lie the assembly pass
+            // cannot check.
+            Some(Ok(Reply { result: Ok(_) })) => Some(LossCause::Lied),
             Some(Ok(Reply {
                 result: Err(ExecError::WorkerLost { .. }),
             })) => Some(LossCause::Panic),
@@ -553,30 +471,23 @@ fn run_phase<O: ScanOp<u64>>(
         if let Some(cause) = cause {
             lose(inner, healthy, s, cause, probing, clock);
         }
-        done.push(rescue::<O>(
-            inner,
-            data,
-            heads,
-            ranges[slot].clone(),
-            phase_for(slot),
-        )?);
+        done.push(rescue::<O>(inner, data, heads, range.clone())?);
     }
     Ok(done)
 }
 
-/// Recover a lost slot: compute it on the executor's own thread, with
-/// the kernels a shard job runs.
+/// Recover a lost range: compute its piece on the executor's own
+/// thread, with the kernel a shard job runs.
 fn rescue<O: ScanOp<u64>>(
     inner: &mut Inner,
     data: &[u64],
     heads: &Option<Arc<Vec<bool>>>,
     range: Range<usize>,
-    phase: Phase,
-) -> Result<(Output, usize), ShardError> {
+) -> Result<(Vec<u64>, usize), ShardError> {
     inner.recoveries += 1;
     inner.inline_rescues += 1;
     let heads = heads.as_deref().map(Vec::as_slice);
-    Ok((compute::<O>(data, heads, range, phase, None)?, INLINE))
+    Ok((piece::<O>(data, heads, range, None)?, INLINE))
 }
 
 #[cfg(test)]

@@ -10,13 +10,14 @@ pub struct ShardStatus {
     /// Whether the shard's supervisor thread is still reachable.
     pub alive: bool,
     /// Jobs this shard completed successfully (verified or not yet
-    /// verified).
+    /// verified); a run issues one job per range.
     pub served: u64,
     /// Losses attributed to contained worker panics.
     pub panics: u64,
     /// Losses attributed to watchdog timeouts.
     pub watchdog_losses: u64,
-    /// Results that failed the O(n) postcondition verification.
+    /// Pieces that failed the assembly pass's check or came back with
+    /// the wrong length.
     pub lies: u64,
     /// Losses attributed to a dead supervisor thread.
     pub disconnects: u64,
@@ -41,12 +42,13 @@ pub struct ShardHealth {
     /// Shard losses observed across all runs (every cause).
     pub losses: u64,
     /// Lost ranges the executor recomputed inline: one per range whose
-    /// shard panicked, missed the watchdog or was gone, in either
-    /// round. Each one is also counted in `inline_rescues`.
+    /// shard panicked, missed the watchdog, was gone or sent a piece of
+    /// the wrong length. Each one is also counted in `inline_rescues`.
     pub recoveries: u64,
     /// Ranges the executor computed itself: every recovery, plus every
-    /// range whose claimed result failed the assembly pass's check or
-    /// came back in the wrong shape.
+    /// range whose piece failed the assembly pass's check. A later
+    /// range whose carry a lie reached keeps its verified piece and
+    /// only gets the true carry applied again, which is not counted.
     pub inline_rescues: u64,
 }
 

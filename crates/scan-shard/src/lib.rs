@@ -1,13 +1,15 @@
 //! Sharded scan execution with shard-loss recovery.
 //!
-//! This crate lifts the paper's two-pass scan schedule one level up:
+//! This crate lifts the paper's block decomposition one level up:
 //! instead of blocks within one worker pool, a scan is partitioned
 //! into contiguous ranges fanned across several *shards* — independent
 //! supervisor threads, each running a sequential [`scan_core::Scan`]
-//! over its range, with the range's heads and carry
-//! ([`scan_core::Scan::heads`], [`scan_core::Scan::carry`]) — and the
-//! per-shard totals are combined by the same exclusive balanced-tree
-//! scan the paper uses for blocks ([`combine`]).
+//! over its range with the range's heads ([`scan_core::Scan::heads`])
+//! — in one round. Every shard scans its range from the identity, and
+//! the executor applies each range's carry while it assembles the
+//! output; the carries come from the totals the pieces claim, combined
+//! by the same exclusive balanced-tree scan the paper uses for blocks
+//! ([`combine`]).
 //!
 //! Shards are treated as untrusted executors: the only way in is a
 //! job channel, the only way out is a per-job reply channel, and loss
@@ -21,9 +23,11 @@
 //! range is recomputed inline with the same sequential range kernel;
 //! lying shards are caught by the parallel pass that assembles the
 //! output and checks every element of it, their ranges are recomputed
-//! inline, and they are quarantined behind a [`scan_fault::Breaker`]
-//! until a probe run readmits them. When no shard is admitted, the run
-//! degrades to the single-pool kernels.
+//! inline, later ranges that a lie reached through its claimed total
+//! get their true carry applied again, and the liars are quarantined
+//! behind a [`scan_fault::Breaker`] until a probe run readmits them.
+//! When no shard is admitted, the run degrades to the single-pool
+//! kernels.
 //!
 //! ```
 //! use scan_shard::{ScanKind, ShardConfig, ShardedExecutor};

@@ -1,5 +1,8 @@
 //! Shard supervisors: one long-lived thread per shard, each running
-//! scan-core's sequential range kernels on its own thread.
+//! scan-core's sequential range kernel on its own thread. A job is one
+//! range's piece: the range's exclusive scan from the identity, which
+//! the executor's assembly pass checks and completes with the range's
+//! carry.
 //!
 //! A shard is deliberately structured like a remote executor even
 //! though it lives in-process: the only way in is a job message over a
@@ -26,44 +29,23 @@ use scan_core::parallel::Schedule;
 use scan_core::{ExecError, Max, Scan, ScanDeadline, ScanKind, Sum};
 use scan_fault::ChaosEvent;
 
-use crate::combine::compute;
-
-/// Which half of the two-round sharded scan a job runs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Phase {
-    /// Fold the range to the shard's pair total.
-    Reduce,
-    /// Produce the exclusive scan of the range seeded with `carry`.
-    Scan {
-        /// Pair carry: combination of everything before the range.
-        carry: (u64, bool),
-    },
-}
-
-/// What a successful job returns.
-#[derive(Debug)]
-pub(crate) enum Output {
-    /// Reduce round: the range's pair total.
-    Total((u64, bool)),
-    /// Scan round: the exclusive scan of the range.
-    Scanned(Vec<u64>),
-}
+use crate::combine::piece;
 
 /// A job's reply, sent on the job's own channel. The executor knows
 /// which shard a reply channel belongs to, so the reply carries only
-/// the result.
+/// the result: the range's piece.
 #[derive(Debug)]
 pub(crate) struct Reply {
-    pub result: Result<Output, ExecError>,
+    pub result: Result<Vec<u64>, ExecError>,
 }
 
-/// One unit of work for a shard.
+/// One unit of work for a shard: the range's piece, its exclusive scan
+/// from the identity.
 pub(crate) struct Job {
     pub kind: ScanKind,
     pub data: Arc<Vec<u64>>,
     pub heads: Option<Arc<Vec<bool>>>,
     pub range: Range<usize>,
-    pub phase: Phase,
     /// Chaos event scheduled for this job (`None` when quiet).
     pub inject: ChaosEvent,
     pub deadline: Option<ScanDeadline>,
@@ -163,27 +145,19 @@ fn shard_loop(rx: Receiver<Job>) {
         let lie = matches!(job.inject, ChaosEvent::CarryCorrupt | ChaosEvent::Lie);
         let heads = job.heads.as_deref().map(Vec::as_slice);
         let (range, deadline) = (job.range.clone(), job.deadline.as_ref());
-        let result = match job.kind {
-            ScanKind::Sum => compute::<Sum>(&job.data, heads, range, job.phase, deadline),
-            ScanKind::Max => compute::<Max>(&job.data, heads, range, job.phase, deadline),
+        let mut result = match job.kind {
+            ScanKind::Sum => piece::<Sum>(&job.data, heads, range, deadline),
+            ScanKind::Max => piece::<Max>(&job.data, heads, range, deadline),
         };
-        let result = result.map(|out| if lie { corrupt(out) } else { out });
-        let _ = job.reply.send(Reply { result });
-    }
-}
-
-/// Flip one bit of the result — a lying shard. The corruption is
-/// minimal on purpose: the O(n) verifier must catch even a single
-/// flipped bit in a carry or an output element.
-fn corrupt(out: Output) -> Output {
-    match out {
-        Output::Total((v, f)) => Output::Total((v ^ 1, f)),
-        Output::Scanned(mut v) => {
-            if let Some(x) = v.first_mut() {
-                *x ^= 1;
-            }
-            Output::Scanned(v)
+        if let (true, Ok(Some(last))) = (lie, result.as_mut().map(|p| p.last_mut())) {
+            // A lying shard: one flipped bit, in the element the
+            // range's claimed total is read from, so the lie also
+            // reaches the carries of every later range. The corruption
+            // is minimal on purpose: the assembly pass must catch even
+            // a single flipped bit.
+            *last ^= 1;
         }
+        let _ = job.reply.send(Reply { result });
     }
 }
 
@@ -206,7 +180,6 @@ mod tests {
                 data: Arc::clone(&data),
                 heads: None,
                 range: 0..data.len(),
-                phase: Phase::Reduce,
                 inject,
                 deadline: None,
                 reply: tx,
@@ -223,10 +196,8 @@ mod tests {
         // ...and the shard keeps serving afterwards.
         let rx = send(&mut shard, ChaosEvent::None);
         let reply = rx.recv().unwrap();
-        match reply.result {
-            Ok(Output::Total(t)) => assert_eq!(t, (50 * 51 / 2, false)),
-            other => panic!("expected a clean total, got {other:?}"),
-        }
+        let want: Vec<u64> = (0..50u64).map(|i| i * (i + 1) / 2).collect();
+        assert_eq!(reply.result, Ok(want));
         assert!(shard.alive());
     }
 }

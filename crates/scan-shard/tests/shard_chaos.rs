@@ -78,18 +78,18 @@ fn stalled_shard_trips_watchdog() {
 }
 
 /// Every lost range takes the one recovery path: the executor
-/// recomputes it inline, in the round it was lost and in every later
-/// round of the run, and hands it to no other shard.
+/// recomputes it inline and hands it to no other shard.
 #[test]
 fn lost_ranges_are_recomputed_inline() {
-    // Shard-job clock: 1 → shard 0, 2 → shard 1 (killed), 3 → shard 2
-    // in the reduce round; 4 → shard 0 (killed), 5 → shard 2 in the
-    // scan round, where shard 1's range gets no job at all.
+    // Shard-job clock, one job per range: 1 → shard 0, 2 → shard 1
+    // (killed), 3 → shard 2, 4 → shard 3 (killed). Handing a lost
+    // range to another shard would issue job 5 and 6, and show up as
+    // a third `served` or a third loss.
     let plan = ChaosPlan {
         shard_kill_every: 2,
         ..ChaosPlan::quiet(7)
     };
-    let ex = ShardedExecutor::new(cfg(3, plan));
+    let ex = ShardedExecutor::new(cfg(4, plan));
     let a = data(1000);
     assert_eq!(
         ex.scan(ScanKind::Sum, &a).unwrap(),
@@ -108,17 +108,22 @@ fn lost_ranges_are_recomputed_inline() {
         skipped: 0,
     };
     let want = ShardHealth {
-        shards: vec![shard(false, 1, 1), shard(false, 0, 1), shard(true, 2, 0)],
+        shards: vec![
+            shard(true, 1, 0),
+            shard(false, 0, 1),
+            shard(true, 1, 0),
+            shard(false, 0, 1),
+        ],
         runs: 1,
         degraded_runs: 0,
         losses: 2,
-        recoveries: 3,
-        inline_rescues: 3,
+        recoveries: 2,
+        inline_rescues: 2,
     };
     assert_eq!(ex.health(), want);
 
-    // Both shards stall past the watchdog in the reduce round: all four
-    // ranges (two per round) are recovered inline, none is served.
+    // Both shards stall past the watchdog: both ranges are recovered
+    // inline, none is served.
     let plan = ChaosPlan {
         shard_delay_every: 1,
         delay_us: 100_000,
@@ -134,7 +139,7 @@ fn lost_ranges_are_recomputed_inline() {
         scan_core::scan::<Sum, _>(&a)
     );
     let h = ex.health();
-    assert_eq!((h.recoveries, h.inline_rescues), (4, 4), "{h:?}");
+    assert_eq!((h.recoveries, h.inline_rescues), (2, 2), "{h:?}");
     assert!(h.shards.iter().all(|s| s.served == 0), "{h:?}");
 }
 
@@ -211,6 +216,55 @@ fn lying_shard_is_quarantined_then_probed_back() {
         h.shards.iter().all(|s| s.alive),
         "lying shards are quarantined, not killed: {h:?}"
     );
+}
+
+/// A lie in the last element of a piece also reaches the claimed carry
+/// of every later range. The liar's range is recomputed inline, the
+/// later ranges' verified pieces get the true carry applied again,
+/// the output stays bit-equal, and only the liar is blamed.
+#[test]
+fn lie_in_a_last_element_is_repaired_downstream() {
+    // Shard-job clock: run 1 lies at job 2 (shard 1, the middle
+    // range); run 2 at jobs 4 (shard 0, the first range) and 6
+    // (shard 2, the final one).
+    let plan = ChaosPlan {
+        carry_corrupt_every: 2,
+        ..ChaosPlan::quiet(37)
+    };
+    let ex = ShardedExecutor::new(cfg(3, plan));
+    let a = data(300);
+    assert_eq!(
+        ex.scan(ScanKind::Sum, &a).unwrap(),
+        scan_core::scan::<Sum, _>(&a)
+    );
+    // The only head sits in the last range, so that range takes the
+    // first range's lie through its carry up to element 250.
+    let heads: Vec<bool> = (0..a.len()).map(|i| i == 250).collect();
+    assert_eq!(
+        ex.seg_scan(ScanKind::Sum, &a, &heads).unwrap(),
+        scan_core::seg_scan::<Sum, u64>(&a, &Segments::from_flags(heads.clone()))
+    );
+    let shard = |lies| ShardStatus {
+        state: BreakerState::Closed,
+        alive: true,
+        served: 2,
+        panics: 0,
+        watchdog_losses: 0,
+        lies,
+        disconnects: 0,
+        quarantines: 0,
+        probes: 0,
+        skipped: 0,
+    };
+    let want = ShardHealth {
+        shards: vec![shard(1), shard(1), shard(1)],
+        runs: 2,
+        degraded_runs: 0,
+        losses: 3,
+        recoveries: 0,
+        inline_rescues: 3,
+    };
+    assert_eq!(ex.health(), want);
 }
 
 /// When the plan kills every shard, the executor finishes the first
@@ -360,6 +414,14 @@ fn attribution_scenario(shards: usize, every: u64) -> (String, ShardHealth) {
 /// 2, 3 and 5), each compared field by field with a pinned outcome
 /// string and health. Any change to how lies are detected, repaired or
 /// blamed shows up as a different `inline_rescues`, `lies` or `served`.
+///
+/// A run issues one job per range, so every shard serves 8 jobs, and
+/// job `j` goes to shard `(j - 1) % shards`. A lie flips the last
+/// element of the job's piece, which fails the check at that range
+/// only: each shard's `lies` counts the multiples of the period among
+/// its jobs, and `inline_rescues` is their sum. The later ranges whose
+/// carry the lie reached get the true carry applied again, which is
+/// not a rescue.
 #[test]
 fn lie_attribution_is_pinned() {
     /// `(shards, carry_corrupt_every, outcomes, inline_rescues,
@@ -367,22 +429,22 @@ fn lie_attribution_is_pinned() {
     type Row = (usize, u64, &'static str, u64, &'static [(u64, u64)]);
     #[rustfmt::skip]
     const PINNED: [Row; 16] = [
-        (1, 1, "........", 8, &[(16, 16)]),
-        (1, 2, "........", 8, &[(16, 8)]),
-        (1, 3, "........", 2, &[(16, 5)]),
-        (1, 5, "........", 1, &[(16, 3)]),
-        (2, 1, "........", 16, &[(16, 16), (16, 8)]),
-        (2, 2, "........", 8, &[(16, 0), (16, 16)]),
-        (2, 3, "........", 5, &[(16, 5), (16, 3)]),
-        (2, 5, "........", 3, &[(16, 3), (16, 3)]),
-        (3, 1, "........", 23, &[(16, 16), (16, 8), (16, 9)]),
-        (3, 2, "........", 15, &[(16, 8), (16, 8), (16, 1)]),
-        (3, 3, "........", 8, &[(16, 0), (16, 0), (16, 16)]),
-        (3, 5, "........", 7, &[(16, 3), (16, 3), (16, 2)]),
-        (4, 1, "........", 31, &[(16, 16), (16, 8), (16, 9), (16, 8)]),
-        (4, 2, "........", 20, &[(16, 0), (16, 16), (16, 0), (16, 13)]),
-        (4, 3, "........", 17, &[(16, 5), (16, 5), (16, 5), (16, 4)]),
-        (4, 5, "........", 6, &[(16, 3), (16, 2), (16, 1), (16, 2)]),
+        (1, 1, "........", 8, &[(8, 8)]),
+        (1, 2, "........", 4, &[(8, 4)]),
+        (1, 3, "........", 2, &[(8, 2)]),
+        (1, 5, "........", 1, &[(8, 1)]),
+        (2, 1, "........", 16, &[(8, 8), (8, 8)]),
+        (2, 2, "........", 8, &[(8, 0), (8, 8)]),
+        (2, 3, "........", 5, &[(8, 3), (8, 2)]),
+        (2, 5, "........", 3, &[(8, 2), (8, 1)]),
+        (3, 1, "........", 24, &[(8, 8), (8, 8), (8, 8)]),
+        (3, 2, "........", 12, &[(8, 4), (8, 4), (8, 4)]),
+        (3, 3, "........", 8, &[(8, 0), (8, 0), (8, 8)]),
+        (3, 5, "........", 4, &[(8, 1), (8, 2), (8, 1)]),
+        (4, 1, "........", 32, &[(8, 8), (8, 8), (8, 8), (8, 8)]),
+        (4, 2, "........", 16, &[(8, 0), (8, 8), (8, 0), (8, 8)]),
+        (4, 3, "........", 10, &[(8, 2), (8, 3), (8, 3), (8, 2)]),
+        (4, 5, "........", 6, &[(8, 2), (8, 2), (8, 1), (8, 1)]),
     ];
     let grid = (1..=4usize).flat_map(|shards| [1u64, 2, 3, 5].map(|every| (shards, every)));
     for ((shards, every), row) in grid.zip(PINNED) {
