@@ -10,29 +10,22 @@
 //! `Ctx` machine are unchanged (see [`Ctx::multi_split`][Ctx]): fusion
 //! is an execution detail, not a different scan-model algorithm.
 //!
-//! Each pass moves every key once in and once out. Pass 1 reads the
-//! caller's keys (or the zipped pairs) directly, and both ping-pong
-//! buffers are zeroed allocations, whose pages the OS maps on first
-//! write, so no copy of the input precedes the first pass. Both are
-//! advised onto transparent huge pages before that write
-//! ([`advise_huge_pages`]), so a 32 MiB buffer faults about 528 times
-//! instead of 8193. From a 16 MiB output on, on a host with streaming
-//! stores, the scatter writes whole output lines with them (DESIGN.md
-//! §11). Key widths above 64 sort as 64: every `u64` key fits.
+//! Pass 1 reads the caller's keys (or the zipped pairs) directly, and
+//! every fresh buffer is a zeroed allocation, advised onto transparent
+//! huge pages ([`advise_huge_pages`]) before its first write, so a
+//! 32 MiB buffer faults about 528 times instead of 8193. From a 16 MiB
+//! output on, on a host with streaming stores, the scatter writes whole
+//! output lines with them. Key widths above 64 sort as 64.
 //!
-//! [`fused_radix_sort`] and [`try_fused_radix_sort`] sort large inputs
-//! split-first, as the paper's segmented quicksort (§2.3.1) splits once
-//! and then sorts every segment on its own. Where a 2048-bucket pass
-//! over the keys stages and streams its lines (from 2^21 keys on a host
-//! with streaming stores), one pooled split on the keys' top digit of
-//! at most 11 bits writes the one fresh output, and every bucket is
-//! then sorted in place on the bits below that digit: buckets of at
-//! most 2^16 keys by a sequential LSD in cache, many to a pool task,
-//! larger ones by pooled `multi_split` passes. The top digit ends at the
-//! highest set bit of the keys' OR, so keys declared wider than they
-//! are do not spend the split on zero bits. Everywhere else (below
-//! 16 MiB of keys, under `SCAN_CORE_SIMD=0`, off `x86_64`) they run
-//! 8-bit digit passes (DESIGN.md §11).
+//! [`fused_radix_sort`] and [`try_fused_radix_sort`] sort split-first
+//! at every size and on every host, as the paper's segmented quicksort
+//! (§2.3.1) splits once and then sorts every segment on its own. One
+//! pooled split on the top digit below the keys' highest set bit, sized
+//! so that buckets hold about 2^11 keys, writes the one fresh output;
+//! every bucket is then sorted in place on the bits below that digit,
+//! in cache up to 2^16 keys, many buckets to a pool task. Below 2^13
+//! keys there is no split: the keys are sorted as one bucket, on the
+//! calling thread (DESIGN.md §11).
 
 use scan_core::multi_split::{
     multi_split_into, stages, try_multi_split_into, MultiSplitScratch, MAX_STAGED_BUCKETS,
@@ -44,11 +37,21 @@ use std::borrow::Cow;
 use std::convert::Infallible;
 use std::sync::{Mutex, PoisonError};
 
-/// Largest bucket, in keys, that the split-first sort sorts in cache:
-/// 2^16 `u64` keys are 512 KiB, so a bucket and its scratch fit one
-/// core's 2 MiB L2 (the 2-vCPU Xeon guest the sort was tuned on).
-/// Larger buckets take pooled `multi_split` passes.
+/// Largest bucket, in keys, sorted in cache: 2^16 `u64` keys are
+/// 512 KiB, so a bucket and its scratch fit one core's 2 MiB L2 (the
+/// 2-vCPU Xeon guest the sort was tuned on), and its positions fit
+/// [`InCache`]'s `u32` counters. Larger buckets take pooled passes.
 const CACHE_BUCKET: usize = 1 << 16;
+
+/// The keys a bucket of the split aims to hold, as a power of two: 2^11
+/// keys and their scratch stay in L1, and 22 bits of them take 2 passes.
+const BUCKET_BITS: u32 = 11;
+
+/// Fewest keys [`fused_radix_sort`] splits. Fewer are sorted as one
+/// bucket, in cache on the calling thread, with no pool task: below
+/// about 2^13 keys of 16 to 64 bits a split cost more than it saved, at
+/// pool widths 1 and 2 (DESIGN.md §11).
+const SPLIT_FROM: usize = 1 << 13;
 
 /// The OR of all keys, which holds every bit a key uses, or `Err` with
 /// the first key that does not fit in `key_bits` bits. One pooled OR
@@ -82,24 +85,26 @@ fn wide_digit(key_bits: u32) -> u32 {
     key_bits.div_ceil(key_bits.div_ceil(MAX_STAGED_BUCKETS.ilog2()))
 }
 
-/// The digit width of `n` keys of `key_bits` bits, where `stream` says
-/// whether this host streams `multi_split`'s lines: [`wide_digit`] when
-/// a 2048-bucket pass over the keys takes the staged scatter, otherwise
-/// 8 bits. Both are capped at `key_bits`. [`split_first`]'s buckets
-/// above [`CACHE_BUCKET`] keys take it.
+/// The width of the split digit of `n` keys whose OR is `bits` wide: 0,
+/// no split, below [`SPLIT_FROM`] keys or for no bits; otherwise
+/// [`wide_digit`] of `bits`, narrowed so that a bucket holds about
+/// 2^[`BUCKET_BITS`] keys.
+fn split_digit(bits: u32, n: usize) -> u32 {
+    if bits == 0 || n < SPLIT_FROM {
+        return 0;
+    }
+    wide_digit(bits).min(n.ilog2() - BUCKET_BITS)
+}
+
+/// The digit width of the pooled passes over a bucket of more than
+/// [`CACHE_BUCKET`] keys, `n` of them with `key_bits` bits left, where
+/// `stream` says whether this host streams `multi_split`'s lines:
+/// [`wide_digit`] where a 2048-bucket pass stages, otherwise 8 bits.
 fn digit_bits(key_bits: u32, n: usize, stream: bool) -> u32 {
     if !stages::<u64>(n, MAX_STAGED_BUCKETS, stream) {
         return key_bits.clamp(1, 8);
     }
     wide_digit(key_bits)
-}
-
-/// Whether [`fused_radix_sort`] and [`try_fused_radix_sort`] sort `n`
-/// keys [`split_first`], where `stream` says whether this host streams
-/// `multi_split`'s lines: exactly where a 2048-bucket pass over them
-/// takes the staged scatter, so the split streams the one fresh output.
-fn splits_first(n: usize, stream: bool) -> bool {
-    stages::<u64>(n, MAX_STAGED_BUCKETS, stream)
 }
 
 /// A key's `width`-bit digit at bit `shift`, as a bucket id.
@@ -180,13 +185,14 @@ where
     Ok(a)
 }
 
-/// The split-first sort of `keys`, whose OR is `or`. One split on the
-/// top [`wide_digit`] of the OR's width writes the one fresh output,
-/// advised onto transparent huge pages; every bucket is then sorted in
-/// place on the bits below that digit. Buckets of at most
-/// [`CACHE_BUCKET`] keys go, about 16 tasks' worth per pool lane, to
-/// [`sort_in_cache`]; each larger one takes `pass`es at [`digit_bits`]'
-/// width, ping-ponging with one scratch shared by all of them.
+/// The split-first sort of `keys`, whose OR is `or`. Below
+/// [`SPLIT_FROM`] keys, one copy of them is sorted as one bucket, on
+/// the calling thread. Otherwise one split on the top [`split_digit`]
+/// of the OR's width writes the one fresh, huge-page-advised output,
+/// and every bucket is then sorted in place on the bits below it:
+/// buckets of at most [`CACHE_BUCKET`] keys by [`InCache`], about 16
+/// tasks' worth per pool lane, and each larger one by `pass`es at
+/// [`digit_bits`]' width, with one scratch shared by all of them.
 ///
 /// `pass(src, dst, shift, width)` splits `src` into `dst` by the
 /// `width`-bit digit at bit `shift` and returns the bucket counts;
@@ -198,10 +204,12 @@ fn split_first<E>(
     fan_out: impl FnOnce(usize, &(dyn Fn(usize) + Sync)) -> core::result::Result<(), E>,
 ) -> core::result::Result<Vec<u64>, E> {
     let bits = u64::BITS - or.leading_zeros();
-    if bits == 0 {
-        return Ok(keys.to_vec());
+    let top = split_digit(bits, keys.len());
+    if top == 0 {
+        let mut out = keys.to_vec();
+        InCache::default().sort(&mut out, bits);
+        return Ok(out);
     }
-    let top = wide_digit(bits);
     let low = bits - top;
     let mut out = vec![0u64; keys.len()];
     advise_huge_pages(&mut out);
@@ -241,7 +249,10 @@ fn split_first<E>(
     fan_out(tasks.len(), &|i| {
         if let Some(group) = tasks.get(i) {
             let mut group = group.lock().unwrap_or_else(PoisonError::into_inner);
-            sort_in_cache(&mut group, low);
+            let mut lsd = InCache::default();
+            for bucket in group.iter_mut() {
+                lsd.sort(bucket, low);
+            }
         }
     })?;
     drop(tasks); // ends the groups' borrows of `out`
@@ -268,42 +279,76 @@ fn split_first<E>(
     Ok(out)
 }
 
-/// Sorts each of `buckets` on its low `bits` bits, one at a time, by a
-/// sequential LSD on byte digits, whose 256 counters stay in L1. Each
-/// digit's pass reads the bucket once for its histogram, then moves it
-/// into a scratch sized to the largest bucket, or back; an odd last
-/// pass copies it home.
-fn sort_in_cache(buckets: &mut [&mut [u64]], bits: u32) {
-    let passes = bits.div_ceil(u8::BITS);
-    if passes == 0 {
-        return;
+/// The in-cache LSD of buckets of at most [`CACHE_BUCKET`] keys, with
+/// one task's scratch, reused from bucket to bucket.
+#[derive(Default)]
+struct InCache {
+    /// The buffer each pass moves a bucket into, or back out of.
+    tmp: Vec<u64>,
+    /// One row of digit counters per pass.
+    counts: Vec<u32>,
+}
+
+impl InCache {
+    /// The passes and the digit width of the LSD of `m` keys on `bits`
+    /// bits: as few passes as digits of up to `c` bits need, where
+    /// `c = ⌈log2 m⌉` clamped to `3..=11`, each of the width that
+    /// balances them, and the last of the bits left. A digit then has
+    /// about as many counters as the bucket has keys, at most 2048.
+    fn digits(m: usize, bits: u32) -> (u32, u32) {
+        let c = m.next_power_of_two().ilog2().clamp(3, BUCKET_BITS);
+        let passes = bits.div_ceil(c);
+        (passes, bits.div_ceil(passes))
     }
-    let width = bits.div_ceil(passes);
-    let digit = |k: u64, shift: u32| usize::from(((k >> shift) & ((1 << width) - 1)) as u8);
-    let mut tmp = vec![0u64; buckets.iter().map(|b| b.len()).max().unwrap_or(0)];
-    let mut count = [0usize; 1 << u8::BITS];
-    for keys in buckets.iter_mut() {
-        let Some(tmp) = tmp.get_mut(..keys.len()) else {
-            continue;
+
+    /// Sorts `keys`, whose bits above the low `bits` are all equal, on
+    /// those low bits. Each read of `keys` counts the digits of two
+    /// passes, into rows of `u32` counters; each pass then moves them
+    /// into `tmp`, or back, and an odd last pass copies them home.
+    fn sort(&mut self, keys: &mut [u64], bits: u32) {
+        let m = keys.len();
+        if m < 2 || bits == 0 {
+            return;
+        }
+        let (passes, width) = Self::digits(m, bits);
+        let radix = 1usize << width;
+        self.tmp.resize(self.tmp.len().max(m), 0);
+        let Some(tmp) = self.tmp.get_mut(..m) else {
+            return;
         };
-        let (mut src, mut dst) = (&mut **keys, &mut *tmp);
-        for shift in (0..passes).map(|p| p * width) {
-            count.fill(0);
-            for &k in src.iter() {
-                if let Some(c) = count.get_mut(digit(k, shift)) {
+        // One row per pass, the last one only as wide as its digit.
+        let last = bits - (passes - 1) * width;
+        self.counts.clear();
+        self.counts
+            .resize((passes as usize - 1) * radix + (1 << last), 0);
+        let pairs = self.counts.chunks_mut(2 * radix);
+        for (pair, shift) in pairs.zip((0..u64::BITS).step_by(2 * width as usize)) {
+            let (lo, hi) = pair.split_at_mut(radix.min(pair.len()));
+            let (lo_mask, hi_mask) = (lo.len() - 1, hi.len().wrapping_sub(1));
+            for &k in keys.iter() {
+                let k = (k >> shift) as usize;
+                if let Some(c) = lo.get_mut(k & lo_mask) {
+                    *c += 1;
+                }
+                if let Some(c) = hi.get_mut(k >> width & hi_mask) {
                     *c += 1;
                 }
             }
-            // Each digit's count becomes its first position.
+        }
+        // Each digit's count becomes its first position.
+        for row in self.counts.chunks_mut(radix) {
             let mut at = 0;
-            for c in count.iter_mut() {
-                let m = *c;
-                *c = at;
-                at += m;
+            for c in row {
+                (*c, at) = (at, at + *c);
             }
+        }
+        let (mut src, mut dst) = (&mut *keys, &mut *tmp);
+        let rows = self.counts.chunks_mut(radix);
+        for (row, shift) in rows.zip((0..u64::BITS).step_by(width as usize)) {
+            let mask = row.len() - 1;
             for &k in src.iter() {
-                if let Some(c) = count.get_mut(digit(k, shift)) {
-                    if let Some(slot) = dst.get_mut(*c) {
+                if let Some(c) = row.get_mut((k >> shift) as usize & mask) {
+                    if let Some(slot) = dst.get_mut(*c as usize) {
                         *slot = k;
                     }
                     *c += 1;
@@ -334,7 +379,6 @@ pub fn fused_radix_sort_digits_ctx(
     let key_bits = expect_key_width(keys, key_bits);
     let n = keys.len();
     let buckets = 1usize << digit_bits;
-    let mask = (buckets - 1) as u64;
     let mut scratch = MultiSplitScratch::new();
     let pass = |src: &[u64], dst: &mut [u64], shift: u32| {
         // Same charges as the enumerate-per-bucket schedule (see
@@ -347,13 +391,7 @@ pub fn fused_radix_sort_digits_ctx(
         }
         ctx.charge_elementwise_op(n);
         ctx.charge_permute_op(n);
-        multi_split_into(
-            src,
-            dst,
-            buckets,
-            move |k| ((k >> shift) & mask) as usize,
-            &mut scratch,
-        );
+        multi_split_into(src, dst, buckets, digit_at(shift, digit_bits), &mut scratch);
         Ok::<_, Infallible>(())
     };
     let Ok(sorted) = ping_pong(Cow::Borrowed(keys), key_bits, digit_bits, pass);
@@ -366,28 +404,16 @@ pub fn fused_radix_sort_digits(keys: &[u64], key_bits: u32, digit_bits: u32) -> 
     fused_radix_sort_digits_ctx(&mut ctx, keys, key_bits, digit_bits)
 }
 
-/// Fused radix sort — the engine's production sort path. Where a
-/// 2048-bucket pass over the keys stages its lines (from 2^21 keys on a
-/// host with streaming stores), it sorts split-first: one split on the
-/// top digit of at most 11 bits below the keys' highest set bit, then
-/// every bucket sorted in place, in cache up to 2^16 keys. Otherwise it
-/// runs 8-bit digit passes, capped at `key_bits`.
+/// Fused radix sort — the engine's production sort path, split-first
+/// at every size and on every host. Below 2^13 keys it sorts one copy
+/// of them in cache, on the calling thread. Otherwise one pooled split
+/// on the top digit below the keys' highest set bit, of at most 11 bits
+/// and sized so that buckets hold about 2^11 keys, writes the output,
+/// and every bucket is then sorted in place, in cache up to 2^16 keys.
 ///
 /// # Panics
 /// If a key exceeds `key_bits` bits.
 pub fn fused_radix_sort(keys: &[u64], key_bits: u32) -> Vec<u64> {
-    let stream = simd::stream_lines();
-    if splits_first(keys.len(), stream) {
-        return split_first_sort(keys, key_bits);
-    }
-    fused_radix_sort_digits(keys, key_bits, digit_bits(key_bits, keys.len(), stream))
-}
-
-/// [`split_first`] for the infallible sort, at any size.
-///
-/// # Panics
-/// If a key exceeds `key_bits` bits.
-fn split_first_sort(keys: &[u64], key_bits: u32) -> Vec<u64> {
     let or = expect_fits(keys_or(keys, key_bits), key_bits);
     let mut scratch = MultiSplitScratch::new();
     let pass = |src: &[u64], dst: &mut [u64], shift: u32, width: u32| {
@@ -416,18 +442,11 @@ pub fn fused_radix_sort_pairs_digits(
     assert!((1..=16).contains(&digit_bits), "digit width must be 1..=16");
     assert_eq!(keys.len(), payloads.len(), "pairs length mismatch");
     let key_bits = expect_key_width(keys, key_bits);
-    let buckets = 1usize << digit_bits;
-    let mask = (buckets - 1) as u64;
     let pairs: Vec<(u64, u64)> = keys.iter().copied().zip(payloads.iter().copied()).collect();
     let mut scratch = MultiSplitScratch::new();
     let pass = |src: &[(u64, u64)], dst: &mut [(u64, u64)], shift: u32| {
-        multi_split_into(
-            src,
-            dst,
-            buckets,
-            move |(k, _)| ((k >> shift) & mask) as usize,
-            &mut scratch,
-        );
+        let (key, n) = (digit_at(shift, digit_bits), 1 << digit_bits);
+        multi_split_into(src, dst, n, move |(k, _)| key(k), &mut scratch);
         Ok::<_, Infallible>(())
     };
     let Ok(sorted) = ping_pong(Cow::Owned(pairs), key_bits, digit_bits, pass);
@@ -453,37 +472,18 @@ pub fn try_fused_radix_sort_digits(
     assert!((1..=16).contains(&digit_bits), "digit width must be 1..=16");
     scan_core::deadline::checkpoint()?;
     let key_bits = check_key_width(keys, key_bits)?;
-    let buckets = 1usize << digit_bits;
-    let mask = (buckets - 1) as u64;
     let mut scratch = MultiSplitScratch::new();
     let pass = |src: &[u64], dst: &mut [u64], shift: u32| {
-        try_multi_split_into(
-            src,
-            dst,
-            buckets,
-            move |k| ((k >> shift) & mask) as usize,
-            &mut scratch,
-        )
-        .map(drop)
+        let key = digit_at(shift, digit_bits);
+        try_multi_split_into(src, dst, 1 << digit_bits, key, &mut scratch).map(drop)
     };
     ping_pong(Cow::Borrowed(keys), key_bits, digit_bits, pass)
 }
 
-/// Checked fused sort on [`fused_radix_sort`]'s path, split-first
-/// where that sort splits first, with [`try_fused_radix_sort_digits`]'
-/// typed errors: its splits, and the pool tasks that sort its buckets,
-/// run under the ambient deadline.
+/// Checked fused sort on [`fused_radix_sort`]'s path, with
+/// [`try_fused_radix_sort_digits`]' typed errors: its splits, and the
+/// pool tasks that sort its buckets, run under the ambient deadline.
 pub fn try_fused_radix_sort(keys: &[u64], key_bits: u32) -> Result<Vec<u64>> {
-    let stream = simd::stream_lines();
-    if splits_first(keys.len(), stream) {
-        return try_split_first_sort(keys, key_bits);
-    }
-    try_fused_radix_sort_digits(keys, key_bits, digit_bits(key_bits, keys.len(), stream))
-}
-
-/// [`split_first`] for the checked sort, at any size: its passes and
-/// its tasks run under the ambient deadline.
-fn try_split_first_sort(keys: &[u64], key_bits: u32) -> Result<Vec<u64>> {
     scan_core::deadline::checkpoint()?;
     let or = check_fits(keys_or(keys, key_bits), key_bits)?;
     let deadline = scan_core::deadline::current();
@@ -683,43 +683,124 @@ mod tests {
 
     #[test]
     fn wide_digits_exactly_where_a_2048_bucket_pass_stages() {
-        // 2^21 `u64` keys are 16 MiB, the staged scatter's cutoff. Below
-        // it, or without streaming stores, the digits stay at 8 bits.
+        // Only buckets of more than 2^16 keys take pooled passes, with
+        // 1 to 63 bits left below the split digit. 2^21 `u64` keys are
+        // 16 MiB, the staged scatter's cutoff. Below it, or without
+        // streaming stores, the digits stay at 8 bits.
         let cut = 1 << 21;
-        for (bits, wide, passes) in [(8u32, 8u32, 1u32), (16, 8, 2), (32, 11, 3), (64, 11, 6)] {
+        for (bits, wide, passes) in [(8u32, 8u32, 1u32), (16, 8, 2), (32, 11, 3), (63, 11, 6)] {
             let w = digit_bits(bits, cut, true);
             assert_eq!((w, bits.div_ceil(w)), (wide, passes), "key_bits={bits}");
             assert_eq!(digit_bits(bits, cut - 1, true), 8, "key_bits={bits}");
             assert_eq!(digit_bits(bits, cut, false), 8, "key_bits={bits}");
         }
-        // Widths above 64 count as 64; zero bits still name a digit.
-        assert_eq!(digit_bits(u32::MAX, cut, true), 11);
-        assert_eq!(digit_bits(0, cut, true), 1);
     }
 
     #[test]
-    fn split_first_exactly_where_a_2048_bucket_pass_stages() {
-        let cut = 1 << 21;
-        assert!(splits_first(cut, true));
-        assert!(splits_first(cut + 1, true));
-        assert!(!splits_first(cut - 1, true));
-        assert!(!splits_first(cut, false));
-        assert!(!splits_first(0, true));
+    fn split_digit_fills_buckets_of_about_2048_keys() {
+        // Below 2^13 keys, and for keys with no bits, nothing splits.
+        for (bits, at_cut) in [(1u32, 1u32), (8, 2), (32, 2), (64, 2)] {
+            assert_eq!(split_digit(bits, 0), 0, "key_bits={bits}");
+            assert_eq!(split_digit(bits, 8191), 0, "key_bits={bits}");
+            assert_eq!(split_digit(bits, 8192), at_cut, "key_bits={bits}");
+        }
+        assert_eq!(split_digit(0, 1 << 22), 0);
+        // Above it, 2^11 keys a bucket, up to the widest balanced digit
+        // of at most 11 bits of the OR's width.
+        for (bits, n, top) in [
+            (32u32, (1usize << 14) - 1, 2u32),
+            (32, (1 << 14) + 1, 3),
+            (32, 1 << 17, 6),
+            (32, 1 << 20, 9),
+            (32, (1 << 21) - 1, 9),
+            (32, 1 << 21, 10),
+            (32, 1 << 22, 11),
+            (32, 1 << 24, 11),
+            (64, 1 << 30, 11),
+            (21, 1 << 22, 11),
+            (12, 1 << 22, 6),
+            (12, 1 << 14, 3),
+            (3, 1 << 22, 3),
+        ] {
+            assert_eq!(split_digit(bits, n), top, "key_bits={bits}, n={n}");
+        }
     }
 
-    /// Both split-first entries on `ks` declared `key_bits` wide, against
+    /// Keys of `bits` bits from `seed`, with the bits above them set to
+    /// one tag, as a bucket of the split holds them.
+    fn bucket(seed: u64, m: usize, bits: u32) -> Vec<u64> {
+        let tag = 0x5A5A_5A5A_5A5A_5A5A_u64.checked_shl(bits).unwrap_or(0);
+        keys(seed, m, bits).into_iter().map(|k| tag | k).collect()
+    }
+
+    #[test]
+    fn in_cache_lsd_sorts_every_length_and_width() {
+        let mut lsd = InCache::default();
+        let mut parities = [false; 2];
+        for m in [0usize, 1, 2, 3, 7, 2047, 2048, 2049, CACHE_BUCKET] {
+            for bits in [1u32, 8, 10, 11, 12, 21, 22, 53, 64] {
+                let mut ks = bucket(u64::from(bits) << 20 | m as u64, m, bits);
+                let mut want = ks.clone();
+                want.sort_unstable();
+                lsd.sort(&mut ks, bits);
+                assert!(ks == want, "m={m}, bits={bits}");
+                if m >= 2 {
+                    parities[InCache::digits(m, bits).0 as usize % 2] = true;
+                }
+            }
+        }
+        assert_eq!(parities, [true, true], "both pass parities must run");
+    }
+
+    #[test]
+    fn in_cache_widths_follow_the_bucket() {
+        // ⌈log2 m⌉, clamped to 3..=11, bounds a digit; the passes are
+        // balanced. A floor would give the half of ~2048-key buckets
+        // just under 2048 a third pass.
+        for (m, bits, digits) in [
+            (2048usize, 21u32, (2u32, 11u32)),
+            (2047, 21, (2, 11)),
+            (1025, 21, (2, 11)),
+            (1024, 21, (3, 7)),
+            (2049, 21, (2, 11)),
+            (4096, 32, (3, 11)),
+            (1 << 16, 53, (5, 11)),
+            (1 << 16, 64, (6, 11)),
+            (3, 8, (3, 3)),
+            (2, 1, (1, 1)),
+            (100, 12, (2, 6)),
+        ] {
+            assert_eq!(InCache::digits(m, bits), digits, "m={m}, bits={bits}");
+        }
+    }
+
+    #[test]
+    fn the_rule_sorts_each_side_of_every_cutoff() {
+        for n in [0usize, 1, 2, 8191, 1 << 13, (1 << 14) + 1, 1 << 17] {
+            for bits in [8u32, 16, 32, 64] {
+                assert_split_first_sorts(
+                    "uniform",
+                    &keys(u64::from(bits) + n as u64, n, bits),
+                    bits,
+                );
+            }
+            assert_split_first_sorts("u32 range as 64 bits", &keys(n as u64, n, 32), 64);
+        }
+    }
+
+    /// Both entries on `ks` declared `key_bits` wide, against
     /// `sort_unstable`.
     fn assert_split_first_sorts(what: &str, ks: &[u64], key_bits: u32) {
         let mut want = ks.to_vec();
         want.sort_unstable();
         let n = ks.len();
         assert!(
-            split_first_sort(ks, key_bits) == want,
-            "split_first_sort: {what}, n={n}, key_bits={key_bits}"
+            fused_radix_sort(ks, key_bits) == want,
+            "fused_radix_sort: {what}, n={n}, key_bits={key_bits}"
         );
         assert!(
-            try_split_first_sort(ks, key_bits).as_deref() == Ok(want.as_slice()),
-            "try_split_first_sort: {what}, n={n}, key_bits={key_bits}"
+            try_fused_radix_sort(ks, key_bits).as_deref() == Ok(want.as_slice()),
+            "try_fused_radix_sort: {what}, n={n}, key_bits={key_bits}"
         );
     }
 
@@ -753,15 +834,21 @@ mod tests {
 
     #[test]
     fn split_first_sorts_big_buckets_beside_small_ones() {
-        // 32-bit keys split on their top 11 bits (21..32). Bucket 5 holds
-        // more keys than the in-cache limit, bucket 9 exactly the limit,
-        // bucket 10 one more; the rest are spread over every bucket.
-        let low = |seed: u64, n: usize| keys(seed, n, 21).into_iter();
-        let mut ks: Vec<u64> = low(1, 3 * CACHE_BUCKET).map(|k| 5 << 21 | k).collect();
-        ks.extend(low(2, CACHE_BUCKET).map(|k| 9 << 21 | k));
-        ks.extend(low(3, CACHE_BUCKET + 1).map(|k| 10 << 21 | k));
-        ks.extend(keys(4, 20_000, 32));
+        // About 2^18.4 32-bit keys split on their top 7 bits (25..32).
+        // Bucket 5 holds more keys than the in-cache limit, bucket 9
+        // exactly the limit, bucket 10 one more; the rest are spread over
+        // the other buckets.
+        let low = |seed: u64, n: usize| keys(seed, n, 25).into_iter();
+        let mut ks: Vec<u64> = low(1, 3 * CACHE_BUCKET).map(|k| 5 << 25 | k).collect();
+        ks.extend(low(2, CACHE_BUCKET).map(|k| 9 << 25 | k));
+        ks.extend(low(3, CACHE_BUCKET + 1).map(|k| 10 << 25 | k));
+        ks.extend(
+            keys(4, 20_000, 32)
+                .into_iter()
+                .filter(|k| ![5, 9, 10].contains(&(k >> 25))),
+        );
         ks.push(u64::from(u32::MAX));
+        assert_eq!(split_digit(32, ks.len()), 7);
         // Interleave the buckets, so the split has to gather them.
         let mut x = 0x5EED_u64;
         for i in (1..ks.len()).rev() {
@@ -771,9 +858,12 @@ mod tests {
             ks.swap(i, (x % (i as u64 + 1)) as usize);
         }
         assert_split_first_sorts("big and small buckets", &ks, 32);
-        // Only big buckets: two top digits, one of them also at the limit.
-        let mut two: Vec<u64> = low(5, CACHE_BUCKET + 7).map(|k| 3 << 21 | k).collect();
-        two.extend(low(6, CACHE_BUCKET).map(|k| 2047 << 21 | k));
+        // Only big buckets: two top digits of 6 bits, one of them also
+        // at the limit.
+        let low = |seed: u64, n: usize| keys(seed, n, 26).into_iter();
+        let mut two: Vec<u64> = low(5, CACHE_BUCKET + 7).map(|k| 3 << 26 | k).collect();
+        two.extend(low(6, CACHE_BUCKET).map(|k| 63 << 26 | k));
+        assert_eq!(split_digit(32, two.len()), 6);
         assert_split_first_sorts("two buckets", &two, 32);
     }
 
@@ -782,10 +872,10 @@ mod tests {
         let ks = keys(9, 50_000, 32);
         let d = ScanDeadline::manual();
         d.cancel();
-        let r = deadline::with_deadline(&d, || try_split_first_sort(&ks, 32));
+        let r = deadline::with_deadline(&d, || try_fused_radix_sort(&ks, 32));
         assert_eq!(r, Err(Error::Exec(ExecError::Cancelled)));
         let d = ScanDeadline::after(std::time::Duration::ZERO);
-        let r = deadline::with_deadline(&d, || try_split_first_sort(&ks, 32));
+        let r = deadline::with_deadline(&d, || try_fused_radix_sort(&ks, 32));
         assert_eq!(r, Err(Error::Exec(ExecError::DeadlineExceeded)));
         // The first bad key is named, not the OR's width, as on the LSD
         // path (`width_errors_name_the_first_bad_key_on_the_pooled_path`).
@@ -793,10 +883,10 @@ mod tests {
         let mut ks = keys(0xBAD, n, 16);
         ks[100] = 1 << 17;
         ks[n - 50] = 1 << 20;
-        let msg = panic_message(|| split_first_sort(&ks, 16));
+        let msg = panic_message(|| fused_radix_sort(&ks, 16));
         assert!(msg.contains("key 131072 does not fit in 16 bits"), "{msg}");
         assert_eq!(
-            try_split_first_sort(&ks, 16),
+            try_fused_radix_sort(&ks, 16),
             Err(Error::WidthOverflow {
                 required: 18,
                 available: 16

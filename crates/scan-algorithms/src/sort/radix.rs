@@ -72,9 +72,9 @@ pub fn split_radix_sort_digits_ctx(
             ctx.charge_elementwise_op(a.len());
             ctx.charge_scan_op(a.len());
             let (ranks, count) = scan_core::scan_with_total::<scan_core::op::Sum, _>(&ones);
-            for i in 0..a.len() {
-                if digit[i] == b {
-                    dest[i] = base + ranks[i];
+            for ((d, &k), &r) in dest.iter_mut().zip(&digit).zip(&ranks) {
+                if k == b {
+                    *d = base + r;
                 }
             }
             base += count;
@@ -139,9 +139,9 @@ pub fn try_split_radix_sort_digits(
                 *o = usize::from(d == b);
             }
             let (ranks, count) = scan_core::Scan::op::<scan_core::op::Sum, _>().try_run(&ones)?;
-            for i in 0..a.len() {
-                if digit[i] == b {
-                    dest[i] = base + ranks[i];
+            for ((d, &k), &r) in dest.iter_mut().zip(&digit).zip(&ranks) {
+                if k == b {
+                    *d = base + r;
                 }
             }
             base += count;

@@ -16,7 +16,9 @@
 //! against this run's legacy sort (so its speedup column is the
 //! fused-vs-legacy ratio on this machine), and a digit-width sweep
 //! (w ∈ {1, 4, 8}) of the unfused enumerate-per-bucket schedule vs the
-//! fused kernel. Two roofline rows per size bound the scans from
+//! fused kernel. The `sort(…-bit)` rows then sweep the default sort
+//! against 8-bit fused passes from 2^8 to 2^20 keys of 16, 32 and 64
+//! bits (DESIGN.md §11). Two roofline rows per size bound the scans from
 //! below: `memcpy` (reused destination — the raw bandwidth floor) and
 //! `memcpy(fresh)` (`a.to_vec()` — the floor for a kernel that must
 //! allocate and return a fresh `Vec`, which at large n is dominated
@@ -156,6 +158,19 @@ fn sort_sizes(smoke: bool) -> Vec<usize> {
     } else {
         vec![1 << 14, 1 << 16, 1 << 18, 1 << 20]
     }
+}
+
+/// Asserts that the default sort of `keys`, declared `bits` wide,
+/// equals `sort_unstable` and 8-bit fused passes on the same keys.
+fn check_sort(what: &str, keys: &[u64], bits: u32) {
+    let mut expect = keys.to_vec();
+    expect.sort_unstable();
+    let sorted = fused_radix_sort(keys, bits);
+    assert!(sorted == expect, "fused sort wrong: {what}");
+    assert!(
+        sorted == fused_radix_sort_digits(keys, bits, 8),
+        "default and 8-bit fused sorts disagree: {what}"
+    );
 }
 
 /// The `--chaos` resilience smoke: seeded injection of delays and
@@ -437,9 +452,8 @@ fn main() {
             new_ns: legacy_ns,
         });
 
-        // The fused multi_split sort (two 8-bit digits for these 16-bit
-        // keys: every size here is below the split-first cutoff of 2^21
-        // keys): old = this run's legacy engine sort, new = fused — so
+        // The fused multi_split sort (one split, then every bucket in
+        // cache): old = this run's legacy engine sort, new = fused — so
         // the row's speedup IS the fused-vs-legacy ratio on this
         // machine. Equality against the legacy path (and std) is
         // asserted before the timing counts.
@@ -481,17 +495,56 @@ fn main() {
         }
     }
 
-    // `multi_split` stages and streams its scatter's output lines only
-    // from a 16 MiB destination on, and only when the dispatcher picks
-    // AVX2: sorts that large, which CI runs under both SIMD pins
-    // (streamed lines, or the direct scatter). Streamed, the default
-    // sort splits first: one 2048-bucket split on the top digit, then
-    // every bucket sorted in cache. Keys that share one top digit take
-    // the big-bucket fallback (pooled 11-bit passes over the bucket),
-    // and u32-range keys declared 64 bits place the top digit at their
-    // OR's highest bit. Each must agree with 8-bit passes on the same
-    // keys; under the `0` pin both take 8-bit digits.
+    // The default sort's one rule, size by size (DESIGN.md §11): old =
+    // 8-bit LSD passes on the same keys, new = `fused_radix_sort`, which
+    // sorts up to 2^12 keys as one bucket and splits larger inputs first.
+    if !smoke {
+        for n in [
+            1 << 8,
+            1 << 10,
+            1 << 12,
+            1 << 13,
+            1 << 14,
+            1 << 16,
+            1 << 18,
+            1 << 20,
+        ] {
+            let k = reps(n * 8);
+            for (bits, name) in [
+                (16, "sort(16-bit)"),
+                (32, "sort(32-bit)"),
+                (64, "sort(64-bit)"),
+            ] {
+                let keys = random_keys(n, bits, 0x50B7 ^ n as u64);
+                check_sort(&format!("{bits}-bit keys at n={n}"), &keys, bits);
+                let old = time_median(w, k, || fused_radix_sort_digits(&keys, bits, 8));
+                let new = time_median(w, k, || fused_radix_sort(&keys, bits));
+                rows.push(Row {
+                    kernel: name,
+                    n,
+                    old_ns: old,
+                    new_ns: new,
+                });
+            }
+        }
+    }
+
+    // The default sort on every path it takes. Up to 2^12 keys it sorts
+    // one bucket on the calling thread; at 2^17 the split writes with
+    // direct stores. `multi_split` stages and streams its scatter's
+    // output lines only from a 16 MiB destination on, and only when the
+    // dispatcher picks AVX2: sorts that large, which CI runs under both
+    // SIMD pins (streamed lines, or the direct scatter). Keys that share
+    // one top digit take the big-bucket fallback (pooled passes over the
+    // bucket), and u32-range keys declared 64 bits place the top digit
+    // at their OR's highest bit.
     if smoke {
+        for n in [1 << 12, 1 << 17] {
+            for bits in [16, 32, 64] {
+                let keys = random_keys(n, bits, 0x5027 ^ n as u64);
+                check_sort(&format!("{bits}-bit keys at n={n}"), &keys, bits);
+            }
+        }
         let uniform = random_keys(1 << 21, 32, 0x5027);
         let one_top_digit: Vec<u64> = random_keys(1 << 21, 21, 0x70D1)
             .into_iter()
@@ -503,18 +556,7 @@ fn main() {
             ("keys sharing one top digit", &one_top_digit, 32),
             ("u32-range keys declared 64 bits", &declared_wide, 64),
         ] {
-            let mut expect = keys.clone();
-            expect.sort_unstable();
-            let sorted = fused_radix_sort(keys, bits);
-            assert_eq!(
-                sorted, expect,
-                "fused sort wrong on the staged scatter: {what}"
-            );
-            assert_eq!(
-                sorted,
-                fused_radix_sort_digits(keys, bits, 8),
-                "default and 8-bit fused sorts disagree on the staged scatter: {what}"
-            );
+            check_sort(what, keys, bits);
         }
     }
 

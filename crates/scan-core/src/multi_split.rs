@@ -79,7 +79,8 @@ const _: () = assert!(align_of::<Line>() == LINE);
 /// `stream` holds. Staging without streaming stores gains nothing, so
 /// other hosts and inputs take the direct scatter. A `dst` must also be
 /// aligned to the element size, which a `Vec<T>` always is. A radix
-/// sort reads this to pick its digit width, and whether to split first.
+/// sort reads this to pick the digit width of its passes over a bucket
+/// too big for cache.
 pub fn stages<T>(len: usize, nbuckets: usize, stream: bool) -> bool {
     let size = size_of::<T>();
     size.is_power_of_two()
@@ -115,13 +116,13 @@ fn for_each_digit<T: Copy, B: Budget>(
     budget: B,
     mut put: impl FnMut(usize, T),
 ) {
-    let mut lo = r.start;
-    while lo < r.end {
-        let hi = (lo + CANCEL_STRIDE).min(r.end);
-        for (&x, &k) in src[lo..hi].iter().zip(&digits[lo..hi]) {
+    let (Some(src), Some(digits)) = (src.get(r.clone()), digits.get(r)) else {
+        return; // never taken: phase 1 split `src` on the same `r`
+    };
+    for (src, digits) in src.chunks(CANCEL_STRIDE).zip(digits.chunks(CANCEL_STRIDE)) {
+        for (&x, &k) in src.iter().zip(digits) {
             put(usize::from(k), x);
         }
-        lo = hi;
         if budget.check().is_err() {
             break; // `dst` stays initialized; caller sees the error
         }
@@ -212,20 +213,24 @@ where
             let r = block_range(n, nblocks, b);
             let mut local = vec![0usize; nbuckets];
             let dig = dig.get();
-            let mut lo = r.start;
-            'chunks: while lo < r.end {
-                let hi = (lo + CANCEL_STRIDE).min(r.end);
-                for (i, &x) in src[lo..hi].iter().enumerate() {
+            let Some(block) = src.get(r.clone()) else {
+                // `r` lies in `0..n`: never taken, but no digit of `r`
+                // is written, so the split must fail.
+                oob.lower(nbuckets);
+                return;
+            };
+            let chunks = (r.start..).step_by(CANCEL_STRIDE);
+            'chunks: for (lo, chunk) in chunks.zip(block.chunks(CANCEL_STRIDE)) {
+                for (i, &x) in chunk.iter().enumerate() {
                     let k = key(x);
-                    if k >= nbuckets {
+                    let Some(c) = local.get_mut(k) else {
                         oob.lower(k);
                         break 'chunks;
-                    }
-                    local[k] += 1;
+                    };
+                    *c += 1;
                     // SAFETY: `i + lo` is in this block's disjoint range.
                     unsafe { dig.add(lo + i).write(k as u16) };
                 }
-                lo = hi;
                 if budget.check().is_err() {
                     break; // bail latch; post-phase check is authoritative
                 }
@@ -250,9 +255,10 @@ where
     budget.check().map_err(B::exec_error)?;
     // SAFETY: the capacity is at least `n` (reserved above), and every
     // block ran its whole range: a block stops early only on an
-    // out-of-range digit or a failed budget check, and both return
-    // above (a deadline or cancellation, once seen, stays seen). So
-    // digits `0..n` are all written.
+    // out-of-range digit (also latched for a range outside `src`) or a
+    // failed budget check, and both return above (a deadline or
+    // cancellation, once seen, stays seen). So digits `0..n` are all
+    // written.
     unsafe { scratch.digits.set_len(n) };
 
     // Phase 2: ONE exclusive +-scan over the flat column-major matrix.
@@ -281,16 +287,13 @@ where
         )
     };
     debug_assert_eq!(acc, n, "histogram must cover the input exactly");
-    let mut counts = vec![0usize; nbuckets];
-    for (k, c) in counts.iter_mut().enumerate() {
-        let base = scratch.counts[k * nblocks];
-        let next = if k + 1 < nbuckets {
-            scratch.counts[(k + 1) * nblocks]
-        } else {
-            acc
-        };
-        *c = next - base;
-    }
+    // Bucket k's count is the next column head (or `acc`) less its own.
+    let heads = scratch.counts.iter().step_by(nblocks);
+    let counts: Vec<usize> = heads
+        .clone()
+        .zip(heads.skip(1).chain([&acc]))
+        .map(|(&base, &next)| next - base)
+        .collect();
 
     // Phase 3: scatter, one write pass over `dst`.
     {
@@ -302,7 +305,7 @@ where
         let digits = &scratch.digits;
         let scat = |b: usize| {
             let r = block_range(n, nblocks, b);
-            let mut cur: Vec<usize> = (0..nbuckets).map(|k| mat[k * nblocks + b]).collect();
+            let mut cur: Vec<usize> = mat.iter().skip(b).step_by(nblocks).copied().collect();
             let out = out.get();
             if !staged {
                 for_each_digit(src, digits, r, budget, |k, x| {

@@ -18,7 +18,7 @@ use crate::rules::in_library_src;
 const CHANNEL_BOUNDARIES: &[(&str, &str, &[&str])] = &[(
     "crates/scan-shard/src/executor.rs",
     "pool",
-    &["Job", "Reply", "Output", "Phase", "Shard"],
+    &["Job", "Reply", "Shard"],
 )];
 
 /// Run the boundary rules.
@@ -185,9 +185,28 @@ mod tests {
         let t = Tree::new();
         t.write(
             "crates/scan-shard/src/executor.rs",
-            "use crate::pool::{Job, Output, Phase, Reply, Shard};\npub fn f(s: &Shard) -> Phase { pool::Phase::Up }\n",
+            "use crate::pool::{Job, Reply, Shard};\npub fn f(s: &mut Shard, j: pool::Job) -> Option<pool::Reply> { None }\n",
         );
         assert_eq!(t.lint(), vec![]);
+    }
+
+    #[test]
+    fn names_the_pool_no_longer_defines_are_flagged() {
+        // `Phase` and `Output` left the pool with the two-round shard
+        // protocol; an item of either name would be new, unchecked state.
+        let t = Tree::new();
+        t.write(
+            "crates/scan-shard/src/executor.rs",
+            "use crate::pool::{Job, Phase};\npub fn f(j: Job) -> Option<pool::Output> { None }\n",
+        );
+        let vs = t.lint();
+        assert_eq!(
+            rules(&vs),
+            vec!["channel-isolation", "channel-isolation"],
+            "the use-import and the inline path: {vs:?}"
+        );
+        assert!(vs[0].msg.contains("pool::Phase"));
+        assert!(vs[1].msg.contains("pool::Output"));
     }
 
     #[test]

@@ -105,9 +105,8 @@ fn radix_sort_output_is_advised() {
         return;
     }
     let keys = input(1 << 8);
-    // 2^22 keys of 8 bits: with streaming stores the sort splits first,
-    // and the split on all 8 bits writes the one fresh buffer and sorts
-    // them; without, one 8-bit digit pass writes the first of two.
+    // 2^22 keys of 8 bits: the sort splits first on every host, and the
+    // split on all 8 bits writes the one fresh buffer and sorts them.
     let out = fused_radix_sort(&keys, 8);
     assert_advised("fused_radix_sort", &out);
     let mut want = keys;
